@@ -14,7 +14,7 @@ from .exceptions import (
     StackDegenerate,
     VacuumVanishes,
 )
-from .folding import FoldResult, Rotation, fold
+from .folding import FoldResult, fold
 from .liouvillian import LiouvillianCoeffs, build_liouvillian, scalar_eigenvalue
 from .model import (
     BathChannel,
@@ -41,7 +41,7 @@ from .spectral import (
     orthogonality_residual,
     stable_projector,
 )
-from .tns import Gate, TensorState, apply_gate, normalize_vacuum, product_state, rotation_gate
+from .tns import TensorState, apply_gate, normalize_vacuum, product_state, rotation_gate
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "ClosureViolation",
     "EndBathParams",
     "FoldResult",
-    "Gate",
     "KitaevParams",
     "LiouvillianCoeffs",
     "MajoranaHamiltonian",
@@ -59,7 +58,6 @@ __all__ = [
     "NessfoldError",
     "NonUniqueNess",
     "ObservableReport",
-    "Rotation",
     "SingularEigenbasis",
     "StackDegenerate",
     "TensorState",

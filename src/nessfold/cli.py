@@ -20,6 +20,8 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -79,7 +81,7 @@ BENCH_COLUMNS = [
 ]
 
 _FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
-_HALF_GRID = [0.5 * k for k in range(9)]
+_FIG1_POINTS = [(0.5 * k, 1.0) for k in range(9)] + [(1.5, 0.5 * k) for k in range(9)]
 
 
 class _UsageError(Exception):
@@ -97,37 +99,59 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- config
 
 
+def _integer(value) -> int:
+    """int() that refuses to truncate: 3 and 3.0 pass, 2.7 does not."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _integer_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [_integer(v) for v in value]
+
+
+# One row per setting: its name is the config-file key, the argparse dest,
+# the RunConfig attribute and, for the point settings, the task key.
+_POINT_SETTINGS = (
+    ("N", _integer, 2),
+    ("w", float, 1.0),
+    ("mu", float, 1.0),
+    ("delta", float, 1.0),
+    ("gamma11", float, 0.0),
+    ("gamma21", float, 1.0),
+    ("gamma12", float, 0.0),
+    ("gamma22", float, 1.0),
+    ("trunc_tol", float, TRUNC_TOL_DEFAULT),
+    ("max_chi", _integer, 0),
+    ("eps_z", float, EPS_Z_DEFAULT),
+    ("eps_fold", float, EPS_FOLD_DEFAULT),
+)
+_SETTINGS = _POINT_SETTINGS + (
+    ("sizes", _integer_list, ()),
+    ("out", str, "-"),
+    ("format", str, "csv"),
+    ("jobs", _integer, 1),
+    ("dump_fold", str, None),
+)
+_CASTS = {name: cast for name, cast, _ in _SETTINGS}
+
+
 class RunConfig:
-    """Flat run description; file keys and flag overrides share these names."""
+    """Flat run description: one attribute per _SETTINGS row plus the w/mu sweeps."""
 
     def __init__(self):
-        self.N = 2
-        self.w = 1.0
-        self.mu = 1.0
-        self.delta = 1.0
-        self.gamma11 = 0.0
-        self.gamma21 = 1.0
-        self.gamma12 = 0.0
-        self.gamma22 = 1.0
-        self.sizes = []
+        for name, _, default in _SETTINGS:
+            setattr(self, name, default)
         self.wSweep = None
         self.muSweep = None
-        self.truncTol = TRUNC_TOL_DEFAULT
-        self.maxChi = 0
-        self.epsZ = EPS_Z_DEFAULT
-        self.epsFold = EPS_FOLD_DEFAULT
-        self.out = "-"
-        self.format = "csv"
-        self.jobs = 1
-        self.dumpFold = None
 
-    _SCALARS = {
-        "N": int, "w": float, "mu": float, "delta": float,
-        "gamma11": float, "gamma21": float, "gamma12": float, "gamma22": float,
-        "trunc_tol": ("truncTol", float), "max_chi": ("maxChi", int),
-        "eps_z": ("epsZ", float), "eps_fold": ("epsFold", float),
-        "out": str, "format": str, "jobs": int,
-    }
+    def _set(self, name: str, value) -> None:
+        try:
+            setattr(self, name, _CASTS[name](value))
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"bad value {value!r} for {name}: {exc}") from exc
 
     def load_file(self, path: str) -> None:
         with open(path) as fh:
@@ -140,12 +164,8 @@ class RunConfig:
         for key, value in doc.items():
             if key in ("w", "mu") and isinstance(value, dict):
                 self._set_sweep(key, value)
-            elif key == "sizes":
-                self.sizes = [int(v) for v in value]
-            elif key in self._SCALARS:
-                spec = self._SCALARS[key]
-                attr, cast = spec if isinstance(spec, tuple) else (key, spec)
-                setattr(self, attr, cast(value))
+            elif key in _CASTS:
+                self._set(key, value)
             else:
                 raise _UsageError(f"unknown config key {key!r}")
 
@@ -153,27 +173,21 @@ class RunConfig:
         missing = {"start", "stop"} - set(d)
         if missing:
             raise _UsageError(f"{axis} sweep needs start/stop, missing {sorted(missing)}")
-        sweep = {"start": float(d["start"]), "stop": float(d["stop"]),
-                 "step": float(d.get("step", 1.0))}
+        try:
+            sweep = {key: float(d.get(key, 1.0)) for key in ("start", "stop", "step")}
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"{axis} sweep bounds must be numbers: {exc}") from exc
+        if not all(math.isfinite(v) for v in sweep.values()):
+            raise _UsageError(f"{axis} sweep bounds must be finite")
         if sweep["step"] <= 0:
             raise _UsageError(f"{axis} sweep step must be positive")
         setattr(self, axis + "Sweep", sweep)
 
     def apply_flags(self, args: argparse.Namespace) -> None:
-        for flag, attr in [
-            ("N", "N"), ("w", "w"), ("mu", "mu"), ("delta", "delta"),
-            ("gamma11", "gamma11"), ("gamma21", "gamma21"),
-            ("gamma12", "gamma12"), ("gamma22", "gamma22"),
-            ("trunc_tol", "truncTol"), ("max_chi", "maxChi"),
-            ("eps_z", "epsZ"), ("eps_fold", "epsFold"),
-            ("out", "out"), ("format", "format"), ("jobs", "jobs"),
-            ("dump_fold", "dumpFold"),
-        ]:
-            value = getattr(args, flag, None)
+        for name in _CASTS:
+            value = getattr(args, name, None)
             if value is not None:
-                setattr(self, attr, value)
-        if getattr(args, "sizes", None) is not None:
-            self.sizes = args.sizes
+                self._set(name, value)
         if getattr(args, "w_range", None) is not None:
             self._set_sweep("w", args.w_range)
         if getattr(args, "mu_range", None) is not None:
@@ -184,10 +198,18 @@ class RunConfig:
             raise _UsageError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 1:
             raise _UsageError("jobs must be >= 1")
-        if self.truncTol < 0 or self.epsZ <= 0 or self.epsFold <= 0:
+        if self.trunc_tol < 0 or self.eps_z <= 0 or self.eps_fold <= 0:
             raise _UsageError("tolerances must be positive (truncTol may be 0)")
-        if self.maxChi < 0:
+        if self.max_chi < 0:
             raise _UsageError("max-chi must be >= 0 (0 = unlimited)")
+        # the model's own checks decide what a valid point is, before any output
+        try:
+            for n in (self.N, *self.sizes):
+                KitaevParams(N=n, w=self.w, mu=self.mu, delta=self.delta)
+            EndBathParams(gamma11=self.gamma11, gamma21=self.gamma21,
+                          gamma12=self.gamma12, gamma22=self.gamma22)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
 
 
 def _sweep_values(sweep: dict) -> list:
@@ -220,16 +242,12 @@ def _parse_sizes(text: str) -> list:
 
 # ---------------------------------------------------------------- workers
 
+_POINT_COLUMNS = BASE_COLUMNS[:8]
+
 
 def _task_from_config(cfg: RunConfig, **overrides) -> dict:
-    task = {
-        "N": cfg.N, "w": cfg.w, "mu": cfg.mu, "delta": cfg.delta,
-        "gamma11": cfg.gamma11, "gamma21": cfg.gamma21,
-        "gamma12": cfg.gamma12, "gamma22": cfg.gamma22,
-        "truncTol": cfg.truncTol, "maxChi": cfg.maxChi,
-        "epsZ": cfg.epsZ, "epsFold": cfg.epsFold,
-        "withOccupancy": False, "dumpFold": None,
-    }
+    task = {name: getattr(cfg, name) for name, _, _ in _POINT_SETTINGS}
+    task.update(with_occupancy=False, dump_fold=None)
     task.update(overrides)
     return task
 
@@ -237,8 +255,7 @@ def _task_from_config(cfg: RunConfig, **overrides) -> dict:
 def _solve_task(task: dict) -> dict:
     """Run one parameter point; must stay module-level and picklable."""
     t0 = time.perf_counter()
-    row = {key: task[key] for key in
-           ("N", "w", "mu", "delta", "gamma11", "gamma21", "gamma12", "gamma22")}
+    row = {key: task[key] for key in _POINT_COLUMNS}
     row.update(eec="", occupancy="", maxBond="", foldResidual="", orthoResidual="",
                status=STATUS_OK)
     try:
@@ -249,17 +266,17 @@ def _solve_task(task: dict) -> dict:
         )
         sol = solve_end_bath(
             params, bath_params,
-            trunc_tol=task["truncTol"], max_chi=task["maxChi"],
-            eps_z=task["epsZ"], eps_fold=task["epsFold"],
+            trunc_tol=task["trunc_tol"], max_chi=task["max_chi"],
+            eps_z=task["eps_z"], eps_fold=task["eps_fold"],
         )
         row["eec"] = sol.report.eec if params.N >= 2 else ""
-        if task["withOccupancy"]:
+        if task["with_occupancy"]:
             row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
         row["maxBond"] = sol.report.maxBond
         row["foldResidual"] = sol.report.foldResidual
         row["orthoResidual"] = sol.orthoResidual
-        if task["dumpFold"]:
-            _dump_fold(sol, task["dumpFold"])
+        if task["dump_fold"]:
+            _dump_fold(sol, task["dump_fold"])
     except NonUniqueNess:
         row["status"] = STATUS_NON_UNIQUE
     except SingularEigenbasis:
@@ -281,9 +298,10 @@ def _map_tasks(tasks, jobs: int):
 
 
 def _dump_fold(sol, path: str) -> None:
+    rots = sol.foldResult.rotations
     doc = {
-        "rotations": [{"m": r.m, "theta": r.theta, "kind": r.kind}
-                      for r in sol.foldResult.rotations],
+        "rotations": [{"m": m, "theta": theta, "kind": kind} for m, theta, kind
+                      in zip(rots.m.tolist(), rots.theta.tolist(), rots.kind.tolist())],
         "rDiag": [float(v) for v in sol.foldResult.rDiag],
         "signs": [int(v) for v in sol.foldResult.signs],
         "foldResidual": float(sol.foldResult.residual),
@@ -306,7 +324,6 @@ class RowEmitter:
     def __init__(self, stream, columns, fmt: str):
         self.stream = stream
         self.columns = columns
-        self.fmt = fmt
         self._csv = None
         if fmt == "csv":
             self._csv = csv.writer(stream, lineterminator="\n")
@@ -314,37 +331,29 @@ class RowEmitter:
             stream.flush()
 
     @staticmethod
-    def _cell(value) -> str:
+    def _plain(value):
+        """None for a blank cell, a Python number for a numpy scalar."""
         if value == "" or value is None:
-            return ""
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            return repr(float(value))
-        return str(value)
+            return None
+        return value.item() if isinstance(value, np.generic) else value
 
     def write(self, row: dict) -> None:
+        values = [self._plain(row.get(c, "")) for c in self.columns]
         if self._csv is not None:
-            self._csv.writerow([self._cell(row.get(c, "")) for c in self.columns])
+            self._csv.writerow(["" if v is None else repr(v) if isinstance(v, float) else str(v)
+                                for v in values])
         else:
-            doc = {}
-            for c in self.columns:
-                v = row.get(c, "")
-                if v == "":
-                    v = None
-                elif isinstance(v, (np.integer,)):
-                    v = int(v)
-                elif isinstance(v, (np.floating,)):
-                    v = float(v)
-                doc[c] = v
-            self.stream.write(json.dumps(doc) + "\n")
+            self.stream.write(json.dumps(dict(zip(self.columns, values))) + "\n")
         self.stream.flush()
 
 
+@contextmanager
 def _open_out(path: str):
     if path in (None, "", "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
 def _aggregate_exit(statuses) -> int:
@@ -358,79 +367,57 @@ def _aggregate_exit(statuses) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_ness(cfg: RunConfig) -> int:
+def cmd_point(cfg: RunConfig, command: str) -> int:
+    """`ness` and `occupancy`: one parameter point, one row; occupancy adds the site profile."""
     if cfg.wSweep or cfg.muSweep:
-        raise _UsageError("ness runs a single point; ranges belong to phase-grid")
-    stream, owned = _open_out(cfg.out)
-    try:
+        raise _UsageError(f"{command} runs a single point; ranges belong to phase-grid")
+    task = _task_from_config(cfg, with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
+    with _open_out(cfg.out) as stream:
         emitter = RowEmitter(stream, BASE_COLUMNS, cfg.format)
-        row = _solve_task(_task_from_config(cfg, dumpFold=cfg.dumpFold))
+        row = _solve_task(task)
         emitter.write(row)
         return _STATUS_EXIT[row["status"]]
-    finally:
-        if owned:
-            stream.close()
 
 
-def cmd_occupancy(cfg: RunConfig) -> int:
-    if cfg.wSweep or cfg.muSweep:
-        raise _UsageError("occupancy runs a single point; ranges belong to phase-grid")
-    stream, owned = _open_out(cfg.out)
-    try:
-        emitter = RowEmitter(stream, BASE_COLUMNS, cfg.format)
-        row = _solve_task(_task_from_config(cfg, withOccupancy=True, dumpFold=cfg.dumpFold))
-        emitter.write(row)
-        return _STATUS_EXIT[row["status"]]
-    finally:
-        if owned:
-            stream.close()
+def _require_sizes(cfg: RunConfig, command: str) -> None:
+    if not cfg.sizes:
+        raise _UsageError(f"{command} needs a nonempty sizes list")
+    if min(cfg.sizes) < 2:
+        raise _UsageError("correlation sweeps need sizes >= 2")
 
 
 def cmd_sweep_size(cfg: RunConfig) -> int:
-    if not cfg.sizes:
-        raise _UsageError("sweep-size needs a nonempty sizes list")
-    if min(cfg.sizes) < 2:
-        raise _UsageError("correlation sweeps need sizes >= 2")
+    _require_sizes(cfg, "sweep-size")
     if cfg.wSweep or cfg.muSweep:
         raise _UsageError("sweep-size sweeps N only; ranges belong to phase-grid")
     tasks = [_task_from_config(cfg, N=n) for n in cfg.sizes]
-    stream, owned = _open_out(cfg.out)
-    try:
+    with _open_out(cfg.out) as stream:
         emitter = RowEmitter(stream, BASE_COLUMNS, cfg.format)
         statuses = []
         for row in _map_tasks(tasks, cfg.jobs):
             emitter.write(row)
             statuses.append(row["status"])
         return _aggregate_exit(statuses)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _series_fit(rows) -> tuple:
-    xs = [row["N"] for row in rows
-          if row["status"] == STATUS_OK and row["eec"] != "" and row["eec"] > 1e-13]
-    ys = [row["eec"] for row in rows
-          if row["status"] == STATUS_OK and row["eec"] != "" and row["eec"] > 1e-13]
-    if len(xs) < 3:
+    points = [(row["N"], row["eec"]) for row in rows
+              if row["status"] == STATUS_OK and row["eec"] != "" and row["eec"] > 1e-13]
+    if len(points) < 3:
         return "", ""
-    slope, _, residual = log_linear_fit(xs, ys)
+    slope, _, residual = log_linear_fit(*zip(*points))
     return slope, residual
 
 
 def cmd_phase_grid(cfg: RunConfig) -> int:
-    if not cfg.sizes:
-        raise _UsageError("phase-grid needs a nonempty sizes list")
-    if min(cfg.sizes) < 2:
-        raise _UsageError("correlation sweeps need sizes >= 2")
+    _require_sizes(cfg, "phase-grid")
     w_values = _sweep_values(cfg.wSweep) if cfg.wSweep else [cfg.w]
     mu_values = _sweep_values(cfg.muSweep) if cfg.muSweep else [cfg.mu]
     points = [(w, mu) for w in w_values for mu in mu_values]
     tasks = [_task_from_config(cfg, N=n, w=w, mu=mu)
              for (w, mu) in points for n in cfg.sizes]
     per_point = len(cfg.sizes)
-    stream, owned = _open_out(cfg.out)
-    try:
+    with _open_out(cfg.out) as stream:
         emitter = RowEmitter(stream, PHASE_COLUMNS, cfg.format)
         statuses = []
         buffer = []
@@ -446,45 +433,45 @@ def cmd_phase_grid(cfg: RunConfig) -> int:
                     statuses.append(r["status"])
                 buffer = []
         return _aggregate_exit(statuses)
-    finally:
-        if owned:
-            stream.close()
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    """Three timed solves per size; failed sizes get no median and stay out of the slope fit."""
     if not cfg.sizes:
         raise _UsageError("bench needs a nonempty sizes list")
-    stream, owned = _open_out(cfg.out)
-    try:
+    with _open_out(cfg.out) as stream:
         emitter = RowEmitter(stream, BENCH_COLUMNS, cfg.format)
-        medians = []
         rows = []
+        statuses = []
+        fit_sizes = []
+        fit_medians = []
         for n in cfg.sizes:
             task = _task_from_config(cfg, N=n)
-            runs = []
-            for _ in range(3):
-                runs.append(_solve_task(task)["runtimeSeconds"])
-            med = statistics.median(runs)
-            medians.append(med)
-            row = {key: task[key] for key in
-                   ("N", "w", "mu", "delta", "gamma11", "gamma21", "gamma12", "gamma22")}
-            row["runsSeconds"] = ";".join(repr(float(r)) for r in runs)
-            row["medianSeconds"] = med
+            runs = [_solve_task(task) for _ in range(3)]
+            row = {key: task[key] for key in _POINT_COLUMNS}
+            row["runsSeconds"] = ";".join(repr(float(r["runtimeSeconds"])) for r in runs)
+            row["medianSeconds"] = ""
             row["logLogSlope"] = ""
+            statuses.extend(r["status"] for r in runs)
+            if all(r["status"] == STATUS_OK for r in runs):
+                row["medianSeconds"] = statistics.median(r["runtimeSeconds"] for r in runs)
+                fit_sizes.append(n)
+                fit_medians.append(row["medianSeconds"])
             rows.append(row)
-        if len(cfg.sizes) >= 2:
-            slope = np.polyfit(np.log(np.asarray(cfg.sizes, dtype=float)),
-                               np.log(np.maximum(medians, 1e-9)), 1)[0]
+        if len(fit_sizes) >= 2:
+            slope = np.polyfit(np.log(np.asarray(fit_sizes, dtype=float)),
+                               np.log(np.maximum(fit_medians, 1e-9)), 1)[0]
             rows[-1]["logLogSlope"] = float(slope)
         for row in rows:
             emitter.write(row)
-        return EXIT_OK
-    finally:
-        if owned:
-            stream.close()
+        return _aggregate_exit(statuses)
 
 
 # ---------------------------------------------------------------- validate
+# Oracle cross-checks returning (passed, detail), registered in CHECKS: `nessfold
+# validate` runs them all, the acceptance tests call them for criteria 1-5 and 7.
+
+_INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
 
 
 def _pipeline_vec(params: KitaevParams, bath_params: EndBathParams) -> np.ndarray:
@@ -502,17 +489,10 @@ def _check_analytic_n1() -> tuple:
     return worst <= 1e-12, f"max rel err {worst:.3e} over 8 rates (tol 1e-12)"
 
 
-def _fig1_points():
-    for w in _HALF_GRID:
-        yield w, 1.0
-    for mu in _HALF_GRID:
-        yield 1.5, mu
-
-
 def _check_second_space_oracle() -> tuple:
     worst = 0.0
     for n in (2, 3):
-        for w, mu in _fig1_points():
+        for w, mu in _FIG1_POINTS:
             params = KitaevParams(N=n, w=w, mu=mu, delta=1.0)
             vec = _pipeline_vec(params, _FIG1_BATHS)
             ref = dense_second_space_ness(build_kitaev(params), end_baths(n, _FIG1_BATHS)).vec
@@ -523,7 +503,7 @@ def _check_second_space_oracle() -> tuple:
 def _check_cross_oracle() -> tuple:
     worst = 0.0
     for n in (2, 3):
-        for w, mu in _fig1_points():
+        for w, mu in _FIG1_POINTS:
             params = KitaevParams(N=n, w=w, mu=mu, delta=1.0)
             channels = end_baths(n, _FIG1_BATHS)
             first = rho_to_second_space(dense_first_space_ness(params, channels).rho)
@@ -533,21 +513,20 @@ def _check_cross_oracle() -> tuple:
 
 
 def _check_decay_profile() -> tuple:
-    bp = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
     odd_max = 0.0
     for n in (3, 5, 7):
-        sol = solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), bp)
+        sol = solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), _INJECT_BATHS)
         odd_max = max(odd_max, sol.report.eec)
     evens = []
     for n in (4, 6, 8, 10):
-        sol = solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), bp)
+        sol = solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), _INJECT_BATHS)
         evens.append(sol.report.eec)
     decreasing = all(a > b for a, b in zip(evens, evens[1:]))
     _, _, residual = log_linear_fit([4, 6, 8, 10], evens)
 
     params5 = KitaevParams(N=5, w=0.0, mu=4.0, delta=1.0)
-    sol5 = solve_end_bath(params5, bp)
-    ref = dense_second_space_ness(build_kitaev(params5), end_baths(5, bp)).vec
+    sol5 = solve_end_bath(params5, _INJECT_BATHS)
+    ref = dense_second_space_ness(build_kitaev(params5), end_baths(5, _INJECT_BATHS)).vec
     occ_err = max(abs(sol5.report.occupancy[j - 1] - occupancy_from_vec(ref, 5, j))
                   for j in (1, 5))
     occ_min = min(sol5.report.occupancy[0], sol5.report.occupancy[4])
@@ -557,39 +536,38 @@ def _check_decay_profile() -> tuple:
                 f"fit residual {residual:.3f}, end occupancy err {occ_err:.3e}")
 
 
-def _check_degeneracy() -> tuple:
-    bp = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
-    for n in (4, 8):
+def _check_degeneracy(sizes=(4, 8)) -> tuple:
+    for n in sizes:
         try:
-            solve_end_bath(KitaevParams(N=n, w=1.0, mu=0.0, delta=1.0), bp)
+            solve_end_bath(KitaevParams(N=n, w=1.0, mu=0.0, delta=1.0), _INJECT_BATHS)
             return False, f"N={n} at w=1, mu=0 did not report a degeneracy"
         except NonUniqueNess:
             continue
-    return True, "w=1, mu=0 flagged non-unique at N=4 and N=8"
+    return True, f"w=1, mu=0 flagged non-unique at {' and '.join(f'N={n}' for n in sizes)}"
 
 
 def _check_dense_equivalence() -> tuple:
     params = KitaevParams(N=4, w=1.5, mu=1.0, delta=1.0)
-    bp = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
-    vec = _pipeline_vec(params, bp)
-    ref = dense_second_space_ness(build_kitaev(params), end_baths(4, bp)).vec
+    vec = _pipeline_vec(params, _INJECT_BATHS)
+    ref = dense_second_space_ness(build_kitaev(params), end_baths(4, _INJECT_BATHS)).vec
     err = error_metric(vec, ref)
     return err <= 1e-9, f"rel err {err:.3e} at N=4 (tol 1e-9)"
 
 
+CHECKS = {
+    "analytic_single_site": _check_analytic_n1,
+    "second_space_oracle": _check_second_space_oracle,
+    "cross_oracle": _check_cross_oracle,
+    "decay_profile": _check_decay_profile,
+    "degeneracy_detection": _check_degeneracy,
+    "dense_equivalence": _check_dense_equivalence,
+}
+
+
 def cmd_validate(cfg: RunConfig) -> int:
-    checks = [
-        ("analytic_single_site", _check_analytic_n1),
-        ("second_space_oracle", _check_second_space_oracle),
-        ("cross_oracle", _check_cross_oracle),
-        ("decay_profile", _check_decay_profile),
-        ("degeneracy_detection", _check_degeneracy),
-        ("dense_equivalence", _check_dense_equivalence),
-    ]
-    stream, owned = _open_out(cfg.out)
-    try:
+    with _open_out(cfg.out) as stream:
         failures = 0
-        for name, fn in checks:
+        for name, fn in CHECKS.items():
             t0 = time.perf_counter()
             try:
                 ok, detail = fn()
@@ -599,11 +577,8 @@ def cmd_validate(cfg: RunConfig) -> int:
             failures += 0 if ok else 1
             stream.write(f"{'PASS' if ok else 'FAIL'}  {name:<22} {detail}  [{dt:.1f}s]\n")
             stream.flush()
-        stream.write(f"{len(checks) - failures}/{len(checks)} checks passed\n")
+        stream.write(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed\n")
         return EXIT_OK if failures == 0 else EXIT_NUMERICAL
-    finally:
-        if owned:
-            stream.close()
 
 
 # ---------------------------------------------------------------- parser
@@ -641,17 +616,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "by next-neighbor rotation folding.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ness", help="solve one parameter point")
-    _add_point(p)
-    _add_common(p)
-    p.add_argument("--dump-fold", dest="dump_fold",
-                   help="write rotation/diagnostic JSON to this path")
-
-    p = sub.add_parser("occupancy", help="solve one point and report the site profile")
-    _add_point(p)
-    _add_common(p)
-    p.add_argument("--dump-fold", dest="dump_fold",
-                   help="write rotation/diagnostic JSON to this path")
+    for name, text in (("ness", "solve one parameter point"),
+                       ("occupancy", "solve one point and report the site profile")):
+        p = sub.add_parser(name, help=text)
+        _add_point(p)
+        _add_common(p)
+        p.add_argument("--dump-fold", dest="dump_fold",
+                       help="write rotation/diagnostic JSON to this path")
 
     p = sub.add_parser("sweep-size", help="correlation vs chain length")
     _add_point(p)
@@ -679,8 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "ness": cmd_ness,
-    "occupancy": cmd_occupancy,
+    "ness": partial(cmd_point, command="ness"),
+    "occupancy": partial(cmd_point, command="occupancy"),
     "sweep-size": cmd_sweep_size,
     "phase-grid": cmd_phase_grid,
     "validate": cmd_validate,
@@ -698,10 +669,7 @@ def main(argv=None) -> int:
         cfg.apply_flags(args)
         cfg.validate_common()
         return _COMMANDS[args.command](cfg)
-    except _UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonUniqueNess as exc:

@@ -21,33 +21,17 @@ from .spectral import TransferStack
 
 EPS_FOLD_DEFAULT = 1e-10
 
-
-@dataclass(frozen=True)
-class Rotation:
-    """One rotation of the pair (gamma~_{m-1}, gamma~_m) by angle theta.
-
-    kind is "U" for phase-stripping rotations and "V" for eliminating ones;
-    both act identically on coefficients.
-    """
-
-    m: int
-    theta: float
-    kind: str
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"pair index must be >= 2, got {self.m}")
-        if not np.isfinite(self.theta):
-            raise ValueError(f"angle must be finite, got {self.theta}")
-        if self.kind not in ("U", "V"):
-            raise ValueError(f"kind must be 'U' or 'V', got {self.kind!r}")
+# One record per rotation of the pair (gamma~_{m-1}, gamma~_m) by angle theta.
+# kind is "U" for phase-stripping rotations and "V" for eliminating ones; both
+# act identically on coefficients.
+ROTATION_DTYPE = np.dtype([("m", np.int64), ("theta", np.float64), ("kind", "U1")])
 
 
 @dataclass(frozen=True)
 class FoldResult:
-    """Recorded rotations (application order), per-row weights and closure signs."""
+    """Recorded rotations (read-only record array, application order), per-row weights and closure signs."""
 
-    rotations: tuple[Rotation, ...]
+    rotations: np.recarray
     rDiag: np.ndarray
     signs: np.ndarray
     residual: float
@@ -62,45 +46,32 @@ def _rotate_inplace(R: np.ndarray, m: int, theta: float) -> None:
     R[:, m - 1] = b * c - a * s
 
 
-def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
-    """Rotate columns m-1 and m (1-based) of every row by theta."""
-    ncols = R.shape[1]
-    if not 2 <= m <= ncols:
-        raise ValueError(f"pair index must lie in 2..{ncols}, got {m}")
-    out = np.array(R, dtype=complex)
-    _rotate_inplace(out, m, theta)
-    return out
+def _sweep_row(W: np.ndarray, l: int, last_m: int, kind: str) -> list:
+    """Rotate pairs 4N down to last_m in place, each angle chosen from row l."""
+    row = l - 1
+    records = []
+    for m in range(W.shape[1], last_m - 1, -1):
+        a, b = W[row, m - 2], W[row, m - 1]
+        theta = atan2(b.imag, a.imag) if kind == "U" else atan2(b.real, a.real)
+        _rotate_inplace(W, m, theta)
+        records.append((m, theta, kind))
+    return records
 
 
-def strip_phases_row(R: np.ndarray, l: int) -> tuple[np.ndarray, list[Rotation]]:
-    """Make columns 2l..4N of row l real by sweeping U-rotations from the right.
+def strip_phases_row(W: np.ndarray, l: int) -> list:
+    """Make columns 2l..4N of row l real in place by sweeping U-rotations from the right.
 
-    The angle atan2(Im R[l][m], Im R[l][m-1]) zeroes the imaginary part of
+    The angle atan2(Im W[l][m], Im W[l][m-1]) zeroes the imaginary part of
     column m and leaves column m-1 with nonnegative imaginary part, which
-    fixes the gauge; a fully real pair records a zero angle.
+    fixes the gauge; a fully real pair records a zero angle.  Returns the
+    (m, theta, kind) records in application order.
     """
-    out = np.array(R, dtype=complex)
-    row = l - 1
-    ncols = out.shape[1]
-    rots = []
-    for m in range(ncols, 2 * l - 1, -1):
-        theta = atan2(out[row, m - 1].imag, out[row, m - 2].imag)
-        _rotate_inplace(out, m, theta)
-        rots.append(Rotation(m=m, theta=theta, kind="U"))
-    return out, rots
+    return _sweep_row(W, l, 2 * l, "U")
 
 
-def eliminate_row(R: np.ndarray, l: int) -> tuple[np.ndarray, list[Rotation]]:
-    """Zero columns 2l+1..4N of row l (already real there) with V-rotations."""
-    out = np.array(R, dtype=complex)
-    row = l - 1
-    ncols = out.shape[1]
-    rots = []
-    for m in range(ncols, 2 * l, -1):
-        phi = atan2(out[row, m - 1].real, out[row, m - 2].real)
-        _rotate_inplace(out, m, phi)
-        rots.append(Rotation(m=m, theta=phi, kind="V"))
-    return out, rots
+def eliminate_row(W: np.ndarray, l: int) -> list:
+    """Zero columns 2l+1..4N of row l (already real there) in place with V-rotations."""
+    return _sweep_row(W, l, 2 * l + 1, "V")
 
 
 def _closure_sign(a: complex, b: complex, eps_fold: float) -> int:
@@ -115,19 +86,17 @@ def _closure_sign(a: complex, b: complex, eps_fold: float) -> int:
     return 1 if err_plus <= err_minus else -1
 
 
-def close_row(R: np.ndarray, l: int, eps_fold: float = EPS_FOLD_DEFAULT) -> tuple[np.ndarray, int]:
-    """Verify R[l][2l-1] = +-i R[l][2l] and zero the pair columns in rows below.
+def close_row(W: np.ndarray, l: int, eps_fold: float = EPS_FOLD_DEFAULT) -> int:
+    """Verify W[l][2l-1] = +-i W[l][2l], then zero the pair columns in the rows below in place.
 
     Zeroing is exact, not approximate: once row l creates its mode, the same
     pair can never act again in lower rows (fermionic nilpotency), so their
     coefficients there are irrelevant.
     """
-    out = np.array(R, dtype=complex)
     row = l - 1
-    sign = _closure_sign(out[row, 2 * l - 2], out[row, 2 * l - 1], eps_fold)
-    out[l:, 2 * l - 2] = 0.0
-    out[l:, 2 * l - 1] = 0.0
-    return out, sign
+    sign = _closure_sign(W[row, 2 * l - 2], W[row, 2 * l - 1], eps_fold)
+    W[l:, 2 * l - 2:2 * l] = 0.0
+    return sign
 
 
 def _pattern_residual(W: np.ndarray) -> float:
@@ -149,20 +118,18 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
     """
     N = stack.N
     W = np.array(stack.R, dtype=complex)
-    rotations: list[Rotation] = []
+    records = []
     rDiag = np.zeros(2 * N)
     signs = np.zeros(2 * N, dtype=int)
 
     for l in range(1, 2 * N):
-        W, rots_u = strip_phases_row(W, l)
-        rotations.extend(rots_u)
-        W, rots_v = eliminate_row(W, l)
-        rotations.extend(rots_v)
+        records += strip_phases_row(W, l)
+        records += eliminate_row(W, l)
         r = W[l - 1, 2 * l - 1]
         if abs(r) < eps_fold:
             raise StackDegenerate(f"row {l} weight {abs(r):.3e} below {eps_fold:.3e}")
         rDiag[l - 1] = r.real
-        W, signs[l - 1] = close_row(W, l, eps_fold)
+        signs[l - 1] = close_row(W, l, eps_fold)
 
     last = W[2 * N - 1, 4 * N - 1]
     if abs(last) < eps_fold:
@@ -170,10 +137,11 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
     rDiag[2 * N - 1] = abs(last)
     signs[2 * N - 1] = _closure_sign(W[2 * N - 1, 4 * N - 2], last, eps_fold)
 
-    rDiag.setflags(write=False)
-    signs.setflags(write=False)
+    rotations = np.rec.fromrecords(records, dtype=ROTATION_DTYPE)
+    for arr in (rotations, rDiag, signs):
+        arr.setflags(write=False)
     return FoldResult(
-        rotations=tuple(rotations),
+        rotations=rotations,
         rDiag=rDiag,
         signs=signs,
         residual=_pattern_residual(W),
@@ -183,18 +151,3 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
 def expected_rotation_count(N: int) -> int:
     """Rotations recorded by fold: sum over rows l < 2N of (4N-2l+1) U + (4N-2l) V."""
     return sum((4 * N - 2 * l + 1) + (4 * N - 2 * l) for l in range(1, 2 * N))
-
-
-def replay(R: np.ndarray, result: FoldResult) -> np.ndarray:
-    """Re-run the recorded rotations and closure zeroings on a pristine stack copy."""
-    W = np.array(R, dtype=complex)
-    n_rows = W.shape[0]
-    ncols = W.shape[1]
-    it = iter(result.rotations)
-    for l in range(1, n_rows):
-        for _ in range(2 * (ncols - 2 * l) + 1):
-            rot = next(it)
-            _rotate_inplace(W, rot.m, rot.theta)
-        W[l:, 2 * l - 2] = 0.0
-        W[l:, 2 * l - 1] = 0.0
-    return W

@@ -270,16 +270,6 @@ def rho_to_second_space(rho: np.ndarray) -> np.ndarray:
     return q / q[0]
 
 
-def second_space_from_strings(q: np.ndarray, N: int) -> np.ndarray:
-    """Inverse expansion sum_n q_n tau_n (round-trip checks only)."""
-    strings = _ordered_strings(N)
-    dim = 2 ** N
-    rho = np.zeros((dim, dim), dtype=complex)
-    for coeff, tau in zip(q, strings):
-        rho += coeff * tau
-    return rho
-
-
 def analytic_n1(gamma1: float, gamma2: float) -> np.ndarray:
     """Exact single-site coefficients |00) + r|11), r = (G2-G1)/(G2+G1)."""
     if gamma1 < 0 or gamma2 < 0 or gamma1 + gamma2 <= 0:

@@ -15,35 +15,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .exceptions import VacuumVanishes
-from .folding import FoldResult, Rotation
+from .folding import FoldResult
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _XX = 1j * np.kron(_PAULI_X, _PAULI_X)
-
-
-@dataclass(frozen=True)
-class Gate:
-    """Unitary on one site or a nearest-neighbor pair; site is 1-based leftmost."""
-
-    site: int
-    span: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.site < 1:
-            raise ValueError(f"site must be >= 1, got {self.site}")
-        if self.span not in (1, 2):
-            raise ValueError(f"span must be 1 or 2, got {self.span}")
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** self.span
-        if mat.shape != (dim, dim):
-            raise ValueError(f"span-{self.span} gate needs shape {(dim, dim)}, got {mat.shape}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass
@@ -78,18 +56,13 @@ def product_state(bits, trunc_tol: float = TRUNC_TOL_DEFAULT, max_chi: int = 0) 
     return TensorState(sites=len(bits), tensors=tensors, truncTol=trunc_tol, maxChi=max_chi)
 
 
-def occupied_state(n_sites: int, trunc_tol: float = TRUNC_TOL_DEFAULT, max_chi: int = 0) -> TensorState:
-    return product_state([1] * n_sites, trunc_tol=trunc_tol, max_chi=max_chi)
-
-
-def rotation_gate(rot: Rotation) -> Gate:
-    """Second-space unitary exp(theta/2 * gamma~_{m-1} gamma~_m) as a local gate."""
-    half = 0.5 * rot.theta
-    if rot.m % 2 == 0:
-        mat = np.diag([np.exp(1j * half), np.exp(-1j * half)])
-        return Gate(site=rot.m // 2, span=1, matrix=mat)
-    mat = np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
-    return Gate(site=(rot.m - 1) // 2, span=2, matrix=mat)
+def rotation_gate(m: int, theta: float) -> np.ndarray:
+    """Matrix of exp(theta/2 * gamma~_{m-1} gamma~_m): 2x2 on site m/2 for even m,
+    4x4 on sites ((m-1)/2, (m+1)/2) for odd m."""
+    half = 0.5 * theta
+    if m % 2 == 0:
+        return np.diag([np.exp(1j * half), np.exp(-1j * half)])
+    return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
 
 
 def _robust_svd(mat: np.ndarray):
@@ -108,29 +81,30 @@ def _truncate(s: np.ndarray, trunc_tol: float, max_chi: int) -> int:
     return keep
 
 
-def apply_gate(state: TensorState, gate: Gate) -> None:
-    """Contract the gate into the state in place, splitting two-site updates by SVD.
+def apply_gate(state: TensorState, m: int, theta: float) -> None:
+    """Contract rotation_gate(m, theta) into the state in place, splitting two-site updates by SVD.
 
     Truncation against the local singular values is only optimal when the
     orthogonality center sits on the gated pair; apply_inverse_sequence keeps
     that invariant, direct callers are responsible for their own gauge.
     """
-    j = gate.site - 1
-    if gate.span == 1:
+    mat = rotation_gate(m, theta)
+    if m % 2 == 0:
+        j = m // 2 - 1
         if not 0 <= j < state.sites:
-            raise ValueError(f"site {gate.site} outside 1..{state.sites}")
-        state.tensors[j] = np.einsum("pq,aqb->apb", gate.matrix, state.tensors[j])
+            raise ValueError(f"site {j + 1} outside 1..{state.sites}")
+        state.tensors[j] = np.einsum("pq,aqb->apb", mat, state.tensors[j])
         return
+    j = (m - 1) // 2 - 1
     if not 0 <= j < state.sites - 1:
-        raise ValueError(f"pair ({gate.site},{gate.site + 1}) outside chain of {state.sites}")
+        raise ValueError(f"pair ({j + 1},{j + 2}) outside chain of {state.sites}")
     A = state.tensors[j]
     B = state.tensors[j + 1]
     a, _, _ = A.shape
     _, _, c = B.shape
-    theta = np.tensordot(A, B, axes=([2], [0]))
-    G = gate.matrix.reshape(2, 2, 2, 2)
-    theta = np.einsum("pqrs,arsc->apqc", G, theta)
-    U, s, Vh = _robust_svd(theta.reshape(a * 2, 2 * c))
+    block = np.tensordot(A, B, axes=([2], [0]))
+    block = np.einsum("pqrs,arsc->apqc", mat.reshape(2, 2, 2, 2), block)
+    U, s, Vh = _robust_svd(block.reshape(a * 2, 2 * c))
     keep = _truncate(s, state.truncTol, state.maxChi)
     total = float((s * s).sum())
     if total > 0:
@@ -170,20 +144,18 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     state's actual entanglement.
     """
     center = 0
-    for rot in reversed(result.rotations):
-        if rot.theta == 0.0:
+    rots = result.rotations
+    for m, theta in zip(rots.m[::-1].tolist(), rots.theta[::-1].tolist()):
+        if theta == 0.0:
             continue
-        gate = rotation_gate(Rotation(m=rot.m, theta=-rot.theta, kind=rot.kind))
-        if gate.span == 1:
-            apply_gate(state, gate)
-            continue
-        j = gate.site - 1
-        if center < j:
-            _shift_center_right(state, center, j)
-        elif center > j + 1:
-            _shift_center_left(state, center, j + 1)
-        apply_gate(state, gate)
-        center = j + 1
+        if m % 2 == 1:
+            j = (m - 1) // 2 - 1
+            if center < j:
+                _shift_center_right(state, center, j)
+            elif center > j + 1:
+                _shift_center_left(state, center, j + 1)
+            center = j + 1
+        apply_gate(state, m, -theta)
 
 
 def coefficient(state: TensorState, bits) -> complex:

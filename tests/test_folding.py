@@ -6,18 +6,17 @@ import pytest
 from nessfold.exceptions import ClosureViolation, StackDegenerate
 from nessfold.folding import (
     FoldResult,
-    Rotation,
     close_row,
     eliminate_row,
     expected_rotation_count,
     fold,
-    replay,
-    rotate_columns,
     strip_phases_row,
 )
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import TransferStack, build_stack, decompose, stable_projector
+
+from helpers import replay, rotate_columns
 
 BP = EndBathParams(gamma11=0.3, gamma21=1.0, gamma12=0.6, gamma22=1.4)
 
@@ -47,23 +46,6 @@ def scramble(W, seed, n_rot=80):
     return R
 
 
-def test_rotation_validation():
-    with pytest.raises(ValueError):
-        Rotation(m=1, theta=0.5, kind="U")
-    with pytest.raises(ValueError):
-        Rotation(m=2, theta=np.nan, kind="U")
-    with pytest.raises(ValueError):
-        Rotation(m=2, theta=0.5, kind="W")
-
-
-def test_rotate_columns_bounds():
-    R = np.zeros((2, 4), dtype=complex)
-    with pytest.raises(ValueError):
-        rotate_columns(R, 1, 0.3)
-    with pytest.raises(ValueError):
-        rotate_columns(R, 5, 0.3)
-
-
 def test_rotate_columns_is_orthogonal():
     rng = np.random.default_rng(3)
     R = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
@@ -76,20 +58,20 @@ def test_rotate_columns_is_orthogonal():
 
 def test_strip_phases_makes_row_real():
     stack = genuine_stack()
-    out, rots = strip_phases_row(stack.R, 1)
-    assert len(rots) == stack.R.shape[1] - 1
-    assert np.abs(out[0, 1:].imag).max() < 1e-14
-    assert all(r.kind == "U" for r in rots)
+    W = stack.R.copy()
+    rots = strip_phases_row(W, 1)
+    assert np.abs(W[0, 1:].imag).max() < 1e-14
+    assert [(m, kind) for m, _, kind in rots] == [(m, "U") for m in range(stack.R.shape[1], 1, -1)]
 
 
 def test_eliminate_clears_tail():
     stack = genuine_stack()
-    W, _ = strip_phases_row(stack.R, 1)
-    W, rots = eliminate_row(W, 1)
-    assert len(rots) == stack.R.shape[1] - 2
+    W = stack.R.copy()
+    strip_phases_row(W, 1)
+    rots = eliminate_row(W, 1)
     assert np.abs(W[0, 2:]).max() < 1e-13
     assert W[0, 1].real > 0
-    assert all(r.kind == "V" for r in rots)
+    assert [(m, kind) for m, _, kind in rots] == [(m, "V") for m in range(stack.R.shape[1], 2, -1)]
 
 
 def test_close_row_signs():
@@ -97,14 +79,12 @@ def test_close_row_signs():
     Wp[0, 0] = 0.4j
     Wp[0, 1] = 0.4
     Wp[1, 0] = 7.0  # must be zeroed
-    out, sign = close_row(Wp, 1)
-    assert sign == 1
-    assert out[1, 0] == 0.0
-
     Wm = Wp.copy()
+    assert close_row(Wp, 1) == 1
+    assert Wp[1, 0] == 0.0
+
     Wm[0, 0] = -0.4j
-    _, sign = close_row(Wm, 1)
-    assert sign == -1
+    assert close_row(Wm, 1) == -1
 
 
 def test_close_row_rejects_non_isotropic_pair():
@@ -196,4 +176,6 @@ def test_fold_result_is_frozen():
         result.residual = 0.0
     with pytest.raises(ValueError):
         result.rDiag[0] = 5.0
+    with pytest.raises(ValueError):
+        result.rotations.theta[0] = 5.0
     assert isinstance(result, FoldResult)

@@ -21,11 +21,12 @@ from nessfold.oracle import (
     mode_majoranas,
     occupancy_from_vec,
     rho_to_second_space,
-    second_space_from_strings,
     second_space_liouvillian,
 )
 from nessfold.pipeline import solve_end_bath
 from nessfold.tns import dense_coefficients
+
+from helpers import second_space_from_strings
 
 BP = EndBathParams(gamma11=0.8, gamma21=1.7, gamma12=0.4, gamma22=2.1)
 

@@ -7,19 +7,15 @@ from hypothesis import strategies as st
 from scipy.linalg import signm
 
 from nessfold.exceptions import NessfoldError
-from nessfold.folding import (
-    Rotation,
-    expected_rotation_count,
-    fold,
-    replay,
-    rotate_columns,
-)
+from nessfold.folding import expected_rotation_count, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import dense_second_space_ness, error_metric
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import TransferStack, decompose, stable_projector
-from nessfold.tns import apply_gate, dense_coefficients, product_state, rotation_gate
+from nessfold.tns import apply_gate, dense_coefficients, product_state
+
+from helpers import replay, rotate_columns
 
 SUITE_SETTINGS = settings(
     max_examples=50,
@@ -97,11 +93,7 @@ def gate_sequences(draw):
     bits = [draw(st.sampled_from([0, 1])) for _ in range(n_sites)]
     length = draw(st.integers(1, 12))
     rots = [
-        Rotation(
-            m=draw(st.integers(2, 2 * n_sites)),
-            theta=draw(st.floats(-2 * np.pi, 2 * np.pi, **finite)),
-            kind=draw(st.sampled_from(["U", "V"])),
-        )
+        (draw(st.integers(2, 2 * n_sites)), draw(st.floats(-2 * np.pi, 2 * np.pi, **finite)))
         for _ in range(length)
     ]
     return bits, rots
@@ -113,11 +105,10 @@ def test_gate_sequence_inverts_exactly(case):
     bits, rots = case
     state = product_state(bits, trunc_tol=0.0)
     ref = dense_coefficients(state).copy()
-    for rot in rots:
-        apply_gate(state, rotation_gate(rot))
-    for rot in reversed(rots):
-        undo = Rotation(m=rot.m, theta=-rot.theta, kind=rot.kind)
-        apply_gate(state, rotation_gate(undo))
+    for m, theta in rots:
+        apply_gate(state, m, theta)
+    for m, theta in reversed(rots):
+        apply_gate(state, m, -theta)
     assert np.max(np.abs(dense_coefficients(state) - ref)) <= 1e-11
 
 

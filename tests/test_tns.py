@@ -4,36 +4,32 @@ import numpy as np
 import pytest
 
 from nessfold.exceptions import VacuumVanishes
-from nessfold.folding import Rotation, fold
+from nessfold.folding import fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import build_stack, decompose, stable_projector
 from nessfold.tns import (
-    Gate,
     apply_gate,
     apply_inverse_sequence,
     coefficient,
     dense_coefficients,
     normalize_vacuum,
-    occupied_state,
     product_state,
     rotation_gate,
     vacuum_amplitude,
 )
 
 
-def dense_gate(n_sites, gate):
-    left = np.eye(2 ** (gate.site - 1))
-    right = np.eye(2 ** (n_sites - gate.site - gate.span + 1))
-    return np.kron(np.kron(left, gate.matrix), right)
+def dense_gate(n_sites, m, theta):
+    site, span = (m // 2, 1) if m % 2 == 0 else ((m - 1) // 2, 2)
+    left = np.eye(2 ** (site - 1))
+    right = np.eye(2 ** (n_sites - site - span + 1))
+    return np.kron(np.kron(left, rotation_gate(m, theta)), right)
 
 
 def random_rotations(rng, n_sites, count):
-    rots = []
-    for _ in range(count):
-        m = int(rng.integers(2, 2 * n_sites + 1))
-        rots.append(Rotation(m=m, theta=float(rng.uniform(-np.pi, np.pi)), kind="U"))
-    return rots
+    return [(int(rng.integers(2, 2 * n_sites + 1)), float(rng.uniform(-np.pi, np.pi)))
+            for _ in range(count)]
 
 
 def test_product_state_is_basis_vector():
@@ -53,22 +49,17 @@ def test_product_state_validation():
         product_state([0, 2])
 
 
-def test_gate_validation():
-    with pytest.raises(ValueError):
-        Gate(site=0, span=1, matrix=np.eye(2))
-    with pytest.raises(ValueError):
-        Gate(site=1, span=3, matrix=np.eye(8))
-    with pytest.raises(ValueError):
-        Gate(site=1, span=2, matrix=np.eye(2))
-
-
 def test_rotation_gate_layout():
-    even = rotation_gate(Rotation(m=6, theta=0.4, kind="U"))
-    assert (even.site, even.span) == (3, 1)
-    odd = rotation_gate(Rotation(m=5, theta=0.4, kind="V"))
-    assert (odd.site, odd.span) == (2, 2)
-    ident = rotation_gate(Rotation(m=4, theta=0.0, kind="U"))
-    np.testing.assert_allclose(ident.matrix, np.eye(2))
+    assert rotation_gate(6, 0.4).shape == (2, 2)
+    assert rotation_gate(5, 0.4).shape == (4, 4)
+    np.testing.assert_allclose(rotation_gate(4, 0.0), np.eye(2))
+    # even m acts on site m/2 alone, odd m on sites ((m-1)/2, (m+1)/2)
+    state = product_state([0, 0, 0], trunc_tol=0.0)
+    apply_gate(state, 6, 0.4)
+    np.testing.assert_allclose(dense_coefficients(state), dense_gate(3, 6, 0.4)[:, 0])
+    apply_gate(state, 5, 0.4)
+    np.testing.assert_allclose(dense_coefficients(state),
+                               dense_gate(3, 5, 0.4) @ dense_gate(3, 6, 0.4)[:, 0])
 
 
 def test_apply_gate_matches_dense_action():
@@ -76,10 +67,9 @@ def test_apply_gate_matches_dense_action():
     n = 3
     state = product_state([0, 1, 0], trunc_tol=0.0)
     dense = dense_coefficients(state)
-    for rot in random_rotations(rng, n, 25):
-        gate = rotation_gate(rot)
-        apply_gate(state, gate)
-        dense = dense_gate(n, gate) @ dense
+    for m, theta in random_rotations(rng, n, 25):
+        apply_gate(state, m, theta)
+        dense = dense_gate(n, m, theta) @ dense
     np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-12)
     assert state.discardedWeight == 0.0
 
@@ -87,16 +77,18 @@ def test_apply_gate_matches_dense_action():
 def test_apply_gate_site_bounds():
     state = product_state([0, 0])
     with pytest.raises(ValueError):
-        apply_gate(state, Gate(site=3, span=1, matrix=np.eye(2)))
+        apply_gate(state, 6, 0.3)  # site 3
     with pytest.raises(ValueError):
-        apply_gate(state, Gate(site=2, span=2, matrix=np.eye(4)))
+        apply_gate(state, 5, 0.3)  # pair (2, 3)
+    with pytest.raises(ValueError):
+        apply_gate(state, 1, 0.3)  # pair (0, 1)
 
 
 def test_truncation_cap_and_bookkeeping():
     rng = np.random.default_rng(4)
     state = product_state([0, 0, 0, 0], max_chi=1)
-    for rot in random_rotations(rng, 4, 40):
-        apply_gate(state, rotation_gate(rot))
+    for m, theta in random_rotations(rng, 4, 40):
+        apply_gate(state, m, theta)
     assert all(b == 1 for b in state.bondDims)
     assert state.discardedWeight > 0.0
     assert state.maxBondSeen == 1
@@ -105,8 +97,8 @@ def test_truncation_cap_and_bookkeeping():
 def test_untruncated_run_tracks_bond_growth():
     rng = np.random.default_rng(9)
     state = product_state([0, 0, 0], trunc_tol=0.0)
-    for rot in random_rotations(rng, 3, 30):
-        apply_gate(state, rotation_gate(rot))
+    for m, theta in random_rotations(rng, 3, 30):
+        apply_gate(state, m, theta)
     assert state.maxBondSeen >= 2
     assert state.maxBondSeen == max(state.bondDims)
 
@@ -124,9 +116,8 @@ def test_inverse_sequence_gauge_moves_are_exact():
 
     naive = product_state(bits, trunc_tol=0.0)
     for rot in reversed(result.rotations):
-        if rot.theta == 0.0:
-            continue
-        apply_gate(naive, rotation_gate(Rotation(m=rot.m, theta=-rot.theta, kind=rot.kind)))
+        if rot.theta != 0.0:
+            apply_gate(naive, int(rot.m), -float(rot.theta))
 
     np.testing.assert_allclose(
         dense_coefficients(gauged), dense_coefficients(naive), atol=1e-12
@@ -136,8 +127,8 @@ def test_inverse_sequence_gauge_moves_are_exact():
 def test_coefficient_matches_dense_vector():
     rng = np.random.default_rng(23)
     state = product_state([0, 0, 0], trunc_tol=0.0)
-    for rot in random_rotations(rng, 3, 20):
-        apply_gate(state, rotation_gate(rot))
+    for m, theta in random_rotations(rng, 3, 20):
+        apply_gate(state, m, theta)
     dense = dense_coefficients(state)
     for idx in range(8):
         bits = [(idx >> (2 - k)) & 1 for k in range(3)]
@@ -155,7 +146,7 @@ def test_vacuum_normalization():
 
 
 def test_vacuum_vanishes_on_occupied_state():
-    state = occupied_state(3)
+    state = product_state([1, 1, 1])
     assert vacuum_amplitude(state) == 0.0
     with pytest.raises(VacuumVanishes):
         normalize_vacuum(state)
@@ -165,7 +156,7 @@ def test_two_site_gate_entangles_as_expected():
     # exp(theta/2 g~3 g~4) on |00>: cos(theta/2)|00> + i sin(theta/2)|11>
     theta = 0.9
     state = product_state([0, 0])
-    apply_gate(state, rotation_gate(Rotation(m=3, theta=theta, kind="V")))
+    apply_gate(state, 3, theta)
     dense = dense_coefficients(state)
     np.testing.assert_allclose(
         dense,
