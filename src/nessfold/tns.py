@@ -5,10 +5,17 @@ site 1 as the most significant bit.  Every recorded rotation is 2-local in
 that encoding: an even pair index m gives a single-site phase gate at site
 m/2, an odd one a nearest-neighbor gate at ((m-1)/2, (m+1)/2) whose string
 factors cancel.  Tensors are stored as (left bond, physical, right bond).
+
+Every gate conserves fermion parity and the replay starts from a product
+state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
+vectors of bond j have even parity, the rest odd.  An entry (a, p, b) of a
+tensor is nonzero only if parity(a) + p = parity(b) mod 2, and two-site
+updates and gauge shifts factorize each parity block on its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +33,15 @@ _XX = 1j * np.kron(_PAULI_X, _PAULI_X)
 
 @dataclass
 class TensorState:
-    """Mutable MPS over `sites` qubits with relative-cutoff truncation."""
+    """Mutable MPS over `sites` qubits with relative-cutoff truncation.
+
+    `even[j]` counts the even-parity vectors of bond j, which sits left of
+    site j (0-based); bond `sites` closes the chain.
+    """
 
     sites: int
     tensors: list
+    even: list
     truncTol: float = TRUNC_TOL_DEFAULT
     maxChi: int = 0
     z0: complex = 0.0
@@ -53,7 +65,8 @@ def product_state(bits, trunc_tol: float = TRUNC_TOL_DEFAULT, max_chi: int = 0) 
         t = np.zeros((1, 2, 1), dtype=complex)
         t[0, b, 0] = 1.0
         tensors.append(t)
-    return TensorState(sites=len(bits), tensors=tensors, truncTol=trunc_tol, maxChi=max_chi)
+    even = [1 - sum(bits[:j]) % 2 for j in range(len(bits) + 1)]
+    return TensorState(sites=len(bits), tensors=tensors, even=even, truncTol=trunc_tol, maxChi=max_chi)
 
 
 def rotation_gate(m: int, theta: float) -> np.ndarray:
@@ -65,12 +78,34 @@ def rotation_gate(m: int, theta: float) -> np.ndarray:
     return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
 
 
-def _robust_svd(mat: np.ndarray):
+def _bond(dim: int, even: int):
+    """Positions and 0/1 parities of the vectors of a bond whose first `even` are even."""
+    pos = np.arange(dim)
+    return pos, (pos >= even).astype(np.intp)
+
+
+def _robust_svd(blocks: np.ndarray):
     try:
-        return np.linalg.svd(mat, full_matrices=False)
+        return np.linalg.svd(blocks, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but reliable
-        return sla.svd(mat, full_matrices=False, lapack_driver="gesvd")
+        parts = [sla.svd(b, full_matrices=False, lapack_driver="gesvd") for b in blocks]
+        return tuple(np.stack(x) for x in zip(*parts))
+
+
+def _qr_sectors(b0: np.ndarray, b1: np.ndarray):
+    """Reduced QR of two blocks with equal row counts in one batched LAPACK call.
+
+    The narrower block is padded with zero columns: Householder QR leaves the
+    factors of leading columns unchanged by zero columns after them.
+    """
+    rows, n0, n1 = b0.shape[0], b0.shape[1], b1.shape[1]
+    padded = np.zeros((2, rows, max(n0, n1)), dtype=complex)
+    padded[0, :, :n0] = b0
+    padded[1, :, :n1] = b1
+    q, r = np.linalg.qr(padded)
+    k0, k1 = min(rows, n0), min(rows, n1)
+    return q[0, :, :k0], r[0, :k0, :n0], q[1, :, :k1], r[1, :k1, :n1]
 
 
 def _truncate(s: np.ndarray, trunc_tol: float, max_chi: int) -> int:
@@ -82,55 +117,89 @@ def _truncate(s: np.ndarray, trunc_tol: float, max_chi: int) -> int:
 
 
 def apply_gate(state: TensorState, m: int, theta: float) -> None:
-    """Contract rotation_gate(m, theta) into the state in place, splitting two-site updates by SVD.
+    """Apply rotation_gate(m, theta) to the state in place, splitting two-site updates by SVD.
 
+    The gate conserves parity, so the two-site block splits into one a x c
+    matrix per parity of the cut; both are factorized in one batched SVD and
+    truncated over their merged singular values.
     Truncation against the local singular values is only optimal when the
     orthogonality center sits on the gated pair; apply_inverse_sequence keeps
     that invariant, direct callers are responsible for their own gauge.
     """
-    mat = rotation_gate(m, theta)
+    half = 0.5 * theta
     if m % 2 == 0:
         j = m // 2 - 1
         if not 0 <= j < state.sites:
             raise ValueError(f"site {j + 1} outside 1..{state.sites}")
-        state.tensors[j] = np.einsum("pq,aqb->apb", mat, state.tensors[j])
+        phase = complex(math.cos(half), math.sin(half))
+        state.tensors[j] = state.tensors[j] * np.array([[phase], [phase.conjugate()]])
         return
     j = (m - 1) // 2 - 1
     if not 0 <= j < state.sites - 1:
         raise ValueError(f"pair ({j + 1},{j + 2}) outside chain of {state.sites}")
-    A = state.tensors[j]
-    B = state.tensors[j + 1]
-    a, _, _ = A.shape
-    _, _, c = B.shape
-    block = np.tensordot(A, B, axes=([2], [0]))
-    block = np.einsum("pqrs,arsc->apqc", mat.reshape(2, 2, 2, 2), block)
-    U, s, Vh = _robust_svd(block.reshape(a * 2, 2 * c))
-    keep = _truncate(s, state.truncTol, state.maxChi)
-    total = float((s * s).sum())
+    A, B, mid = state.tensors[j], state.tensors[j + 1], state.even[j + 1]
+    ra, pa = _bond(A.shape[0], state.even[j])
+    rc, pc = _bond(B.shape[2], state.even[j + 2])
+    # sector s of the cut: rows (x, pa[x]^s) by columns (pc[y]^s, y)
+    M = np.empty((2, ra.size, rc.size), dtype=complex)
+    np.matmul(A[ra, pa, :mid], B[:mid, pc, rc], out=M[0])
+    np.matmul(A[ra, 1 - pa, mid:], B[mid:, 1 - pc, rc], out=M[1])
+    # cos + i sin X(x)X flips both physical legs, which swaps the sectors
+    U, s, Vh = _robust_svd(math.cos(half) * M + 1j * math.sin(half) * M[::-1])
+    order = np.argsort(-s.ravel(), kind="stable")
+    ranked = s.ravel()[order]
+    keep = _truncate(ranked, state.truncTol, state.maxChi)
+    total = float((ranked * ranked).sum())
     if total > 0:
-        state.discardedWeight += float((s[keep:] * s[keep:]).sum()) / total
-    state.tensors[j] = U[:, :keep].reshape(a, 2, keep)
-    state.tensors[j + 1] = (s[:keep, None] * Vh[:keep]).reshape(keep, 2, c)
+        state.discardedWeight += float((ranked[keep:] * ranked[keep:]).sum()) / total
+    k0 = int(np.count_nonzero(order[:keep] < s.shape[1]))
+    k1 = keep - k0
+    left = np.zeros((ra.size, 2, keep), dtype=complex)
+    left[ra, pa, :k0] = U[0, :, :k0]
+    left[ra, 1 - pa, k0:] = U[1, :, :k1]
+    right = np.zeros((keep, 2, rc.size), dtype=complex)
+    right[:k0, pc, rc] = s[0, :k0, None] * Vh[0, :k0]
+    right[k0:, 1 - pc, rc] = s[1, :k1, None] * Vh[1, :k1]
+    state.tensors[j], state.tensors[j + 1] = left, right
+    state.even[j + 1] = k0
     state.maxBondSeen = max(state.maxBondSeen, keep)
 
 
 def _shift_center_right(state: TensorState, src: int, dst: int) -> None:
-    """QR sweep: make sites src..dst-1 left-orthogonal, pushing weight to dst."""
+    """QR sweep: make sites src..dst-1 left-orthogonal, pushing weight to dst.
+
+    Each parity sector of the right bond is factorized on its own.
+    """
     for j in range(src, dst):
-        t = state.tensors[j]
-        q, r = np.linalg.qr(t.reshape(-1, t.shape[2]))
-        state.tensors[j] = q.reshape(t.shape[0], 2, q.shape[1])
-        state.tensors[j + 1] = np.tensordot(r, state.tensors[j + 1], axes=([1], [0]))
+        t, nxt, mid = state.tensors[j], state.tensors[j + 1], state.even[j + 1]
+        rl, pl = _bond(t.shape[0], state.even[j])
+        q0, r0, q1, r1 = _qr_sectors(t[rl, pl, :mid], t[rl, 1 - pl, mid:])
+        k0 = q0.shape[1]
+        left = np.zeros((rl.size, 2, k0 + q1.shape[1]), dtype=complex)
+        left[rl, pl, :k0] = q0
+        left[rl, 1 - pl, k0:] = q1
+        flat = nxt.reshape(nxt.shape[0], -1)
+        state.tensors[j] = left
+        state.tensors[j + 1] = np.concatenate((r0 @ flat[:mid], r1 @ flat[mid:])).reshape(left.shape[2], 2, -1)
+        state.even[j + 1] = k0
 
 
 def _shift_center_left(state: TensorState, src: int, dst: int) -> None:
-    """LQ sweep: make sites dst+1..src right-orthogonal, pushing weight to dst."""
+    """LQ sweep: make sites dst+1..src right-orthogonal, pushing weight to dst.
+
+    Each parity sector of the left bond is factorized on its own.
+    """
     for j in range(src, dst, -1):
-        t = state.tensors[j]
-        q, r = np.linalg.qr(t.reshape(t.shape[0], -1).conj().T)
-        k = q.shape[1]
-        state.tensors[j] = q.conj().T.reshape(k, 2, t.shape[2])
-        state.tensors[j - 1] = np.tensordot(state.tensors[j - 1], r.conj().T, axes=([2], [0]))
+        t, prev, mid = state.tensors[j], state.tensors[j - 1], state.even[j]
+        rr, pr = _bond(t.shape[2], state.even[j + 1])
+        q0, r0, q1, r1 = _qr_sectors(t[:mid, pr, rr].conj().T, t[mid:, 1 - pr, rr].conj().T)
+        k0 = q0.shape[1]
+        right = np.zeros((k0 + q1.shape[1], 2, rr.size), dtype=complex)
+        right[:k0, pr, rr] = q0.conj().T
+        right[k0:, 1 - pr, rr] = q1.conj().T
+        state.tensors[j] = right
+        state.tensors[j - 1] = np.concatenate((prev[:, :, :mid] @ r0.conj().T, prev[:, :, mid:] @ r1.conj().T), axis=2)
+        state.even[j] = k0
 
 
 def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nessfold.exceptions import VacuumVanishes
 from nessfold.folding import fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
+from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_stack, decompose, stable_projector
 from nessfold.tns import (
+    _shift_center_left,
+    _shift_center_right,
     apply_gate,
     apply_inverse_sequence,
     coefficient,
@@ -30,6 +34,18 @@ def dense_gate(n_sites, m, theta):
 def random_rotations(rng, n_sites, count):
     return [(int(rng.integers(2, 2 * n_sites + 1)), float(rng.uniform(-np.pi, np.pi)))
             for _ in range(count)]
+
+
+def assert_parity_blocked(state, bits):
+    """Every entry the parity-sorted bonds forbid is exactly zero."""
+    assert state.even[0] == 1
+    assert state.even[-1] == 1 - sum(bits) % 2
+    for j, t in enumerate(state.tensors):
+        assert 0 <= state.even[j] <= t.shape[0]
+        left = np.arange(t.shape[0]) >= state.even[j]
+        right = np.arange(t.shape[2]) >= state.even[j + 1]
+        allowed = (left[:, None, None] ^ np.array([False, True])[None, :, None]) == right[None, None, :]
+        assert np.all(t[~allowed] == 0.0)
 
 
 def test_product_state_is_basis_vector():
@@ -124,6 +140,23 @@ def test_inverse_sequence_gauge_moves_are_exact():
     )
 
 
+@pytest.mark.parametrize("shift", [lambda s: _shift_center_left(s, 1, 0), lambda s: _shift_center_right(s, 0, 1)],
+                         ids=["left", "right"])
+def test_gauge_shift_drops_redundant_sector_vectors(shift):
+    # bond 1 holds two even vectors, but one site on either side supports only one
+    rng = np.random.default_rng(8)
+    state = product_state([0, 0], trunc_tol=0.0)
+    state.tensors = [np.zeros((1, 2, 3), dtype=complex), np.zeros((3, 2, 1), dtype=complex)]
+    state.even[1] = 2
+    state.tensors[0][0, 0, :2], state.tensors[0][0, 1, 2] = rng.normal(size=2), rng.normal()
+    state.tensors[1][:2, 0, 0], state.tensors[1][2, 1, 0] = rng.normal(size=2), rng.normal()
+    dense = dense_coefficients(state)
+    shift(state)
+    assert state.bondDims == [1, 2, 1]
+    assert_parity_blocked(state, [0, 0])
+    np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-14)
+
+
 def test_coefficient_matches_dense_vector():
     rng = np.random.default_rng(23)
     state = product_state([0, 0, 0], trunc_tol=0.0)
@@ -163,3 +196,74 @@ def test_two_site_gate_entangles_as_expected():
         [np.cos(theta / 2), 0.0, 0.0, 1j * np.sin(theta / 2)],
         atol=1e-14,
     )
+
+
+@pytest.mark.parametrize("n, max_chi", [(4, 0), (6, 8)])
+def test_replay_keeps_bonds_parity_sorted(n, max_chi):
+    sol = solve_end_bath(KitaevParams(N=n, w=0.5, mu=2.0, delta=1.0),
+                         EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3), max_chi=max_chi)
+    assert (sol.state.discardedWeight > 1e-6) == (max_chi > 0)
+    assert_parity_blocked(sol.state, [(1 + int(s)) // 2 for s in sol.foldResult.signs])
+
+
+def test_random_gates_keep_bonds_parity_sorted():
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 2, size=5).tolist()
+    state = product_state(bits, trunc_tol=0.0)
+    assert_parity_blocked(state, bits)
+    for m, theta in random_rotations(rng, 5, 40):
+        apply_gate(state, m, theta)
+    assert max(state.bondDims) > 2
+    assert_parity_blocked(state, bits)
+
+
+def test_cap_breaks_a_tie_across_parity_sectors():
+    # two equal Schmidt values across bond 1, one per parity: the cap keeps exactly one
+    state = product_state([0, 0, 1])
+    apply_gate(state, 5, np.pi / 2)
+    state.maxChi = 1
+    apply_gate(state, 3, np.pi / 2)
+    assert state.bondDims[1] == 1
+    assert state.discardedWeight == pytest.approx(0.5, abs=1e-14)
+    assert_parity_blocked(state, [0, 0, 1])
+
+
+def test_gesvd_fallback_factorizes_each_parity_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    state = product_state([1, 0, 0], trunc_tol=0.0)
+    dense = dense_coefficients(state)
+    for m, theta in random_rotations(rng, 3, 12):
+        apply_gate(state, m, theta)
+        dense = dense_gate(3, m, theta) @ dense
+    gesdd, gesvd = np.linalg.svd, scipy.linalg.svd
+    failures, drivers = [np.linalg.LinAlgError("SVD did not converge")], []
+
+    def flaky(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return gesdd(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        drivers.append(kwargs.get("lapack_driver"))
+        return gesvd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    monkeypatch.setattr(scipy.linalg, "svd", counted)
+    apply_gate(state, 5, 0.7)
+    assert not failures
+    assert drivers == ["gesvd", "gesvd"]
+    np.testing.assert_allclose(dense_coefficients(state), dense_gate(3, 5, 0.7) @ dense, atol=1e-12)
+
+
+def test_one_svd_call_per_two_site_gate(monkeypatch):
+    """The traced benchmark charges exactly one numpy.linalg.svd call to each two-site gate."""
+    svd, shapes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    sol = solve_end_bath(KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0))
+    rots = sol.foldResult.rotations
+    assert len(shapes) == np.count_nonzero((rots.theta != 0.0) & (rots.m % 2 == 1)) > 0
