@@ -103,7 +103,7 @@ def build_report(state: TensorState, fold_residual: float) -> ObservableReport:
         eec=eec,
         occupancy=occupancy_profile(state),
         vacuumCoeff=complex(state.z0),
-        maxBond=int(max(state.maxBondSeen, max(state.bondDims))),
+        maxBond=int(state.maxBondSeen),
         foldResidual=float(fold_residual),
     )
 

@@ -4,13 +4,15 @@ A chain of 2N fermionic modes maps under Jordan-Wigner to 2N qubits with
 site 1 as the most significant bit.  Every recorded rotation is 2-local in
 that encoding: an even pair index m gives a single-site phase gate at site
 m/2, an odd one a nearest-neighbor gate at ((m-1)/2, (m+1)/2) whose string
-factors cancel.  Tensors are stored as (left bond, physical, right bond).
+factors cancel.
 
 Every gate conserves fermion parity and the replay starts from a product
 state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
-vectors of bond j have even parity, the rest odd.  An entry (a, p, b) of a
-tensor is nonzero only if parity(a) + p = parity(b) mod 2, and two-site
-updates and gauge shifts factorize each parity block on its own.
+vectors of bond j have even parity, the rest odd.  The physical index of an
+entry (a, b) of a site's tensor is then fixed, p = parity(a) xor parity(b),
+so each site is stored as one (left bond, right bond) matrix and each parity
+sector of a bond is a plain slice of it.  Two-site updates and gauge shifts
+factorize each sector on its own.
 """
 
 from __future__ import annotations
@@ -31,16 +33,27 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _XX = 1j * np.kron(_PAULI_X, _PAULI_X)
 
 
+def _physical(M: np.ndarray, even_left: int, even_right: int) -> np.ndarray:
+    """Physical index p = parity(a) xor parity(b) of every entry (a, b) of a site matrix."""
+    return (np.arange(M.shape[0]) >= even_left)[:, None] != (np.arange(M.shape[1]) >= even_right)
+
+
+def _sector(even: int, parity: int) -> slice:
+    """Positions of one parity's vectors in a bond whose first `even` vectors are even."""
+    return slice(None, even) if parity == 0 else slice(even, None)
+
+
 @dataclass
 class TensorState:
-    """Mutable MPS over `sites` qubits with relative-cutoff truncation.
+    """Mutable MPS with relative-cutoff truncation, one matrix per site.
 
-    `even[j]` counts the even-parity vectors of bond j, which sits left of
-    site j (0-based); bond `sites` closes the chain.
+    `matrices[j]` maps bond j, which sits left of site j (0-based), to bond
+    j + 1; bond `sites` closes the chain.  `even[j]` counts the even-parity
+    vectors of bond j, which come first.  Entry (a, b) of `matrices[j]` is
+    the amplitude of physical index p = parity(a) xor parity(b) at site j.
     """
 
-    sites: int
-    tensors: list
+    matrices: list
     even: list
     truncTol: float = TRUNC_TOL_DEFAULT
     maxChi: int = 0
@@ -49,24 +62,40 @@ class TensorState:
     maxBondSeen: int = field(default=1)
 
     @property
+    def sites(self) -> int:
+        return len(self.matrices)
+
+    @property
     def bondDims(self) -> list:
-        return [t.shape[0] for t in self.tensors] + [self.tensors[-1].shape[2]]
+        return [M.shape[0] for M in self.matrices] + [self.matrices[-1].shape[1]]
+
+    @property
+    def tensors(self) -> list:
+        """Dense (left bond, physical, right bond) arrays, built on each access."""
+        out = []
+        for j, M in enumerate(self.matrices):
+            p = _physical(M, self.even[j], self.even[j + 1])
+            out.append(np.stack((np.where(p, 0, M), np.where(p, M, 0)), axis=1))
+        return out
+
+
+def _occupations(bits) -> list:
+    bits = list(bits)
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"occupation must be 0 or 1, got {b}")
+    return [int(b) for b in bits]
 
 
 def product_state(bits, trunc_tol: float = TRUNC_TOL_DEFAULT, max_chi: int = 0) -> TensorState:
     """Bond-1 state |b_1 b_2 ... b_n) from an iterable of 0/1 occupations."""
-    bits = list(bits)
+    bits = _occupations(bits)
     if not bits:
         raise ValueError("need at least one site")
-    tensors = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"occupation must be 0 or 1, got {b}")
-        t = np.zeros((1, 2, 1), dtype=complex)
-        t[0, b, 0] = 1.0
-        tensors.append(t)
+    # bond j's one vector has the parity of the occupations left of it, so site j's entry has p = b_j
     even = [1 - sum(bits[:j]) % 2 for j in range(len(bits) + 1)]
-    return TensorState(sites=len(bits), tensors=tensors, even=even, truncTol=trunc_tol, maxChi=max_chi)
+    matrices = [np.ones((1, 1), dtype=complex) for _ in bits]
+    return TensorState(matrices=matrices, even=even, truncTol=trunc_tol, maxChi=max_chi)
 
 
 def rotation_gate(m: int, theta: float) -> np.ndarray:
@@ -76,12 +105,6 @@ def rotation_gate(m: int, theta: float) -> np.ndarray:
     if m % 2 == 0:
         return np.diag([np.exp(1j * half), np.exp(-1j * half)])
     return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
-
-
-def _bond(dim: int, even: int):
-    """Positions and 0/1 parities of the vectors of a bond whose first `even` are even."""
-    pos = np.arange(dim)
-    return pos, (pos >= even).astype(np.intp)
 
 
 def _robust_svd(blocks: np.ndarray):
@@ -132,18 +155,15 @@ def apply_gate(state: TensorState, m: int, theta: float) -> None:
         if not 0 <= j < state.sites:
             raise ValueError(f"site {j + 1} outside 1..{state.sites}")
         phase = complex(math.cos(half), math.sin(half))
-        state.tensors[j] = state.tensors[j] * np.array([[phase], [phase.conjugate()]])
+        M = state.matrices[j]
+        state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
         return
     j = (m - 1) // 2 - 1
     if not 0 <= j < state.sites - 1:
         raise ValueError(f"pair ({j + 1},{j + 2}) outside chain of {state.sites}")
-    A, B, mid = state.tensors[j], state.tensors[j + 1], state.even[j + 1]
-    ra, pa = _bond(A.shape[0], state.even[j])
-    rc, pc = _bond(B.shape[2], state.even[j + 2])
-    # sector s of the cut: rows (x, pa[x]^s) by columns (pc[y]^s, y)
-    M = np.empty((2, ra.size, rc.size), dtype=complex)
-    np.matmul(A[ra, pa, :mid], B[:mid, pc, rc], out=M[0])
-    np.matmul(A[ra, 1 - pa, mid:], B[mid:, 1 - pc, rc], out=M[1])
+    L, R, mid = state.matrices[j], state.matrices[j + 1], state.even[j + 1]
+    # one a x c block per parity of the cut
+    M = np.stack((L[:, :mid] @ R[:mid], L[:, mid:] @ R[mid:]))
     # cos + i sin X(x)X flips both physical legs, which swaps the sectors
     U, s, Vh = _robust_svd(math.cos(half) * M + 1j * math.sin(half) * M[::-1])
     order = np.argsort(-s.ravel(), kind="stable")
@@ -154,13 +174,8 @@ def apply_gate(state: TensorState, m: int, theta: float) -> None:
         state.discardedWeight += float((ranked[keep:] * ranked[keep:]).sum()) / total
     k0 = int(np.count_nonzero(order[:keep] < s.shape[1]))
     k1 = keep - k0
-    left = np.zeros((ra.size, 2, keep), dtype=complex)
-    left[ra, pa, :k0] = U[0, :, :k0]
-    left[ra, 1 - pa, k0:] = U[1, :, :k1]
-    right = np.zeros((keep, 2, rc.size), dtype=complex)
-    right[:k0, pc, rc] = s[0, :k0, None] * Vh[0, :k0]
-    right[k0:, 1 - pc, rc] = s[1, :k1, None] * Vh[1, :k1]
-    state.tensors[j], state.tensors[j + 1] = left, right
+    state.matrices[j] = np.concatenate((U[0, :, :k0], U[1, :, :k1]), axis=1)
+    state.matrices[j + 1] = np.concatenate((s[0, :k0, None] * Vh[0, :k0], s[1, :k1, None] * Vh[1, :k1]))
     state.even[j + 1] = k0
     state.maxBondSeen = max(state.maxBondSeen, keep)
 
@@ -171,17 +186,11 @@ def _shift_center_right(state: TensorState, src: int, dst: int) -> None:
     Each parity sector of the right bond is factorized on its own.
     """
     for j in range(src, dst):
-        t, nxt, mid = state.tensors[j], state.tensors[j + 1], state.even[j + 1]
-        rl, pl = _bond(t.shape[0], state.even[j])
-        q0, r0, q1, r1 = _qr_sectors(t[rl, pl, :mid], t[rl, 1 - pl, mid:])
-        k0 = q0.shape[1]
-        left = np.zeros((rl.size, 2, k0 + q1.shape[1]), dtype=complex)
-        left[rl, pl, :k0] = q0
-        left[rl, 1 - pl, k0:] = q1
-        flat = nxt.reshape(nxt.shape[0], -1)
-        state.tensors[j] = left
-        state.tensors[j + 1] = np.concatenate((r0 @ flat[:mid], r1 @ flat[mid:])).reshape(left.shape[2], 2, -1)
-        state.even[j + 1] = k0
+        M, nxt, mid = state.matrices[j], state.matrices[j + 1], state.even[j + 1]
+        q0, r0, q1, r1 = _qr_sectors(M[:, :mid], M[:, mid:])
+        state.matrices[j] = np.concatenate((q0, q1), axis=1)
+        state.matrices[j + 1] = np.concatenate((r0 @ nxt[:mid], r1 @ nxt[mid:]))
+        state.even[j + 1] = q0.shape[1]
 
 
 def _shift_center_left(state: TensorState, src: int, dst: int) -> None:
@@ -190,16 +199,11 @@ def _shift_center_left(state: TensorState, src: int, dst: int) -> None:
     Each parity sector of the left bond is factorized on its own.
     """
     for j in range(src, dst, -1):
-        t, prev, mid = state.tensors[j], state.tensors[j - 1], state.even[j]
-        rr, pr = _bond(t.shape[2], state.even[j + 1])
-        q0, r0, q1, r1 = _qr_sectors(t[:mid, pr, rr].conj().T, t[mid:, 1 - pr, rr].conj().T)
-        k0 = q0.shape[1]
-        right = np.zeros((k0 + q1.shape[1], 2, rr.size), dtype=complex)
-        right[:k0, pr, rr] = q0.conj().T
-        right[k0:, 1 - pr, rr] = q1.conj().T
-        state.tensors[j] = right
-        state.tensors[j - 1] = np.concatenate((prev[:, :, :mid] @ r0.conj().T, prev[:, :, mid:] @ r1.conj().T), axis=2)
-        state.even[j] = k0
+        M, prev, mid = state.matrices[j], state.matrices[j - 1], state.even[j]
+        q0, r0, q1, r1 = _qr_sectors(M[:mid].conj().T, M[mid:].conj().T)
+        state.matrices[j] = np.concatenate((q0.conj().T, q1.conj().T))
+        state.matrices[j - 1] = np.concatenate((prev[:, :mid] @ r0.conj().T, prev[:, mid:] @ r1.conj().T), axis=1)
+        state.even[j] = q0.shape[1]
 
 
 def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
@@ -228,14 +232,19 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
 
 
 def coefficient(state: TensorState, bits) -> complex:
-    """Amplitude of one occupation pattern, contracted left to right."""
-    bits = list(bits)
+    """Amplitude of one occupation pattern, contracted left to right.
+
+    Only the bond sector of the prefix's parity carries the pattern, so a
+    pattern of the wrong total parity reads exactly 0.
+    """
+    bits = _occupations(bits)
     if len(bits) != state.sites:
         raise ValueError(f"need {state.sites} occupations, got {len(bits)}")
-    v = np.ones(1, dtype=complex)
-    for t, b in zip(state.tensors, bits):
-        v = v @ t[:, b, :]
-    return complex(v[0])
+    v, parity = np.ones(1, dtype=complex), 0
+    for j, (M, b) in enumerate(zip(state.matrices, bits)):
+        v = v @ M[_sector(state.even[j], parity), _sector(state.even[j + 1], parity ^ b)]
+        parity ^= b
+    return complex(v[0]) if v.size else 0j
 
 
 def vacuum_amplitude(state: TensorState) -> complex:

@@ -14,7 +14,7 @@ from nessfold.observables import (
     site_occupancy,
 )
 from nessfold.pipeline import solve_end_bath
-from nessfold.tns import normalize_vacuum, product_state
+from nessfold.tns import apply_gate, normalize_vacuum, product_state
 
 
 def solved_state(n=2, w=1.0, mu=1.0, g1=1.0, g2=3.0):
@@ -76,9 +76,7 @@ def test_occupancy_bounds_and_profile():
 
 def test_occupancy_rejects_complex_leakage():
     state = product_state([0, 0])
-    state.tensors[0] = state.tensors[0].astype(complex)
-    state.tensors[0][0, 1, 0] = 1e-5j  # injects an imaginary pair coefficient
-    state.tensors[1][0, 1, 0] = 1.0
+    apply_gate(state, 3, 2 * np.arctan(1e-5))  # |00) + 1e-5j |11) after normalization
     normalize_vacuum(state)
     with pytest.raises(ValueError, match="imaginary"):
         site_occupancy(state, 1)

@@ -146,10 +146,8 @@ def test_gauge_shift_drops_redundant_sector_vectors(shift):
     # bond 1 holds two even vectors, but one site on either side supports only one
     rng = np.random.default_rng(8)
     state = product_state([0, 0], trunc_tol=0.0)
-    state.tensors = [np.zeros((1, 2, 3), dtype=complex), np.zeros((3, 2, 1), dtype=complex)]
+    state.matrices = [rng.normal(size=(1, 3)).astype(complex), rng.normal(size=(3, 1)).astype(complex)]
     state.even[1] = 2
-    state.tensors[0][0, 0, :2], state.tensors[0][0, 1, 2] = rng.normal(size=2), rng.normal()
-    state.tensors[1][:2, 0, 0], state.tensors[1][2, 1, 0] = rng.normal(size=2), rng.normal()
     dense = dense_coefficients(state)
     shift(state)
     assert state.bondDims == [1, 2, 1]
@@ -168,6 +166,10 @@ def test_coefficient_matches_dense_vector():
         assert coefficient(state, bits) == pytest.approx(dense[idx], abs=1e-13)
     with pytest.raises(ValueError):
         coefficient(state, [0, 0])
+    with pytest.raises(ValueError, match="occupation must be 0 or 1, got -1"):
+        coefficient(state, [-1, -1, 0])
+    with pytest.raises(ValueError, match="occupation must be 0 or 1, got 2"):
+        coefficient(state, [2, 0, 0])
 
 
 def test_vacuum_normalization():
@@ -204,6 +206,12 @@ def test_replay_keeps_bonds_parity_sorted(n, max_chi):
                          EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3), max_chi=max_chi)
     assert (sol.state.discardedWeight > 1e-6) == (max_chi > 0)
     assert_parity_blocked(sol.state, [(1 + int(s)) // 2 for s in sol.foldResult.signs])
+    # the dense view the benchmark contracts: (left, 2, right) arrays with the state's norm
+    dims, E = sol.state.bondDims, np.ones((1, 1), dtype=complex)
+    for j, t in enumerate(sol.state.tensors):
+        assert t.shape == (dims[j], 2, dims[j + 1])
+        E = np.tensordot(t.conj(), np.tensordot(E, t, axes=([1], [0])), axes=([0, 1], [0, 1]))
+    assert np.sqrt(abs(E[0, 0])) == pytest.approx(np.linalg.norm(dense_coefficients(sol.state)), rel=1e-12)
 
 
 def test_random_gates_keep_bonds_parity_sorted():
