@@ -36,14 +36,6 @@ from .exceptions import (
 from .folding import EPS_FOLD_DEFAULT
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from .observables import log_linear_fit
-from .oracle import (
-    analytic_n1,
-    dense_first_space_ness,
-    dense_second_space_ness,
-    error_metric,
-    occupancy_from_vec,
-    rho_to_second_space,
-)
 from .pipeline import solve_end_bath
 from .spectral import EPS_Z_DEFAULT
 from .tns import TRUNC_TOL_DEFAULT, dense_coefficients
@@ -470,6 +462,7 @@ def cmd_bench(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- validate
 # Oracle cross-checks returning (passed, detail), registered in CHECKS: `nessfold
 # validate` runs them all, the acceptance tests call them for criteria 1-5 and 7.
+# Each check imports the oracle itself, so the solve commands never load scipy.
 
 _INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
 
@@ -480,6 +473,8 @@ def _pipeline_vec(params: KitaevParams, bath_params: EndBathParams) -> np.ndarra
 
 
 def _check_analytic_n1() -> tuple:
+    from .oracle import analytic_n1, error_metric
+
     worst = 0.0
     for k in range(1, 9):
         gamma2 = 0.5 * k
@@ -490,6 +485,8 @@ def _check_analytic_n1() -> tuple:
 
 
 def _check_second_space_oracle() -> tuple:
+    from .oracle import dense_second_space_ness, error_metric
+
     worst = 0.0
     for n in (2, 3):
         for w, mu in _FIG1_POINTS:
@@ -501,6 +498,9 @@ def _check_second_space_oracle() -> tuple:
 
 
 def _check_cross_oracle() -> tuple:
+    from .oracle import (dense_first_space_ness, dense_second_space_ness, error_metric,
+                         rho_to_second_space)
+
     worst = 0.0
     for n in (2, 3):
         for w, mu in _FIG1_POINTS:
@@ -513,6 +513,8 @@ def _check_cross_oracle() -> tuple:
 
 
 def _check_decay_profile() -> tuple:
+    from .oracle import dense_second_space_ness, occupancy_from_vec
+
     odd_max = 0.0
     for n in (3, 5, 7):
         sol = solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), _INJECT_BATHS)
@@ -547,6 +549,8 @@ def _check_degeneracy(sizes=(4, 8)) -> tuple:
 
 
 def _check_dense_equivalence() -> tuple:
+    from .oracle import dense_second_space_ness, error_metric
+
     params = KitaevParams(N=4, w=1.5, mu=1.0, delta=1.0)
     vec = _pipeline_vec(params, _INJECT_BATHS)
     ref = dense_second_space_ness(build_kitaev(params), end_baths(4, _INJECT_BATHS)).vec

@@ -3,11 +3,20 @@
 Chains the construction stages in order (Hamiltonian, quadratic generator,
 mode decomposition, stack folding, gate replay, observables) and surfaces
 each stage's typed failure unchanged so callers can map it to a status.
+
+A solve runs with numpy's OpenBLAS pinned to one thread: the replay's SVDs
+and QRs act on blocks of a few hundred rows at most, where waking and
+syncing BLAS threads costs more than the work they share.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 from .folding import EPS_FOLD_DEFAULT, FoldResult, fold
 from .liouvillian import LiouvillianCoeffs, build_liouvillian
@@ -23,6 +32,60 @@ from .spectral import (
     stable_projector,
 )
 from .tns import TRUNC_TOL_DEFAULT, TensorState, apply_inverse_sequence, normalize_vacuum, product_state
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS numpy.linalg links, or None.
+
+    None on other BLAS builds (MKL, Accelerate) or when the extension cannot be
+    loaded; pinning then does nothing.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+_BLAS_THREADS = _openblas_threads()
+# OpenBLAS's thread count is process-wide: the first solve to enter saves it, the last to leave restores it
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the count found.
+
+    Nested and concurrent blocks leave the count as the outermost one found it.
+    """
+    global _pin_depth, _pin_saved
+    blas = _BLAS_THREADS
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
 
 
 @dataclass(frozen=True)
@@ -47,20 +110,21 @@ def solve(
     eps_z: float = EPS_Z_DEFAULT,
     eps_fold: float = EPS_FOLD_DEFAULT,
 ) -> NessSolution:
-    """Solve one parameter point; raises the stage errors documented per module."""
+    """Solve one parameter point on one BLAS thread; raises the stage errors documented per module."""
     baths = list(baths)
-    H = build_kitaev(params)
-    L = build_liouvillian(H, baths)
-    spectrum = decompose(L, eps_z=eps_z)
-    stack = build_stack(stable_projector(spectrum), params.N)
-    ortho = orthogonality_residual(stack)
-    fold_result = fold(stack, eps_fold=eps_fold)
+    with one_blas_thread():
+        H = build_kitaev(params)
+        L = build_liouvillian(H, baths)
+        spectrum = decompose(L, eps_z=eps_z)
+        stack = build_stack(stable_projector(spectrum), params.N)
+        ortho = orthogonality_residual(stack)
+        fold_result = fold(stack, eps_fold=eps_fold)
 
-    bits = [(1 + int(s)) // 2 for s in fold_result.signs]
-    state = product_state(bits, trunc_tol=trunc_tol, max_chi=max_chi)
-    apply_inverse_sequence(state, fold_result)
-    normalize_vacuum(state)
-    report = build_report(state, fold_result.residual)
+        bits = [(1 + int(s)) // 2 for s in fold_result.signs]
+        state = product_state(bits, trunc_tol=trunc_tol, max_chi=max_chi)
+        apply_inverse_sequence(state, fold_result)
+        normalize_vacuum(state)
+        report = build_report(state, fold_result.residual)
     return NessSolution(
         params=params,
         liouvillian=L,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .exceptions import NonUniqueNess, SingularEigenbasis
 from .liouvillian import LiouvillianCoeffs
@@ -75,7 +74,7 @@ def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectru
         raise SingularEigenbasis(
             f"eigenvector matrix condition {cond:.3e} exceeds {1.0 / eps_z:.3e}"
         )
-    Zinv = la.solve(Z, np.eye(Z.shape[0], dtype=complex))
+    Zinv = np.linalg.solve(Z, np.eye(Z.shape[0], dtype=complex))
     return ModeSpectrum(z=z, Z=Z, Zinv=Zinv, plusSet=plus)
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .exceptions import VacuumVanishes
 from .folding import FoldResult
@@ -111,7 +110,10 @@ def _robust_svd(blocks: np.ndarray):
     try:
         return np.linalg.svd(blocks, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but reliable
+        # gesdd occasionally fails to converge; gesvd is slower but reliable.
+        # scipy is imported here so that a solve that never falls back never loads it.
+        import scipy.linalg as sla
+
         parts = [sla.svd(b, full_matrices=False, lapack_driver="gesvd") for b in blocks]
         return tuple(np.stack(x) for x in zip(*parts))
 
