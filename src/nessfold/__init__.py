@@ -41,7 +41,7 @@ from .spectral import (
     orthogonality_residual,
     stable_projector,
 )
-from .tns import TensorState, apply_gate, normalize_vacuum, product_state, rotation_gate
+from .tns import TensorState, apply_gate, normalize_vacuum, product_state
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "occupancy_profile",
     "orthogonality_residual",
     "product_state",
-    "rotation_gate",
     "scalar_eigenvalue",
     "single_site_bath",
     "site_occupancy",

@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,18 +47,25 @@ EXIT_DEGENERATE = 2
 EXIT_NUMERICAL = 3
 
 STATUS_OK = "ok"
-STATUS_NON_UNIQUE = "non_unique"
-STATUS_CLOSURE = "closure_violation"
-STATUS_VACUUM = "vacuum_vanishes"
-STATUS_SINGULAR = "singular_eigenbasis"
 
-_STATUS_EXIT = {
-    STATUS_OK: EXIT_OK,
-    STATUS_NON_UNIQUE: EXIT_DEGENERATE,
-    STATUS_CLOSURE: EXIT_NUMERICAL,
-    STATUS_VACUUM: EXIT_NUMERICAL,
-    STATUS_SINGULAR: EXIT_NUMERICAL,
-}
+# One row per solver failure: the exception, the row status it becomes and the
+# exit code that status gives.  Exit codes rank numerical > degenerate > ok.
+_FAILURES = (
+    (NonUniqueNess, "non_unique", EXIT_DEGENERATE),
+    (SingularEigenbasis, "singular_eigenbasis", EXIT_NUMERICAL),
+    (ClosureViolation, "closure_violation", EXIT_NUMERICAL),
+    (StackDegenerate, "closure_violation", EXIT_NUMERICAL),
+    (VacuumVanishes, "vacuum_vanishes", EXIT_NUMERICAL),
+)
+_FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
+_STATUS_EXIT = {STATUS_OK: EXIT_OK, **{status: code for _, status, code in _FAILURES}}
+
+
+def _failure(exc: Exception) -> tuple:
+    """(status, exit code) of the _FAILURES row exc belongs to; any other error is numerical."""
+    return next(((status, code) for kind, status, code in _FAILURES if isinstance(exc, kind)),
+                (None, EXIT_NUMERICAL))
+
 
 BASE_COLUMNS = [
     "N", "w", "mu", "delta",
@@ -66,14 +74,12 @@ BASE_COLUMNS = [
     "runtimeSeconds", "status",
 ]
 PHASE_COLUMNS = BASE_COLUMNS + ["fitSlope", "fitResidual", "boundaryMu"]
-BENCH_COLUMNS = [
-    "N", "w", "mu", "delta",
-    "gamma11", "gamma21", "gamma12", "gamma22",
-    "runsSeconds", "medianSeconds", "logLogSlope",
-]
+_POINT_COLUMNS = BASE_COLUMNS[:8]
+BENCH_COLUMNS = _POINT_COLUMNS + ["runsSeconds", "medianSeconds", "logLogSlope"]
 
 _FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
-_FIG1_POINTS = [(0.5 * k, 1.0) for k in range(9)] + [(1.5, 0.5 * k) for k in range(9)]
+_FIG1_PARAMS = [KitaevParams(N=n, w=w, mu=mu, delta=1.0) for n in (2, 3) for w, mu in
+                 [(0.5 * k, 1.0) for k in range(9)] + [(1.5, 0.5 * k) for k in range(9)]]
 
 
 class _UsageError(Exception):
@@ -91,59 +97,111 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- config
 
 
-def _integer(value) -> int:
-    """int() that refuses to truncate: 3 and 3.0 pass, 2.7 does not."""
-    if isinstance(value, float) and not value.is_integer():
+def integer(value) -> int:
+    """int() that refuses to truncate or to read a bool: 3 and 3.0 pass, 2.7 and true do not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
-def _integer_list(value) -> list:
+def number(value) -> float:
+    """float() that refuses a bool, which JSON would otherwise read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got bool")
+    return float(value)
+
+
+def string(value) -> str:
+    """A string as it is; null, booleans and numbers are refused instead of spelled out."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def integer_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return [_integer(v) for v in value]
+    return [integer(v) for v in value]
 
 
-# One row per setting: its name is the config-file key, the argparse dest,
-# the RunConfig attribute and, for the point settings, the task key.
-_POINT_SETTINGS = (
-    ("N", _integer, 2),
-    ("w", float, 1.0),
-    ("mu", float, 1.0),
-    ("delta", float, 1.0),
-    ("gamma11", float, 0.0),
-    ("gamma21", float, 1.0),
-    ("gamma12", float, 0.0),
-    ("gamma22", float, 1.0),
-    ("trunc_tol", float, TRUNC_TOL_DEFAULT),
-    ("max_chi", _integer, 0),
-    ("eps_z", float, EPS_Z_DEFAULT),
-    ("eps_fold", float, EPS_FOLD_DEFAULT),
+def _parse_range(text: str) -> dict:
+    """start:stop:step as a sweep object; RunConfig._set_sweep checks the bounds."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("range must look like start:stop:step")
+    return dict(zip(("start", "stop", "step"), parts))
+
+
+def _parse_sizes(text: str) -> list:
+    """Comma-separated sizes as a list; integer_list checks the entries."""
+    sizes = [p for p in text.split(",") if p]
+    if not sizes:
+        raise argparse.ArgumentTypeError("sizes list is empty")
+    return sizes
+
+
+class _Setting(NamedTuple):
+    name: str  # config-file key, argparse dest and RunConfig attribute; flag --name-with-dashes
+    cast: object  # applied to config values and to flag values alike
+    default: object
+    group: str  # which subcommands take the flag, see _COMMANDS
+    help: str  # flag help; the default is appended by _flag_help
+    parse: object = None  # argparse type, where the flag is spelled unlike the config value
+    choices: tuple = None
+
+
+# One row per setting.  The point and solver groups are also the keys of a solve task.
+_SETTINGS = (
+    _Setting("N", integer, 2, "point", "chain length"),
+    _Setting("w", number, 1.0, "point", "hopping intensity"),
+    _Setting("mu", number, 1.0, "point", "chemical potential"),
+    _Setting("delta", number, 1.0, "point", "pairing intensity"),
+    _Setting("gamma11", number, 0.0, "point", "left annihilation rate"),
+    _Setting("gamma21", number, 1.0, "point", "left creation rate"),
+    _Setting("gamma12", number, 0.0, "point", "right annihilation rate"),
+    _Setting("gamma22", number, 1.0, "point", "right creation rate"),
+    _Setting("out", string, "-", "io", "output path"),
+    _Setting("format", string, "csv", "io", "output format", choices=("csv", "json")),
+    _Setting("jobs", integer, 1, "io", "concurrent parameter points"),
+    _Setting("trunc_tol", number, TRUNC_TOL_DEFAULT, "solver", "relative singular-value cutoff"),
+    _Setting("max_chi", integer, 0, "solver", "bond dimension cap, 0 = unlimited"),
+    _Setting("eps_z", number, EPS_Z_DEFAULT, "solver", "relative dead-mode threshold"),
+    _Setting("eps_fold", number, EPS_FOLD_DEFAULT, "solver", "closure tolerance"),
+    _Setting("sizes", integer_list, (), "sizes", "comma-separated chain lengths",
+             parse=_parse_sizes),
+    _Setting("dump_fold", string, None, "dump", "write rotation/diagnostic JSON to this path"),
 )
-_SETTINGS = _POINT_SETTINGS + (
-    ("sizes", _integer_list, ()),
-    ("out", str, "-"),
-    ("format", str, "csv"),
-    ("jobs", _integer, 1),
-    ("dump_fold", str, None),
-)
-_CASTS = {name: cast for name, cast, _ in _SETTINGS}
+_BY_NAME = {s.name: s for s in _SETTINGS}
+_TASK_KEYS = tuple(s.name for s in _SETTINGS if s.group in ("point", "solver"))
+_SOLVER_KEYS = tuple(s.name for s in _SETTINGS if s.group == "solver")  # solve_end_bath keywords
+
+
+def _flag_help(s: _Setting) -> str:
+    """The row's help with its default, spelled as on the command line ("-" is stdout)."""
+    if s.default in (None, ()):
+        return s.help
+    shown = s.default if isinstance(s.default, str) else f"{s.default:g}".replace("e-0", "e-")
+    return f"{s.help} (default {'stdout' if shown == '-' else shown})"
 
 
 class RunConfig:
     """Flat run description: one attribute per _SETTINGS row plus the w/mu sweeps."""
 
     def __init__(self):
-        for name, _, default in _SETTINGS:
-            setattr(self, name, default)
+        for s in _SETTINGS:
+            setattr(self, s.name, s.default)
         self.wSweep = None
         self.muSweep = None
 
     def _set(self, name: str, value) -> None:
+        s = _BY_NAME[name]
         try:
-            setattr(self, name, _CASTS[name](value))
+            value = s.cast(value)
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"bad value {value!r} for {name}: {exc}") from exc
+        if s.choices and value not in s.choices:
+            raise _UsageError(f"{name} must be {' or '.join(s.choices)}, got {value!r}")
+        setattr(self, name, value)
 
     def load_file(self, path: str) -> None:
         with open(path) as fh:
@@ -156,7 +214,7 @@ class RunConfig:
         for key, value in doc.items():
             if key in ("w", "mu") and isinstance(value, dict):
                 self._set_sweep(key, value)
-            elif key in _CASTS:
+            elif key in _BY_NAME:
                 self._set(key, value)
             else:
                 raise _UsageError(f"unknown config key {key!r}")
@@ -176,18 +234,15 @@ class RunConfig:
         setattr(self, axis + "Sweep", sweep)
 
     def apply_flags(self, args: argparse.Namespace) -> None:
-        for name in _CASTS:
+        for name in _BY_NAME:
             value = getattr(args, name, None)
             if value is not None:
                 self._set(name, value)
-        if getattr(args, "w_range", None) is not None:
-            self._set_sweep("w", args.w_range)
-        if getattr(args, "mu_range", None) is not None:
-            self._set_sweep("mu", args.mu_range)
+        for axis in ("w", "mu"):
+            if getattr(args, axis + "_range", None) is not None:
+                self._set_sweep(axis, getattr(args, axis + "_range"))
 
     def validate_common(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise _UsageError(f"format must be csv or json, got {self.format!r}")
         if self.jobs < 1:
             raise _UsageError("jobs must be >= 1")
         if self.trunc_tol < 0 or self.eps_z <= 0 or self.eps_fold <= 0:
@@ -211,37 +266,12 @@ def _sweep_values(sweep: dict) -> list:
     return [round(sweep["start"] + k * sweep["step"], 12) for k in range(n)]
 
 
-def _parse_range(text: str) -> dict:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("range must look like start:stop:step")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
-    return {"start": start, "stop": stop, "step": step}
-
-
-def _parse_sizes(text: str) -> list:
-    try:
-        sizes = [int(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad sizes list {text!r}") from exc
-    if not sizes:
-        raise argparse.ArgumentTypeError("sizes list is empty")
-    return sizes
-
-
 # ---------------------------------------------------------------- workers
-
-_POINT_COLUMNS = BASE_COLUMNS[:8]
 
 
 def _task_from_config(cfg: RunConfig, **overrides) -> dict:
-    task = {name: getattr(cfg, name) for name, _, _ in _POINT_SETTINGS}
-    task.update(with_occupancy=False, dump_fold=None)
-    task.update(overrides)
-    return task
+    task = {name: getattr(cfg, name) for name in _TASK_KEYS}
+    return {**task, "with_occupancy": False, "dump_fold": None, **overrides}
 
 
 def _solve_task(task: dict) -> dict:
@@ -256,11 +286,7 @@ def _solve_task(task: dict) -> dict:
             gamma11=task["gamma11"], gamma21=task["gamma21"],
             gamma12=task["gamma12"], gamma22=task["gamma22"],
         )
-        sol = solve_end_bath(
-            params, bath_params,
-            trunc_tol=task["trunc_tol"], max_chi=task["max_chi"],
-            eps_z=task["eps_z"], eps_fold=task["eps_fold"],
-        )
+        sol = solve_end_bath(params, bath_params, **{k: task[k] for k in _SOLVER_KEYS})
         row["eec"] = sol.report.eec if params.N >= 2 else ""
         if task["with_occupancy"]:
             row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
@@ -269,14 +295,8 @@ def _solve_task(task: dict) -> dict:
         row["orthoResidual"] = sol.orthoResidual
         if task["dump_fold"]:
             _dump_fold(sol, task["dump_fold"])
-    except NonUniqueNess:
-        row["status"] = STATUS_NON_UNIQUE
-    except SingularEigenbasis:
-        row["status"] = STATUS_SINGULAR
-    except (ClosureViolation, StackDegenerate):
-        row["status"] = STATUS_CLOSURE
-    except VacuumVanishes:
-        row["status"] = STATUS_VACUUM
+    except _FAILURE_TYPES as exc:
+        row["status"], _ = _failure(exc)
     row["runtimeSeconds"] = time.perf_counter() - t0
     return row
 
@@ -349,11 +369,22 @@ def _open_out(path: str):
 
 
 def _aggregate_exit(statuses) -> int:
-    codes = {_STATUS_EXIT[s] for s in statuses}
-    for code in (EXIT_NUMERICAL, EXIT_DEGENERATE):
-        if code in codes:
-            return code
-    return EXIT_OK
+    """The worst exit code over the statuses; see _FAILURES for the ranking."""
+    return max((_STATUS_EXIT[s] for s in statuses), default=EXIT_OK)
+
+
+def _write_rows(cfg: RunConfig, columns, rows) -> int:
+    """Stream rows to cfg.out and return the worst exit over their statuses.
+
+    rows may be lazy: a bad --out fails, and the CSV header goes out, before any solve.
+    """
+    statuses = []
+    with _open_out(cfg.out) as stream:
+        emitter = RowEmitter(stream, columns, cfg.format)
+        for row in rows:
+            emitter.write(row)
+            statuses.append(row["status"])
+    return _aggregate_exit(statuses)
 
 
 # ---------------------------------------------------------------- commands
@@ -364,11 +395,7 @@ def cmd_point(cfg: RunConfig, command: str) -> int:
     if cfg.wSweep or cfg.muSweep:
         raise _UsageError(f"{command} runs a single point; ranges belong to phase-grid")
     task = _task_from_config(cfg, with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
-    with _open_out(cfg.out) as stream:
-        emitter = RowEmitter(stream, BASE_COLUMNS, cfg.format)
-        row = _solve_task(task)
-        emitter.write(row)
-        return _STATUS_EXIT[row["status"]]
+    return _write_rows(cfg, BASE_COLUMNS, map(_solve_task, [task]))
 
 
 def _require_sizes(cfg: RunConfig, command: str) -> None:
@@ -383,13 +410,7 @@ def cmd_sweep_size(cfg: RunConfig) -> int:
     if cfg.wSweep or cfg.muSweep:
         raise _UsageError("sweep-size sweeps N only; ranges belong to phase-grid")
     tasks = [_task_from_config(cfg, N=n) for n in cfg.sizes]
-    with _open_out(cfg.out) as stream:
-        emitter = RowEmitter(stream, BASE_COLUMNS, cfg.format)
-        statuses = []
-        for row in _map_tasks(tasks, cfg.jobs):
-            emitter.write(row)
-            statuses.append(row["status"])
-        return _aggregate_exit(statuses)
+    return _write_rows(cfg, BASE_COLUMNS, _map_tasks(tasks, cfg.jobs))
 
 
 def _series_fit(rows) -> tuple:
@@ -401,62 +422,51 @@ def _series_fit(rows) -> tuple:
     return slope, residual
 
 
+def _with_fits(rows, per_point: int):
+    """Hold back each (w, mu) point's size series until it is complete, then add its fit."""
+    for series in zip(*[iter(rows)] * per_point):  # consecutive blocks of per_point rows
+        slope, residual = _series_fit(series)
+        for r in series:
+            r.update(fitSlope=slope, fitResidual=residual, boundaryMu=2.0 * r["w"])
+        yield from series
+
+
 def cmd_phase_grid(cfg: RunConfig) -> int:
     _require_sizes(cfg, "phase-grid")
     w_values = _sweep_values(cfg.wSweep) if cfg.wSweep else [cfg.w]
     mu_values = _sweep_values(cfg.muSweep) if cfg.muSweep else [cfg.mu]
-    points = [(w, mu) for w in w_values for mu in mu_values]
     tasks = [_task_from_config(cfg, N=n, w=w, mu=mu)
-             for (w, mu) in points for n in cfg.sizes]
-    per_point = len(cfg.sizes)
-    with _open_out(cfg.out) as stream:
-        emitter = RowEmitter(stream, PHASE_COLUMNS, cfg.format)
-        statuses = []
-        buffer = []
-        for row in _map_tasks(tasks, cfg.jobs):
-            buffer.append(row)
-            if len(buffer) == per_point:
-                slope, residual = _series_fit(buffer)
-                for r in buffer:
-                    r["fitSlope"] = slope
-                    r["fitResidual"] = residual
-                    r["boundaryMu"] = 2.0 * r["w"]
-                    emitter.write(r)
-                    statuses.append(r["status"])
-                buffer = []
-        return _aggregate_exit(statuses)
+             for w in w_values for mu in mu_values for n in cfg.sizes]
+    rows = _with_fits(_map_tasks(tasks, cfg.jobs), len(cfg.sizes))
+    return _write_rows(cfg, PHASE_COLUMNS, rows)
+
+
+def _bench_rows(cfg: RunConfig):
+    """Three timed solves per size; a size with a failed solve gets no median, stays out of
+    the slope fit and carries the worst of its three statuses into the exit code."""
+    rows = []
+    for n in cfg.sizes:
+        task = _task_from_config(cfg, N=n)
+        runs = [_solve_task(task) for _ in range(3)]
+        row = {key: task[key] for key in _POINT_COLUMNS}
+        row.update(runsSeconds=";".join(repr(float(r["runtimeSeconds"])) for r in runs),
+                   status=max((r["status"] for r in runs), key=_STATUS_EXIT.get),
+                   medianSeconds="", logLogSlope="")
+        if row["status"] == STATUS_OK:
+            row["medianSeconds"] = statistics.median(r["runtimeSeconds"] for r in runs)
+        rows.append(row)
+    timed = np.array([(row["N"], row["medianSeconds"]) for row in rows
+                      if row["status"] == STATUS_OK], dtype=float)
+    if len(timed) >= 2:
+        slope = np.polyfit(np.log(timed[:, 0]), np.log(np.maximum(timed[:, 1], 1e-9)), 1)[0]
+        rows[-1]["logLogSlope"] = float(slope)
+    yield from rows
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    """Three timed solves per size; failed sizes get no median and stay out of the slope fit."""
     if not cfg.sizes:
         raise _UsageError("bench needs a nonempty sizes list")
-    with _open_out(cfg.out) as stream:
-        emitter = RowEmitter(stream, BENCH_COLUMNS, cfg.format)
-        rows = []
-        statuses = []
-        fit_sizes = []
-        fit_medians = []
-        for n in cfg.sizes:
-            task = _task_from_config(cfg, N=n)
-            runs = [_solve_task(task) for _ in range(3)]
-            row = {key: task[key] for key in _POINT_COLUMNS}
-            row["runsSeconds"] = ";".join(repr(float(r["runtimeSeconds"])) for r in runs)
-            row["medianSeconds"] = ""
-            row["logLogSlope"] = ""
-            statuses.extend(r["status"] for r in runs)
-            if all(r["status"] == STATUS_OK for r in runs):
-                row["medianSeconds"] = statistics.median(r["runtimeSeconds"] for r in runs)
-                fit_sizes.append(n)
-                fit_medians.append(row["medianSeconds"])
-            rows.append(row)
-        if len(fit_sizes) >= 2:
-            slope = np.polyfit(np.log(np.asarray(fit_sizes, dtype=float)),
-                               np.log(np.maximum(fit_medians, 1e-9)), 1)[0]
-            rows[-1]["logLogSlope"] = float(slope)
-        for row in rows:
-            emitter.write(row)
-        return _aggregate_exit(statuses)
+    return _write_rows(cfg, BENCH_COLUMNS, _bench_rows(cfg))
 
 
 # ---------------------------------------------------------------- validate
@@ -484,16 +494,16 @@ def _check_analytic_n1() -> tuple:
     return worst <= 1e-12, f"max rel err {worst:.3e} over 8 rates (tol 1e-12)"
 
 
-def _check_second_space_oracle() -> tuple:
+def _second_space_error(params: KitaevParams, bath_params: EndBathParams) -> float:
+    """Error of the pipeline's vector against the dense second-space stationary state."""
     from .oracle import dense_second_space_ness, error_metric
 
-    worst = 0.0
-    for n in (2, 3):
-        for w, mu in _FIG1_POINTS:
-            params = KitaevParams(N=n, w=w, mu=mu, delta=1.0)
-            vec = _pipeline_vec(params, _FIG1_BATHS)
-            ref = dense_second_space_ness(build_kitaev(params), end_baths(n, _FIG1_BATHS)).vec
-            worst = max(worst, error_metric(vec, ref))
+    ref = dense_second_space_ness(build_kitaev(params), end_baths(params.N, bath_params)).vec
+    return error_metric(_pipeline_vec(params, bath_params), ref)
+
+
+def _check_second_space_oracle() -> tuple:
+    worst = max(_second_space_error(params, _FIG1_BATHS) for params in _FIG1_PARAMS)
     return worst <= 1e-10, f"max rel err {worst:.3e} over 36 points (tol 1e-10)"
 
 
@@ -502,27 +512,22 @@ def _check_cross_oracle() -> tuple:
                          rho_to_second_space)
 
     worst = 0.0
-    for n in (2, 3):
-        for w, mu in _FIG1_POINTS:
-            params = KitaevParams(N=n, w=w, mu=mu, delta=1.0)
-            channels = end_baths(n, _FIG1_BATHS)
-            first = rho_to_second_space(dense_first_space_ness(params, channels).rho)
-            second = dense_second_space_ness(build_kitaev(params), channels).vec
-            worst = max(worst, error_metric(first, second))
+    for params in _FIG1_PARAMS:
+        channels = end_baths(params.N, _FIG1_BATHS)
+        first = rho_to_second_space(dense_first_space_ness(params, channels).rho)
+        second = dense_second_space_ness(build_kitaev(params), channels).vec
+        worst = max(worst, error_metric(first, second))
     return worst <= 1e-10, f"max rel err {worst:.3e} over 36 points (tol 1e-10)"
 
 
 def _check_decay_profile() -> tuple:
     from .oracle import dense_second_space_ness, occupancy_from_vec
 
-    odd_max = 0.0
-    for n in (3, 5, 7):
-        sol = solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), _INJECT_BATHS)
-        odd_max = max(odd_max, sol.report.eec)
-    evens = []
-    for n in (4, 6, 8, 10):
-        sol = solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), _INJECT_BATHS)
-        evens.append(sol.report.eec)
+    def eec(n):
+        return solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), _INJECT_BATHS).report.eec
+
+    odd_max = max(0.0, *(eec(n) for n in (3, 5, 7)))
+    evens = [eec(n) for n in (4, 6, 8, 10)]
     decreasing = all(a > b for a, b in zip(evens, evens[1:]))
     _, _, residual = log_linear_fit([4, 6, 8, 10], evens)
 
@@ -549,12 +554,7 @@ def _check_degeneracy(sizes=(4, 8)) -> tuple:
 
 
 def _check_dense_equivalence() -> tuple:
-    from .oracle import dense_second_space_ness, error_metric
-
-    params = KitaevParams(N=4, w=1.5, mu=1.0, delta=1.0)
-    vec = _pipeline_vec(params, _INJECT_BATHS)
-    ref = dense_second_space_ness(build_kitaev(params), end_baths(4, _INJECT_BATHS)).vec
-    err = error_metric(vec, ref)
+    err = _second_space_error(KitaevParams(N=4, w=1.5, mu=1.0, delta=1.0), _INJECT_BATHS)
     return err <= 1e-9, f"rel err {err:.3e} at N=4 (tol 1e-9)"
 
 
@@ -588,30 +588,20 @@ def cmd_validate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override its keys")
-    sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    sp.add_argument("--jobs", type=int, help="concurrent parameter points (default 1)")
-    sp.add_argument("--trunc-tol", type=float, dest="trunc_tol",
-                    help="relative singular-value cutoff (default 1e-12)")
-    sp.add_argument("--max-chi", type=int, dest="max_chi",
-                    help="bond dimension cap, 0 = unlimited (default 0)")
-    sp.add_argument("--eps-z", type=float, dest="eps_z",
-                    help="relative dead-mode threshold (default 1e-8)")
-    sp.add_argument("--eps-fold", type=float, dest="eps_fold",
-                    help="closure tolerance (default 1e-10)")
-
-
-def _add_point(sp) -> None:
-    sp.add_argument("--N", type=int, help="chain length (default 2)")
-    sp.add_argument("--w", type=float, help="hopping intensity (default 1)")
-    sp.add_argument("--mu", type=float, help="chemical potential (default 1)")
-    sp.add_argument("--delta", type=float, help="pairing intensity (default 1)")
-    sp.add_argument("--gamma11", type=float, help="left annihilation rate (default 0)")
-    sp.add_argument("--gamma21", type=float, help="left creation rate (default 1)")
-    sp.add_argument("--gamma12", type=float, help="right annihilation rate (default 0)")
-    sp.add_argument("--gamma22", type=float, help="right creation rate (default 1)")
+# One row per subcommand: its help, the _SETTINGS groups it takes flags for, its function.
+# validate ignores --format, --jobs and the solver flags, bench ignores --jobs; both keep them.
+_POINT_RUN = ("point", "io", "solver")
+_COMMANDS = {
+    "ness": ("solve one parameter point", _POINT_RUN + ("dump",),
+             partial(cmd_point, command="ness")),
+    "occupancy": ("solve one point and report the site profile", _POINT_RUN + ("dump",),
+                  partial(cmd_point, command="occupancy")),
+    "sweep-size": ("correlation vs chain length", _POINT_RUN + ("sizes",), cmd_sweep_size),
+    "phase-grid": ("size sweeps over a (w, mu) grid", _POINT_RUN + ("sizes",), cmd_phase_grid),
+    "validate": ("run the oracle cross-check suite", ("io", "solver"), cmd_validate),
+    "bench": ("median runtime per chain length (3 runs each)", _POINT_RUN + ("sizes",),
+              cmd_bench),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -619,48 +609,20 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Stationary states of dissipative quadratic chains "
                                  "by next-neighbor rotation folding.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, text in (("ness", "solve one parameter point"),
-                       ("occupancy", "solve one point and report the site profile")):
-        p = sub.add_parser(name, help=text)
-        _add_point(p)
-        _add_common(p)
-        p.add_argument("--dump-fold", dest="dump_fold",
-                       help="write rotation/diagnostic JSON to this path")
-
-    p = sub.add_parser("sweep-size", help="correlation vs chain length")
-    _add_point(p)
-    _add_common(p)
-    p.add_argument("--sizes", type=_parse_sizes, help="comma-separated chain lengths")
-
-    p = sub.add_parser("phase-grid", help="size sweeps over a (w, mu) grid")
-    _add_point(p)
-    _add_common(p)
-    p.add_argument("--sizes", type=_parse_sizes, help="comma-separated chain lengths")
-    p.add_argument("--w-range", type=_parse_range, dest="w_range",
-                   help="hopping sweep start:stop:step")
-    p.add_argument("--mu-range", type=_parse_range, dest="mu_range",
-                   help="potential sweep start:stop:step")
-
-    p = sub.add_parser("validate", help="run the oracle cross-check suite")
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="median runtime per chain length (3 runs each)")
-    _add_point(p)
-    _add_common(p)
-    p.add_argument("--sizes", type=_parse_sizes, help="comma-separated chain lengths")
-
+    for command, (summary, groups, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for group in groups:
+            if group == "io":  # --config heads the io flags, where --help has always shown it
+                p.add_argument("--config", help="JSON config file; flags override its keys")
+            for s in _SETTINGS:
+                if s.group == group:
+                    p.add_argument("--" + s.name.replace("_", "-"), type=s.parse or s.cast,
+                                   choices=s.choices, help=_flag_help(s))
+        if command == "phase-grid":
+            p.add_argument("--w-range", type=_parse_range, help="hopping sweep start:stop:step")
+            p.add_argument("--mu-range", type=_parse_range,
+                           help="potential sweep start:stop:step")
     return parser
-
-
-_COMMANDS = {
-    "ness": partial(cmd_point, command="ness"),
-    "occupancy": partial(cmd_point, command="occupancy"),
-    "sweep-size": cmd_sweep_size,
-    "phase-grid": cmd_phase_grid,
-    "validate": cmd_validate,
-    "bench": cmd_bench,
-}
 
 
 def main(argv=None) -> int:
@@ -672,16 +634,15 @@ def main(argv=None) -> int:
             cfg.load_file(args.config)
         cfg.apply_flags(args)
         cfg.validate_common()
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][2](cfg)
     except (_UsageError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonUniqueNess as exc:
-        print(f"{parser.prog}: degenerate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (NessfoldError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        _, code = _failure(exc)
+        label = "degenerate" if code == EXIT_DEGENERATE else "numerical failure"
+        print(f"{parser.prog}: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

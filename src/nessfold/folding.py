@@ -146,8 +146,3 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
         signs=signs,
         residual=_pattern_residual(W),
     )
-
-
-def expected_rotation_count(N: int) -> int:
-    """Rotations recorded by fold: sum over rows l < 2N of (4N-2l+1) U + (4N-2l) V."""
-    return sum((4 * N - 2 * l + 1) + (4 * N - 2 * l) for l in range(1, 2 * N))

@@ -28,9 +28,6 @@ from .folding import FoldResult
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_XX = 1j * np.kron(_PAULI_X, _PAULI_X)
-
 
 def _physical(M: np.ndarray, even_left: int, even_right: int) -> np.ndarray:
     """Physical index p = parity(a) xor parity(b) of every entry (a, b) of a site matrix."""
@@ -97,15 +94,6 @@ def product_state(bits, trunc_tol: float = TRUNC_TOL_DEFAULT, max_chi: int = 0) 
     return TensorState(matrices=matrices, even=even, truncTol=trunc_tol, maxChi=max_chi)
 
 
-def rotation_gate(m: int, theta: float) -> np.ndarray:
-    """Matrix of exp(theta/2 * gamma~_{m-1} gamma~_m): 2x2 on site m/2 for even m,
-    4x4 on sites ((m-1)/2, (m+1)/2) for odd m."""
-    half = 0.5 * theta
-    if m % 2 == 0:
-        return np.diag([np.exp(1j * half), np.exp(-1j * half)])
-    return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
-
-
 def _robust_svd(blocks: np.ndarray):
     try:
         return np.linalg.svd(blocks, full_matrices=False)
@@ -142,7 +130,8 @@ def _truncate(s: np.ndarray, trunc_tol: float, max_chi: int) -> int:
 
 
 def apply_gate(state: TensorState, m: int, theta: float) -> None:
-    """Apply rotation_gate(m, theta) to the state in place, splitting two-site updates by SVD.
+    """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to the state in place: a phase on site m/2
+    for even m, a two-site update of sites ((m-1)/2, (m+1)/2) split by SVD for odd m.
 
     The gate conserves parity, so the two-site block splits into one a x c
     matrix per parity of the cut; both are factorized in one batched SVD and

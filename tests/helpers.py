@@ -1,4 +1,5 @@
-"""Reference operations that only tests need: stack rotations, fold replay, string expansion."""
+"""Reference operations that only tests need: stack rotations, fold replay, rotation
+counts, dense rotation gates, string expansion."""
 
 import numpy as np
 
@@ -27,6 +28,24 @@ def replay(R: np.ndarray, result) -> np.ndarray:
             W = rotate_columns(W, *next(rots))
         W[l:, 2 * l - 2:2 * l] = 0.0
     return W
+
+
+def expected_rotation_count(N: int) -> int:
+    """Rotations recorded by fold: sum over rows l < 2N of (4N-2l+1) U + (4N-2l) V."""
+    return sum((4 * N - 2 * l + 1) + (4 * N - 2 * l) for l in range(1, 2 * N))
+
+
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_XX = 1j * np.kron(_PAULI_X, _PAULI_X)
+
+
+def rotation_gate(m: int, theta: float) -> np.ndarray:
+    """Dense matrix of exp(theta/2 * gamma~_{m-1} gamma~_m), the reference for tns.apply_gate:
+    2x2 on site m/2 for even m, 4x4 on sites ((m-1)/2, (m+1)/2) for odd m."""
+    half = 0.5 * theta
+    if m % 2 == 0:
+        return np.diag([np.exp(1j * half), np.exp(-1j * half)])
+    return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
 
 
 def second_space_from_strings(q: np.ndarray, N: int) -> np.ndarray:

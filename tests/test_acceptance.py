@@ -29,9 +29,9 @@ from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import second_space_liouvillian
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_stack, decompose, orthogonality_residual, stable_projector
-from nessfold.tns import dense_coefficients, rotation_gate
+from nessfold.tns import dense_coefficients
 
-from helpers import replay
+from helpers import replay, rotation_gate
 
 FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)

@@ -22,7 +22,8 @@ from nessfold.cli import (
     main,
 )
 from nessfold.exceptions import SingularEigenbasis, VacuumVanishes
-from nessfold.folding import expected_rotation_count
+
+from helpers import expected_rotation_count
 
 
 def run_cli(capsys, argv):

@@ -1,13 +1,16 @@
-"""Command-line runner: bad input is a usage error, failed solves are not timed, fold dumps replay."""
+"""Command-line runner: bad input is a usage error, failed solves are not timed, fold dumps
+replay, and every flag comes from the settings table."""
 
+import argparse
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
-from nessfold.cli import EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_USAGE, main
+from nessfold.cli import _SETTINGS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_USAGE, build_parser, main
 from nessfold.folding import ROTATION_DTYPE, FoldResult
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import solve_end_bath
@@ -29,8 +32,14 @@ def run_cli(capsys, argv):
     (["sweep-size"], {"sizes": 4}),
     (["sweep-size"], {"sizes": [2, 3.5]}),
     (["bench", "--sizes", "0,2"], None),
+    # JSON values of the wrong type are refused, not read as 1, 0 or their spelling
+    (["ness"], {"N": True}),
+    (["ness"], {"w": False}),
+    (["ness"], {"out": None}),
+    (["ness"], {"dump_fold": False}),
 ])
-def test_bad_input_is_a_usage_error(capsys, tmp_path, argv, config):
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
+    monkeypatch.chdir(tmp_path)
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -39,6 +48,7 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, argv, config):
     assert code == EXIT_USAGE
     assert out == ""
     assert "error" in err and "numerical failure" not in err
+    assert not {"None", "False"} & set(os.listdir(tmp_path))
 
 
 def bench_rows(out):
@@ -85,3 +95,27 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
     np.testing.assert_array_equal(dumped.rotations, sol.foldResult.rotations)
     np.testing.assert_allclose(state.z0 * dense_coefficients(state),
                                sol.state.z0 * dense_coefficients(sol.state), rtol=0, atol=1e-12)
+
+
+# the flag groups of each subcommand, as the CLI has always offered them
+COMMAND_GROUPS = {
+    "ness": {"point", "io", "solver", "dump"},
+    "occupancy": {"point", "io", "solver", "dump"},
+    "sweep-size": {"point", "io", "solver", "sizes"},
+    "phase-grid": {"point", "io", "solver", "sizes"},
+    "validate": {"io", "solver"},
+    "bench": {"point", "io", "solver", "sizes"},
+}
+
+
+def test_parser_flags_come_from_the_settings_table():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(COMMAND_GROUPS)
+    for command, sub in subparsers.choices.items():
+        options = {a.dest: a.option_strings for a in sub._actions if a.dest != "help"}
+        settings = {s.name for s in _SETTINGS if s.group in COMMAND_GROUPS[command]}
+        extra = {"config"} | ({"w_range", "mu_range"} if command == "phase-grid" else set())
+        assert set(options) == settings | extra, command
+        for name in settings:
+            assert options[name] == ["--" + name.replace("_", "-")], (command, name)

@@ -8,7 +8,6 @@ from nessfold.folding import (
     FoldResult,
     close_row,
     eliminate_row,
-    expected_rotation_count,
     fold,
     strip_phases_row,
 )
@@ -16,7 +15,7 @@ from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import TransferStack, build_stack, decompose, stable_projector
 
-from helpers import replay, rotate_columns
+from helpers import expected_rotation_count, replay, rotate_columns
 
 BP = EndBathParams(gamma11=0.3, gamma21=1.0, gamma12=0.6, gamma22=1.4)
 

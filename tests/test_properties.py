@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import signm
 
 from nessfold.exceptions import NessfoldError
-from nessfold.folding import expected_rotation_count, fold
+from nessfold.folding import fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import dense_second_space_ness, error_metric
@@ -15,7 +15,7 @@ from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import TransferStack, decompose, stable_projector
 from nessfold.tns import apply_gate, dense_coefficients, product_state
 
-from helpers import replay, rotate_columns
+from helpers import expected_rotation_count, replay, rotate_columns
 
 SUITE_SETTINGS = settings(
     max_examples=50,

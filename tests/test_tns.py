@@ -19,9 +19,10 @@ from nessfold.tns import (
     dense_coefficients,
     normalize_vacuum,
     product_state,
-    rotation_gate,
     vacuum_amplitude,
 )
+
+from helpers import rotation_gate
 
 
 def dense_gate(n_sites, m, theta):
