@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -390,10 +391,19 @@ def _write_rows(cfg: RunConfig, columns, rows) -> int:
 # ---------------------------------------------------------------- commands
 
 
+def _probe_writable(path: str) -> None:
+    """Open path for writing as the dump will, and leave it as found; OSError if it cannot be."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_point(cfg: RunConfig, command: str) -> int:
     """`ness` and `occupancy`: one parameter point, one row; occupancy adds the site profile."""
-    if cfg.wSweep or cfg.muSweep:
-        raise _UsageError(f"{command} runs a single point; ranges belong to phase-grid")
+    if cfg.dump_fold:
+        _probe_writable(cfg.dump_fold)  # a bad path fails before the header and the solve
     task = _task_from_config(cfg, with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
     return _write_rows(cfg, BASE_COLUMNS, map(_solve_task, [task]))
 
@@ -407,8 +417,6 @@ def _require_sizes(cfg: RunConfig, command: str) -> None:
 
 def cmd_sweep_size(cfg: RunConfig) -> int:
     _require_sizes(cfg, "sweep-size")
-    if cfg.wSweep or cfg.muSweep:
-        raise _UsageError("sweep-size sweeps N only; ranges belong to phase-grid")
     tasks = [_task_from_config(cfg, N=n) for n in cfg.sizes]
     return _write_rows(cfg, BASE_COLUMNS, _map_tasks(tasks, cfg.jobs))
 
@@ -634,6 +642,8 @@ def main(argv=None) -> int:
             cfg.load_file(args.config)
         cfg.apply_flags(args)
         cfg.validate_common()
+        if (cfg.wSweep or cfg.muSweep) and args.command != "phase-grid":
+            raise _UsageError(f"{args.command} takes no w/mu range; ranges belong to phase-grid")
         return _COMMANDS[args.command][2](cfg)
     except (_UsageError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """Reduction of the transfer stack into next-neighbor Majorana rotations.
 
 Each rotation mixes the neighboring mode pair (gamma~_{m-1}, gamma~_m) by a
-real angle.  Row l of the stack is processed in three moves: U-rotations strip
-the complex phases of its active columns, V-rotations eliminate all but the
-last surviving pair, and closure pins the pair to a single fermionic mode,
-after which the pair columns can be zeroed in every lower row (nilpotency).
-The recorded rotation sequence, in application order, defines the bundled
-transformation whose inverse rebuilds the stationary state.
+real angle.  Row l of the stack is cleared one site pair (k, k+1) at a time,
+from the right end down to k = l: three U-rotations strip the complex phases
+and two V-rotations push the real parts off site k+1's two columns, all
+inside the pair's four columns.  Closure then pins the surviving pair to a
+single fermionic mode, after which the pair columns can be zeroed in every
+lower row (nilpotency).  The recorded rotation sequence, in application order,
+defines the bundled transformation whose inverse rebuilds the stationary
+state; its five records per site pair replay as one two-site gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2
+from math import atan2, cos, sin
 
 import numpy as np
 
@@ -37,41 +39,37 @@ class FoldResult:
     residual: float
 
 
-def _rotate_inplace(R: np.ndarray, m: int, theta: float) -> None:
-    c = np.cos(theta)
-    s = np.sin(theta)
-    a = R[:, m - 2].copy()
-    b = R[:, m - 1]
-    R[:, m - 2] = a * c + b * s
-    R[:, m - 1] = b * c - a * s
+# The five rotations of one site pair, as (first of the two local columns, kind), in
+# application order: U at m = 2k+2, 2k+1, 2k, then V at m = 2k+2, 2k+1.
+_PAIR_STEPS = ((2, "U"), (1, "U"), (0, "U"), (2, "V"), (1, "V"))
 
 
-def _sweep_row(W: np.ndarray, l: int, last_m: int, kind: str) -> list:
-    """Rotate pairs 4N down to last_m in place, each angle chosen from row l."""
-    row = l - 1
-    records = []
-    for m in range(W.shape[1], last_m - 1, -1):
-        a, b = W[row, m - 2], W[row, m - 1]
-        theta = atan2(b.imag, a.imag) if kind == "U" else atan2(b.real, a.real)
-        _rotate_inplace(W, m, theta)
-        records.append((m, theta, kind))
-    return records
+def eliminate_pair(W: np.ndarray, l: int, k: int) -> list:
+    """Zero row l on site k+1's columns 2k+1, 2k+2 in place, rotating only columns 2k-1..2k+2.
 
-
-def strip_phases_row(W: np.ndarray, l: int) -> list:
-    """Make columns 2l..4N of row l real in place by sweeping U-rotations from the right.
-
-    The angle atan2(Im W[l][m], Im W[l][m-1]) zeroes the imaginary part of
-    column m and leaves column m-1 with nonnegative imaginary part, which
-    fixes the gauge; a fully real pair records a zero angle.  Returns the
-    (m, theta, kind) records in application order.
+    The U-rotations take angle atan2(Im b, Im a) on the columns (a, b) they
+    mix, zeroing Im b and leaving Im a nonnegative; the V-rotations then take
+    atan2(Re b, Re a) on the now real columns.  Once k = l, column 2l-1 keeps a
+    nonnegative imaginary part and column 2l a nonnegative real one, which is
+    the gauge that closes interior rows with sign +1.  The five angles come
+    from row l's four entries as scalars and reach every row as one 4x4
+    orthogonal product.  Returns the (m, theta, kind) records in application
+    order.
     """
-    return _sweep_row(W, l, 2 * l, "U")
-
-
-def eliminate_row(W: np.ndarray, l: int) -> list:
-    """Zero columns 2l+1..4N of row l (already real there) in place with V-rotations."""
-    return _sweep_row(W, l, 2 * l + 1, "V")
+    c0 = 2 * k - 2
+    x = W[l - 1, c0:c0 + 4].tolist()
+    Q = [[float(i == j) for j in range(4)] for i in range(4)]
+    records = []
+    for i, kind in _PAIR_STEPS:
+        a, b = x[i], x[i + 1]
+        theta = atan2(b.imag, a.imag) if kind == "U" else atan2(b.real, a.real)
+        c, s = cos(theta), sin(theta)
+        x[i], x[i + 1] = a * c + b * s, b * c - a * s
+        for q in Q:
+            q[i], q[i + 1] = q[i] * c + q[i + 1] * s, q[i + 1] * c - q[i] * s
+        records.append((c0 + i + 2, theta, kind))
+    W[:, c0:c0 + 4] = W[:, c0:c0 + 4] @ np.array(Q)
+    return records
 
 
 def _closure_sign(a: complex, b: complex, eps_fold: float) -> int:
@@ -111,7 +109,7 @@ def _pattern_residual(W: np.ndarray) -> float:
 def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:
     """Reduce the full stack, recording every rotation (zero angles included).
 
-    Rows 1..2N-1 are stripped, eliminated and closed in order; row 2N is
+    Rows 1..2N-1 are cleared pair by pair and closed in order; row 2N is
     already confined to its final pair, so it only gets the closure check.
     Its surviving entry may carry a residual phase that no rotation removes,
     hence rDiag stores its magnitude there.
@@ -123,8 +121,8 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
     signs = np.zeros(2 * N, dtype=int)
 
     for l in range(1, 2 * N):
-        records += strip_phases_row(W, l)
-        records += eliminate_row(W, l)
+        for k in range(2 * N - 1, l - 1, -1):
+            records += eliminate_pair(W, l, k)
         r = W[l - 1, 2 * l - 1]
         if abs(r) < eps_fold:
             raise StackDegenerate(f"row {l} weight {abs(r):.3e} below {eps_fold:.3e}")

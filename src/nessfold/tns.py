@@ -4,7 +4,9 @@ A chain of 2N fermionic modes maps under Jordan-Wigner to 2N qubits with
 site 1 as the most significant bit.  Every recorded rotation is 2-local in
 that encoding: an even pair index m gives a single-site phase gate at site
 m/2, an odd one a nearest-neighbor gate at ((m-1)/2, (m+1)/2) whose string
-factors cancel.
+factors cancel.  The replay multiplies each run of records inside one site
+pair into one two-site unitary, which acts on the pair's even states
+(|00>, |11>) and odd states (|01>, |10>) as two 2x2 blocks.
 
 Every gate conserves fermion parity and the replay starts from a product
 state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
@@ -129,34 +131,61 @@ def _truncate(s: np.ndarray, trunc_tol: float, max_chi: int) -> int:
     return keep
 
 
-def apply_gate(state: TensorState, m: int, theta: float) -> None:
-    """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to the state in place: a phase on site m/2
-    for even m, a two-site update of sites ((m-1)/2, (m+1)/2) split by SVD for odd m.
+def _pair_gate(j: int, records) -> tuple:
+    """Product of the (m, theta) records, in application order, each exp(theta/2 *
+    gamma~_{m-1} gamma~_m), on the site pair (j, j+1), 0-based.
+
+    Returns its two parity blocks, on (|00>, |11>) and on (|01>, |10>), each a
+    row-major 2x2 list indexed by the left leg.  m = 2j+3 is the pair's gate
+    cos + i sin X(x)X; m = 2j+2 and m = 2j+4 are the phase
+    diag(e^{i theta/2}, e^{-i theta/2}) on the left and on the right site, which
+    reverses in the odd block on the right site.
+    """
+    even, odd = [1 + 0j, 0j, 0j, 1 + 0j], [1 + 0j, 0j, 0j, 1 + 0j]
+    for m, theta in records:
+        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+        if m == 2 * j + 3:
+            s *= 1j
+            for g in (even, odd):
+                g[:] = [c * g[0] + s * g[2], c * g[1] + s * g[3], s * g[0] + c * g[2], s * g[1] + c * g[3]]
+            continue
+        e = complex(c, s)
+        ec = e.conjugate()
+        even[:] = [e * even[0], e * even[1], ec * even[2], ec * even[3]]
+        if m != 2 * j + 2:
+            e, ec = ec, e
+        odd[:] = [e * odd[0], e * odd[1], ec * odd[2], ec * odd[3]]
+    return even, odd
+
+
+def _update_pair(state: TensorState, j: int, gate: tuple) -> None:
+    """Apply a parity-preserving two-site unitary, given as _pair_gate's two blocks, to sites
+    (j, j+1) in place and split the result by one batched SVD.
 
     The gate conserves parity, so the two-site block splits into one a x c
     matrix per parity of the cut; both are factorized in one batched SVD and
-    truncated over their merged singular values.
-    Truncation against the local singular values is only optimal when the
-    orthogonality center sits on the gated pair; apply_inverse_sequence keeps
-    that invariant, direct callers are responsible for their own gauge.
+    truncated over their merged singular values.  Truncation against the
+    local singular values is only optimal when the orthogonality center sits
+    on the pair; apply_inverse_sequence keeps that invariant, direct callers
+    are responsible for their own gauge.
     """
-    half = 0.5 * theta
-    if m % 2 == 0:
-        j = m // 2 - 1
-        if not 0 <= j < state.sites:
-            raise ValueError(f"site {j + 1} outside 1..{state.sites}")
-        phase = complex(math.cos(half), math.sin(half))
-        M = state.matrices[j]
-        state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
-        return
-    j = (m - 1) // 2 - 1
     if not 0 <= j < state.sites - 1:
         raise ValueError(f"pair ({j + 1},{j + 2}) outside chain of {state.sites}")
     L, R, mid = state.matrices[j], state.matrices[j + 1], state.even[j + 1]
     # one a x c block per parity of the cut
     M = np.stack((L[:, :mid] @ R[:mid], L[:, mid:] @ R[mid:]))
-    # cos + i sin X(x)X flips both physical legs, which swaps the sectors
-    U, s, Vh = _robust_svd(math.cos(half) * M + 1j * math.sin(half) * M[::-1])
+    # entry (a, b) of cut sector q has legs (pa^q, pb^q): its parity block is pa^pb and its
+    # index there the left leg pa^q, so odd-parity rows see the block reversed in both indices
+    rows = (slice(None, state.even[j]), slice(state.even[j], None))
+    cols = (slice(None, state.even[j + 2]), slice(state.even[j + 2], None))
+    for pa in (0, 1):
+        for pb in (0, 1):
+            g = gate[pa ^ pb][::-1] if pa else gate[pa ^ pb]
+            b0, b1 = M[0, rows[pa], cols[pb]], M[1, rows[pa], cols[pb]]
+            new0 = g[0] * b0 + g[1] * b1
+            M[1, rows[pa], cols[pb]] = g[2] * b0 + g[3] * b1
+            M[0, rows[pa], cols[pb]] = new0
+    U, s, Vh = _robust_svd(M)
     order = np.argsort(-s.ravel(), kind="stable")
     ranked = s.ravel()[order]
     keep = _truncate(ranked, state.truncTol, state.maxChi)
@@ -169,6 +198,23 @@ def apply_gate(state: TensorState, m: int, theta: float) -> None:
     state.matrices[j + 1] = np.concatenate((s[0, :k0, None] * Vh[0, :k0], s[1, :k1, None] * Vh[1, :k1]))
     state.even[j + 1] = k0
     state.maxBondSeen = max(state.maxBondSeen, keep)
+
+
+def apply_gate(state: TensorState, m: int, theta: float) -> None:
+    """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to the state in place: a phase on site m/2
+    for even m, a two-site update (see _update_pair) of sites ((m-1)/2, (m+1)/2) for odd m.
+    """
+    if m % 2 == 1:
+        j = (m - 1) // 2 - 1
+        _update_pair(state, j, _pair_gate(j, [(m, theta)]))
+        return
+    j = m // 2 - 1
+    if not 0 <= j < state.sites:
+        raise ValueError(f"site {j + 1} outside 1..{state.sites}")
+    half = 0.5 * theta
+    phase = complex(math.cos(half), math.sin(half))
+    M = state.matrices[j]
+    state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
 
 
 def _shift_center_right(state: TensorState, src: int, dst: int) -> None:
@@ -197,29 +243,60 @@ def _shift_center_left(state: TensorState, src: int, dst: int) -> None:
         state.even[j] = q0.shape[1]
 
 
+def _site_pairs(m: int, sites: int) -> set:
+    """The site pairs j (sites j, j+1, 0-based) that record m acts inside."""
+    pairs = {(m - 3) // 2} if m % 2 else {m // 2 - 2, m // 2 - 1}
+    return {j for j in pairs if 0 <= j < sites - 1}
+
+
+def _pair_runs(ms: list, thetas: list, sites: int):
+    """Split the nonzero (m, theta) records into maximal runs that stay inside one site pair.
+
+    Yields (j, run); j is None for a run that no single pair holds, that is
+    phases on one site only, or a record outside the chain.
+    """
+    run, pairs = [], set()
+    for m, theta in zip(ms, thetas):
+        if theta == 0.0:
+            continue
+        here = _site_pairs(m, sites)
+        if run and pairs & here:
+            pairs &= here
+            run.append((m, theta))
+            continue
+        if run:
+            yield (min(pairs) if len(pairs) == 1 else None), run
+        run, pairs = [(m, theta)], here
+    if run:
+        yield (min(pairs) if len(pairs) == 1 else None), run
+
+
 def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     """Undo the recorded rotation bundle: reversed order, negated angles.
 
     Zero-angle records are skipped; they exist only to keep the replayed
-    sequence aligned with the sweep schedule.  The orthogonality center is
-    moved onto each two-site gate before it is applied (single-site unitaries
-    preserve canonical form wherever they act), so every truncation happens
-    against genuine Schmidt coefficients and the bond dimension stays at the
-    state's actual entanglement.
+    sequence aligned with the sweep schedule.  Each maximal run of records
+    inside one site pair (the fold's five per pair) is multiplied into one
+    two-site unitary and applied with one SVD.  The orthogonality center is
+    moved onto each pair before its update (single-site unitaries preserve
+    canonical form wherever they act), so every truncation happens against
+    genuine Schmidt coefficients and the bond dimension stays at the state's
+    actual entanglement.  Reversed, each row of the fold runs through its
+    site pairs from left to right, so the center walks back once per row.
     """
     center = 0
     rots = result.rotations
-    for m, theta in zip(rots.m[::-1].tolist(), rots.theta[::-1].tolist()):
-        if theta == 0.0:
+    for j, run in _pair_runs(rots.m[::-1].tolist(), (-rots.theta[::-1]).tolist(), state.sites):
+        if j is None:
+            for m, theta in run:
+                apply_gate(state, m, theta)
             continue
-        if m % 2 == 1:
-            j = (m - 1) // 2 - 1
-            if center < j:
-                _shift_center_right(state, center, j)
-            elif center > j + 1:
-                _shift_center_left(state, center, j + 1)
-            center = j + 1
-        apply_gate(state, m, -theta)
+        if center < j:
+            _shift_center_right(state, center, j)
+        elif center > j + 1:
+            _shift_center_left(state, center, j + 1)
+        center = j + 1
+        _update_pair(state, j, _pair_gate(j, run))
 
 
 def coefficient(state: TensorState, bits) -> complex:

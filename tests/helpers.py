@@ -21,18 +21,19 @@ def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
 def replay(R: np.ndarray, result) -> np.ndarray:
     """Re-run a FoldResult's recorded rotations and closure zeroings on a copy of R."""
     W = np.array(R, dtype=complex)
-    n_rows, ncols = W.shape
+    n_rows = W.shape[0]
     rots = iter(zip(result.rotations.m.tolist(), result.rotations.theta.tolist()))
     for l in range(1, n_rows):
-        for _ in range(2 * (ncols - 2 * l) + 1):
+        for _ in range(5 * (n_rows - l)):
             W = rotate_columns(W, *next(rots))
         W[l:, 2 * l - 2:2 * l] = 0.0
     return W
 
 
 def expected_rotation_count(N: int) -> int:
-    """Rotations recorded by fold: sum over rows l < 2N of (4N-2l+1) U + (4N-2l) V."""
-    return sum((4 * N - 2 * l + 1) + (4 * N - 2 * l) for l in range(1, 2 * N))
+    """Rotations recorded by fold: five (3 U + 2 V) for each site pair (k, k+1), l <= k < 2N,
+    of each row l < 2N."""
+    return sum(5 * (2 * N - l) for l in range(1, 2 * N))
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -37,6 +37,13 @@ def run_cli(capsys, argv):
     (["ness"], {"w": False}),
     (["ness"], {"out": None}),
     (["ness"], {"dump_fold": False}),
+    # a w/mu range belongs to phase-grid alone
+    (["bench", "--sizes", "2,3"], {"w": {"start": 0, "stop": 1, "step": 0.5}}),
+    (["validate"], {"mu": {"start": 0, "stop": 1}}),
+    (["sweep-size", "--sizes", "2,3"], {"w": {"start": 0, "stop": 1}}),
+    # an unwritable dump path fails before the header and the solve
+    (["ness", "--dump-fold", "no/dir.json"], None),
+    (["occupancy", "--dump-fold", "."], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from nessfold.exceptions import ClosureViolation, StackDegenerate
-from nessfold.folding import (
-    FoldResult,
-    close_row,
-    eliminate_row,
-    fold,
-    strip_phases_row,
-)
+from nessfold.folding import FoldResult, close_row, eliminate_pair, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import TransferStack, build_stack, decompose, stable_projector
@@ -55,22 +49,85 @@ def test_rotate_columns_is_orthogonal():
     np.testing.assert_allclose(back, R, atol=1e-14)
 
 
+def pair_records(k):
+    return [(2 * k + 2, "U"), (2 * k + 1, "U"), (2 * k, "U"), (2 * k + 2, "V"), (2 * k + 1, "V")]
+
+
+def clear_row(W, l):
+    """Row l's records, clearing its site pairs from the right end down to k = l."""
+    return [rec for k in range(W.shape[0] - 1, l - 1, -1) for rec in eliminate_pair(W, l, k)]
+
+
+def fold_by_rotation(R):
+    """fold's records, each angle read off the row after the previous rotation reached every row."""
+    W = np.array(R, dtype=complex)
+    rows, records = W.shape[0], []
+    for l in range(1, rows):
+        for k in range(rows - 1, l - 1, -1):
+            for m, kind in pair_records(k):
+                a, b = W[l - 1, m - 2], W[l - 1, m - 1]
+                theta = np.arctan2(b.imag, a.imag) if kind == "U" else np.arctan2(b.real, a.real)
+                W = rotate_columns(W, m, theta)
+                records.append((m, theta, kind))
+        W[l:, 2 * l - 2:2 * l] = 0.0
+    return records
+
+
 def test_strip_phases_makes_row_real():
     stack = genuine_stack()
     W = stack.R.copy()
-    rots = strip_phases_row(W, 1)
+    rots = clear_row(W, 1)
     assert np.abs(W[0, 1:].imag).max() < 1e-14
-    assert [(m, kind) for m, _, kind in rots] == [(m, "U") for m in range(stack.R.shape[1], 1, -1)]
+    assert [(m, kind) for m, _, kind in rots] == [rec for k in (3, 2, 1) for rec in pair_records(k)]
 
 
 def test_eliminate_clears_tail():
     stack = genuine_stack()
     W = stack.R.copy()
-    strip_phases_row(W, 1)
-    rots = eliminate_row(W, 1)
+    clear_row(W, 1)
     assert np.abs(W[0, 2:]).max() < 1e-13
     assert W[0, 1].real > 0
-    assert [(m, kind) for m, _, kind in rots] == [(m, "V") for m in range(stack.R.shape[1], 2, -1)]
+
+
+@pytest.mark.parametrize("l, k", [(1, 3), (1, 1), (2, 3), (3, 3)])
+def test_eliminate_pair_clears_site_k_plus_1_and_touches_only_its_columns(l, k):
+    W = genuine_stack().R.copy()
+    for row in range(1, l):
+        clear_row(W, row)
+        close_row(W, row)
+    for right in range(3, k, -1):
+        eliminate_pair(W, l, right)
+    before = W.copy()
+    rots = eliminate_pair(W, l, k)
+    assert [(m, kind) for m, _, kind in rots] == pair_records(k)
+    assert np.abs(W[l - 1, 2 * k:2 * k + 2]).max() < 1e-14 * np.abs(before[l - 1]).max()
+    outside = np.ones(W.shape[1], dtype=bool)
+    outside[2 * k - 2:2 * k + 2] = False
+    np.testing.assert_array_equal(W[:, outside], before[:, outside])
+    # an orthogonal mix of the four columns: every row keeps its norm there
+    np.testing.assert_allclose(np.linalg.norm(W[:, ~outside], axis=1),
+                               np.linalg.norm(before[:, ~outside], axis=1), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_interior_rows_close_with_sign_plus_one(n):
+    """The last pair of each interior row leaves (i r', r) with Im r' >= 0 and r > 0."""
+    W = genuine_stack(n=n).R.copy()
+    for l in range(1, 2 * n):
+        clear_row(W, l)
+        assert W[l - 1, 2 * l - 2].imag >= 0 and W[l - 1, 2 * l - 1].real > 0
+        assert abs(W[l - 1, 2 * l - 1].imag) < 1e-14
+        assert close_row(W, l) == 1
+    assert np.all(fold(genuine_stack(n=n)).signs[:-1] == 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_pair_update_matches_rotation_by_rotation(n):
+    stack = genuine_stack(n=n, w=0.5, mu=2.0)
+    rots = fold(stack).rotations
+    ref = fold_by_rotation(stack.R)
+    assert [(m, kind) for m, _, kind in ref] == list(zip(rots.m.tolist(), rots.kind.tolist()))
+    np.testing.assert_allclose(rots.theta, [theta for _, theta, _ in ref], rtol=0, atol=1e-14)
 
 
 def test_close_row_signs():

@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 from nessfold.exceptions import VacuumVanishes
-from nessfold.folding import fold
+from nessfold.folding import ROTATION_DTYPE, FoldResult, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_stack, decompose, stable_projector
 from nessfold.tns import (
+    _pair_runs,
     _shift_center_left,
     _shift_center_right,
     apply_gate,
@@ -265,7 +266,8 @@ def test_gesvd_fallback_factorizes_each_parity_block(monkeypatch):
 
 
 def test_one_svd_call_per_two_site_gate(monkeypatch):
-    """The traced benchmark charges exactly one numpy.linalg.svd call to each two-site gate."""
+    """The traced benchmark charges exactly one numpy.linalg.svd call to each site-pair run:
+    sum over rows l < 2N of 2N - l, that is 28 at N=4."""
     svd, shapes = np.linalg.svd, []
 
     def counted(a, *args, **kwargs):
@@ -273,6 +275,49 @@ def test_one_svd_call_per_two_site_gate(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    sol = solve_end_bath(KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0))
+    solve_end_bath(KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0))
+    assert len(shapes) == sum(8 - l for l in range(1, 8)) == 28
+    assert all(len(shape) == 3 and shape[0] == 2 for shape in shapes)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fused_replay_matches_record_by_record_gates(n):
+    sol = solve_end_bath(KitaevParams(N=n, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0),
+                         trunc_tol=0.0)
     rots = sol.foldResult.rotations
-    assert len(shapes) == np.count_nonzero((rots.theta != 0.0) & (rots.m % 2 == 1)) > 0
+    naive = product_state([(1 + int(s)) // 2 for s in sol.foldResult.signs], trunc_tol=0.0)
+    for m, theta in zip(rots.m[::-1].tolist(), rots.theta[::-1].tolist()):
+        apply_gate(naive, m, -theta)
+    np.testing.assert_allclose(dense_coefficients(sol.state), dense_coefficients(naive), rtol=0, atol=1e-12)
+    assert sol.state.discardedWeight == 0.0
+
+
+def test_pair_runs_group_records_by_site_pair():
+    # m = 4 is a phase on site 1 (0-based), inside pairs 0 and 1 until m = 5, the gate on (1, 2), picks 1
+    records = [(4, 0.1), (5, 0.2), (6, 0.0), (6, 0.3), (3, 0.4), (2, 0.5), (2, 0.6), (8, 0.7), (6, 0.8)]
+    runs = list(_pair_runs(*zip(*records), 4))
+    assert runs == [(1, [(4, 0.1), (5, 0.2), (6, 0.3)]), (0, [(3, 0.4), (2, 0.5), (2, 0.6)]),
+                    (2, [(8, 0.7), (6, 0.8)])]
+    # phases on one site only fit two pairs, a record outside the chain none
+    assert list(_pair_runs([4, 4, 9], [0.1, 0.2, 0.3], 4)) == [(None, [(4, 0.1), (4, 0.2)]), (None, [(9, 0.3)])]
+    assert list(_pair_runs([2, 2], [0.1, 0.2], 1)) == [(None, [(2, 0.1)]), (None, [(2, 0.2)])]
+
+
+def test_fused_replay_of_any_record_sequence_matches_dense_gates():
+    """Runs that no single pair holds (phases on one site) and zero angles replay exactly too."""
+    rng = np.random.default_rng(41)
+    n_sites = 4
+    # replayed backwards, the two phases on site 1 (m = 4) sit between gates on sites (2, 3)
+    recs = random_rotations(rng, n_sites, 60) + [(7, 0.5), (4, 0.3), (4, -1.1), (2, 0.0), (7, 0.9)]
+    assert (None, [(4, 1.1), (4, -0.3)]) in _pair_runs([m for m, _ in recs[::-1]], [-t for _, t in recs[::-1]],
+                                                      n_sites)
+    result = FoldResult(rotations=np.rec.fromrecords([(m, t, "U") for m, t in recs], dtype=ROTATION_DTYPE),
+                        rDiag=np.ones(n_sites), signs=np.ones(n_sites, dtype=int), residual=0.0)
+    bits = [1, 0, 0, 1]
+    state = product_state(bits, trunc_tol=0.0)
+    dense = dense_coefficients(state)
+    apply_inverse_sequence(state, result)
+    for m, theta in reversed(recs):
+        dense = dense_gate(n_sites, m, -theta) @ dense
+    np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-12)
+    assert_parity_blocked(state, bits)
