@@ -41,7 +41,7 @@ from .spectral import (
     orthogonality_residual,
     stable_projector,
 )
-from .tns import TensorState, apply_gate, normalize_vacuum, product_state
+from .tns import TensorState, normalize_vacuum, product_state
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "TensorState",
     "TransferStack",
     "VacuumVanishes",
-    "apply_gate",
     "build_kitaev",
     "build_liouvillian",
     "build_stack",

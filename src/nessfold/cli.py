@@ -106,10 +106,13 @@ def integer(value) -> int:
 
 
 def number(value) -> float:
-    """float() that refuses a bool, which JSON would otherwise read as 0 or 1."""
+    """float() that refuses a bool, which JSON would otherwise read as 0 or 1, and nan or +-inf."""
     if isinstance(value, bool):
         raise TypeError("expected a number, got bool")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
 
 
 def string(value) -> str:
@@ -306,7 +309,8 @@ def _map_tasks(tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         yield from map(_solve_task, tasks)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # fork starts every worker up front, so the pool never outnumbers the tasks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         yield from pool.map(_solve_task, tasks)
 
 

@@ -4,8 +4,8 @@ A chain of 2N fermionic modes maps under Jordan-Wigner to 2N qubits with
 site 1 as the most significant bit.  Every recorded rotation is 2-local in
 that encoding: an even pair index m gives a single-site phase gate at site
 m/2, an odd one a nearest-neighbor gate at ((m-1)/2, (m+1)/2) whose string
-factors cancel.  The replay multiplies each run of records inside one site
-pair into one two-site unitary, which acts on the pair's even states
+factors cancel.  The replay multiplies the fold's block of records for one
+site pair into one two-site unitary, which acts on the pair's even states
 (|00>, |11>) and odd states (|01>, |10>) as two 2x2 blocks.
 
 Every gate conserves fermion parity and the replay starts from a product
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import VacuumVanishes
-from .folding import FoldResult
+from .folding import _PAIR_STEPS, FoldResult
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
@@ -200,36 +200,6 @@ def _update_pair(state: TensorState, j: int, gate: tuple) -> None:
     state.maxBondSeen = max(state.maxBondSeen, keep)
 
 
-def apply_gate(state: TensorState, m: int, theta: float) -> None:
-    """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to the state in place: a phase on site m/2
-    for even m, a two-site update (see _update_pair) of sites ((m-1)/2, (m+1)/2) for odd m.
-    """
-    if m % 2 == 1:
-        j = (m - 1) // 2 - 1
-        _update_pair(state, j, _pair_gate(j, [(m, theta)]))
-        return
-    j = m // 2 - 1
-    if not 0 <= j < state.sites:
-        raise ValueError(f"site {j + 1} outside 1..{state.sites}")
-    half = 0.5 * theta
-    phase = complex(math.cos(half), math.sin(half))
-    M = state.matrices[j]
-    state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
-
-
-def _shift_center_right(state: TensorState, src: int, dst: int) -> None:
-    """QR sweep: make sites src..dst-1 left-orthogonal, pushing weight to dst.
-
-    Each parity sector of the right bond is factorized on its own.
-    """
-    for j in range(src, dst):
-        M, nxt, mid = state.matrices[j], state.matrices[j + 1], state.even[j + 1]
-        q0, r0, q1, r1 = _qr_sectors(M[:, :mid], M[:, mid:])
-        state.matrices[j] = np.concatenate((q0, q1), axis=1)
-        state.matrices[j + 1] = np.concatenate((r0 @ nxt[:mid], r1 @ nxt[mid:]))
-        state.even[j + 1] = q0.shape[1]
-
-
 def _shift_center_left(state: TensorState, src: int, dst: int) -> None:
     """LQ sweep: make sites dst+1..src right-orthogonal, pushing weight to dst.
 
@@ -243,60 +213,41 @@ def _shift_center_left(state: TensorState, src: int, dst: int) -> None:
         state.even[j] = q0.shape[1]
 
 
-def _site_pairs(m: int, sites: int) -> set:
-    """The site pairs j (sites j, j+1, 0-based) that record m acts inside."""
-    pairs = {(m - 3) // 2} if m % 2 else {m // 2 - 2, m // 2 - 1}
-    return {j for j in pairs if 0 <= j < sites - 1}
-
-
-def _pair_runs(ms: list, thetas: list, sites: int):
-    """Split the nonzero (m, theta) records into maximal runs that stay inside one site pair.
-
-    Yields (j, run); j is None for a run that no single pair holds, that is
-    phases on one site only, or a record outside the chain.
-    """
-    run, pairs = [], set()
-    for m, theta in zip(ms, thetas):
-        if theta == 0.0:
-            continue
-        here = _site_pairs(m, sites)
-        if run and pairs & here:
-            pairs &= here
-            run.append((m, theta))
-            continue
-        if run:
-            yield (min(pairs) if len(pairs) == 1 else None), run
-        run, pairs = [(m, theta)], here
-    if run:
-        yield (min(pairs) if len(pairs) == 1 else None), run
-
-
 def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     """Undo the recorded rotation bundle: reversed order, negated angles.
 
-    Zero-angle records are skipped; they exist only to keep the replayed
-    sequence aligned with the sweep schedule.  Each maximal run of records
-    inside one site pair (the fold's five per pair) is multiplied into one
-    two-site unitary and applied with one SVD.  The orthogonality center is
-    moved onto each pair before its update (single-site unitaries preserve
-    canonical form wherever they act), so every truncation happens against
-    genuine Schmidt coefficients and the bond dimension stays at the state's
-    actual entanglement.  Reversed, each row of the fold runs through its
-    site pairs from left to right, so the center walks back once per row.
+    The fold records one block of len(_PAIR_STEPS) rotations per site pair;
+    reversed, each block is multiplied into one two-site unitary, zero angles
+    included as exact identity factors, and applied with one SVD.  The
+    orthogonality center sits on each pair before its update, so every
+    truncation happens against genuine Schmidt coefficients and the bond
+    dimension stays at the state's actual entanglement.  The product state is
+    canonical at every site, so the center starts on the first block's pair;
+    reversed, each row of the fold runs through its site pairs from left to
+    right, so the center only walks left, once per row.  Records that do not
+    follow that layout raise ValueError before the state is touched.
     """
-    center = 0
+    size = len(_PAIR_STEPS)
     rots = result.rotations
-    for j, run in _pair_runs(rots.m[::-1].tolist(), (-rots.theta[::-1]).tolist(), state.sites):
-        if j is None:
-            for m, theta in run:
-                apply_gate(state, m, theta)
-            continue
-        if center < j:
-            _shift_center_right(state, center, j)
-        elif center > j + 1:
+    if len(rots) % size:
+        raise ValueError(f"{len(rots)} rotation records do not split into site-pair blocks of {size}")
+    ms = rots.m[::-1].reshape(-1, size)
+    thetas = -rots.theta[::-1].reshape(-1, size)
+    # a block on pair j (0-based) holds m = 2j + 2 + i for the steps' first local columns i
+    steps = np.array([i for i, _ in _PAIR_STEPS[::-1]])
+    pairs = (ms[:, 0] - steps[0]) // 2 - 1
+    if np.any(ms != 2 * pairs[:, None] + 2 + steps):
+        raise ValueError(f"rotation records do not follow the fold's per-pair pattern 2j + 2 + {steps.tolist()}")
+    if np.any((pairs < 0) | (pairs > state.sites - 2)):
+        raise ValueError(f"rotation records act outside the chain of {state.sites} sites")
+    if np.any(np.diff(pairs) > 1):
+        raise ValueError("a block skips right past the orthogonality center; the fold's rows never do")
+    center = 0  # the product state is canonical everywhere: the first block finds the center in place
+    for j, m, theta in zip(pairs.tolist(), ms.tolist(), thetas.tolist()):
+        if center > j + 1:
             _shift_center_left(state, center, j + 1)
         center = j + 1
-        _update_pair(state, j, _pair_gate(j, run))
+        _update_pair(state, j, _pair_gate(j, zip(m, theta)))
 
 
 def coefficient(state: TensorState, bits) -> complex:

@@ -1,9 +1,12 @@
 """Reference operations that only tests need: stack rotations, fold replay, rotation
-counts, dense rotation gates, string expansion."""
+counts, dense and record-by-record rotation gates, string expansion."""
+
+import math
 
 import numpy as np
 
 from nessfold.oracle import _ordered_strings
+from nessfold.tns import _pair_gate, _physical, _update_pair
 
 
 def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
@@ -41,12 +44,31 @@ _XX = 1j * np.kron(_PAULI_X, _PAULI_X)
 
 
 def rotation_gate(m: int, theta: float) -> np.ndarray:
-    """Dense matrix of exp(theta/2 * gamma~_{m-1} gamma~_m), the reference for tns.apply_gate:
+    """Dense matrix of exp(theta/2 * gamma~_{m-1} gamma~_m), the reference for apply_gate:
     2x2 on site m/2 for even m, 4x4 on sites ((m-1)/2, (m+1)/2) for odd m."""
     half = 0.5 * theta
     if m % 2 == 0:
         return np.diag([np.exp(1j * half), np.exp(-1j * half)])
     return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
+
+
+def apply_gate(state, m: int, theta: float) -> None:
+    """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to a TensorState in place, one record at a
+    time: the reference the fused site-pair replay of tns.apply_inverse_sequence is checked
+    against.  A phase on site m/2 for even m, a two-site update of sites ((m-1)/2, (m+1)/2)
+    with one SVD for odd m; the caller keeps the gauge.
+    """
+    if m % 2 == 1:
+        j = (m - 1) // 2 - 1
+        _update_pair(state, j, _pair_gate(j, [(m, theta)]))
+        return
+    j = m // 2 - 1
+    if not 0 <= j < state.sites:
+        raise ValueError(f"site {j + 1} outside 1..{state.sites}")
+    half = 0.5 * theta
+    phase = complex(math.cos(half), math.sin(half))
+    M = state.matrices[j]
+    state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
 
 
 def second_space_from_strings(q: np.ndarray, N: int) -> np.ndarray:

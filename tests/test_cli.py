@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from nessfold import cli
 from nessfold.cli import (
     BASE_COLUMNS,
     BENCH_COLUMNS,
@@ -291,6 +292,31 @@ def test_parallel_jobs_match_serial(capsys):
     _, serial, _ = run_cli(capsys, argv)
     _, parallel, _ = run_cli(capsys, argv + ["--jobs", "2"])
     assert strip_runtime(serial) == strip_runtime(parallel)
+
+
+def test_jobs_pool_is_sized_by_the_work(capsys, monkeypatch):
+    """Under fork every worker starts up front, so --jobs 500 for two solves asks for two."""
+    sizes = []
+
+    class InProcessPool:
+        """Records max_workers and runs the tasks here; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    code, out, _ = run_cli(capsys, ["sweep-size", "--sizes", "2,3", "--jobs", "500"])
+    assert code == EXIT_OK and len(parse_csv(out)[1]) == 2
+    assert sizes == [2]
 
 
 # ---------------------------------------------------------------- bench, validate

@@ -18,7 +18,10 @@ from nessfold.tns import apply_inverse_sequence, dense_coefficients, normalize_v
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag value before main runs its own checks
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -44,6 +47,13 @@ def run_cli(capsys, argv):
     # an unwritable dump path fails before the header and the solve
     (["ness", "--dump-fold", "no/dir.json"], None),
     (["occupancy", "--dump-fold", "."], None),
+    # nan and +-inf are no numbers, from a flag or from a config
+    (["ness", "--N", "4", "--w", "0.5", "--mu", "2", "--eps-fold", "nan"], None),
+    (["ness", "--eps-z", "inf"], None),
+    (["ness", "--trunc-tol", "nan"], None),
+    (["ness", "--trunc-tol", "inf"], None),
+    (["ness", "--w=-inf"], None),
+    (["ness"], {"trunc_tol": float("nan")}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)

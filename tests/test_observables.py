@@ -14,7 +14,9 @@ from nessfold.observables import (
     site_occupancy,
 )
 from nessfold.pipeline import solve_end_bath
-from nessfold.tns import apply_gate, normalize_vacuum, product_state
+from nessfold.tns import normalize_vacuum, product_state
+
+from helpers import apply_gate
 
 
 def solved_state(n=2, w=1.0, mu=1.0, g1=1.0, g2=3.0):

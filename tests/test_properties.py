@@ -13,9 +13,9 @@ from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import dense_second_space_ness, error_metric
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import TransferStack, decompose, stable_projector
-from nessfold.tns import apply_gate, dense_coefficients, product_state
+from nessfold.tns import dense_coefficients, product_state
 
-from helpers import expected_rotation_count, replay, rotate_columns
+from helpers import apply_gate, expected_rotation_count, replay, rotate_columns
 
 SUITE_SETTINGS = settings(
     max_examples=50,

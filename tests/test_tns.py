@@ -5,16 +5,13 @@ import pytest
 import scipy.linalg
 
 from nessfold.exceptions import VacuumVanishes
-from nessfold.folding import ROTATION_DTYPE, FoldResult, fold
+from nessfold.folding import _PAIR_STEPS, ROTATION_DTYPE, FoldResult, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_stack, decompose, stable_projector
 from nessfold.tns import (
-    _pair_runs,
     _shift_center_left,
-    _shift_center_right,
-    apply_gate,
     apply_inverse_sequence,
     coefficient,
     dense_coefficients,
@@ -23,7 +20,7 @@ from nessfold.tns import (
     vacuum_amplitude,
 )
 
-from helpers import rotation_gate
+from helpers import apply_gate, rotation_gate
 
 
 def dense_gate(n_sites, m, theta):
@@ -142,16 +139,16 @@ def test_inverse_sequence_gauge_moves_are_exact():
     )
 
 
-@pytest.mark.parametrize("shift", [lambda s: _shift_center_left(s, 1, 0), lambda s: _shift_center_right(s, 0, 1)],
-                         ids=["left", "right"])
-def test_gauge_shift_drops_redundant_sector_vectors(shift):
-    # bond 1 holds two even vectors, but one site on either side supports only one
+# the replay walks the center left only
+@pytest.mark.parametrize("src, dst", [(1, 0)], ids=["left"])
+def test_gauge_shift_drops_redundant_sector_vectors(src, dst):
+    # bond 1 holds two even vectors, but the site right of it supports only one
     rng = np.random.default_rng(8)
     state = product_state([0, 0], trunc_tol=0.0)
     state.matrices = [rng.normal(size=(1, 3)).astype(complex), rng.normal(size=(3, 1)).astype(complex)]
     state.even[1] = 2
     dense = dense_coefficients(state)
-    shift(state)
+    _shift_center_left(state, src, dst)
     assert state.bondDims == [1, 2, 1]
     assert_parity_blocked(state, [0, 0])
     np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-14)
@@ -266,18 +263,25 @@ def test_gesvd_fallback_factorizes_each_parity_block(monkeypatch):
 
 
 def test_one_svd_call_per_two_site_gate(monkeypatch):
-    """The traced benchmark charges exactly one numpy.linalg.svd call to each site-pair run:
-    sum over rows l < 2N of 2N - l, that is 28 at N=4."""
-    svd, shapes = np.linalg.svd, []
+    """The traced benchmark charges exactly one numpy.linalg.svd call to each site-pair block,
+    sum over rows l < 2N of 2N - l, that is 28 at N=4, and one numpy.linalg.qr call to each
+    step of the center's walk back left between rows, sum over l <= 2N - 2 of 2N - 1 - l, that is 21."""
+    svd, qr, shapes, qr_calls = np.linalg.svd, np.linalg.qr, [], []
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def counted_qr(a, *args, **kwargs):
+        qr_calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     solve_end_bath(KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0))
     assert len(shapes) == sum(8 - l for l in range(1, 8)) == 28
     assert all(len(shape) == 3 and shape[0] == 2 for shape in shapes)
+    assert len(qr_calls) == sum(7 - l for l in range(1, 7)) == 21
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -292,32 +296,54 @@ def test_fused_replay_matches_record_by_record_gates(n):
     assert sol.state.discardedWeight == 0.0
 
 
-def test_pair_runs_group_records_by_site_pair():
-    # m = 4 is a phase on site 1 (0-based), inside pairs 0 and 1 until m = 5, the gate on (1, 2), picks 1
-    records = [(4, 0.1), (5, 0.2), (6, 0.0), (6, 0.3), (3, 0.4), (2, 0.5), (2, 0.6), (8, 0.7), (6, 0.8)]
-    runs = list(_pair_runs(*zip(*records), 4))
-    assert runs == [(1, [(4, 0.1), (5, 0.2), (6, 0.3)]), (0, [(3, 0.4), (2, 0.5), (2, 0.6)]),
-                    (2, [(8, 0.7), (6, 0.8)])]
-    # phases on one site only fit two pairs, a record outside the chain none
-    assert list(_pair_runs([4, 4, 9], [0.1, 0.2, 0.3], 4)) == [(None, [(4, 0.1), (4, 0.2)]), (None, [(9, 0.3)])]
-    assert list(_pair_runs([2, 2], [0.1, 0.2], 1)) == [(None, [(2, 0.1)]), (None, [(2, 0.2)])]
+def fold_layout_records(rng, pairs, zero_block):
+    """Fold-layout records, in application order, whose reversed blocks act on `pairs` (0-based):
+    each block is _PAIR_STEPS on pair j at random angles, some of them zero, all of block
+    `zero_block` zero."""
+    records = []
+    for b, j in enumerate(pairs):
+        thetas = rng.uniform(-np.pi, np.pi, len(_PAIR_STEPS)) * (rng.random(len(_PAIR_STEPS)) > 0.3)
+        block = [(2 * j + 2 + i, 0.0 if b == zero_block else float(t), kind)
+                 for (i, kind), t in zip(_PAIR_STEPS, thetas)]
+        records = block + records
+    return records
 
 
-def test_fused_replay_of_any_record_sequence_matches_dense_gates():
-    """Runs that no single pair holds (phases on one site) and zero angles replay exactly too."""
-    rng = np.random.default_rng(41)
-    n_sites = 4
-    # replayed backwards, the two phases on site 1 (m = 4) sit between gates on sites (2, 3)
-    recs = random_rotations(rng, n_sites, 60) + [(7, 0.5), (4, 0.3), (4, -1.1), (2, 0.0), (7, 0.9)]
-    assert (None, [(4, 1.1), (4, -0.3)]) in _pair_runs([m for m, _ in recs[::-1]], [-t for _, t in recs[::-1]],
-                                                      n_sites)
-    result = FoldResult(rotations=np.rec.fromrecords([(m, t, "U") for m, t in recs], dtype=ROTATION_DTYPE),
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_replay_matches_dense_gates(seed):
+    """Random blocks in the fold's layout, zero angles and an all-zero block included, replay as the
+    dense gate product: each next block sits at most one pair right of the last one."""
+    rng = np.random.default_rng(seed)
+    n_sites = 5
+    pairs = [n_sites - 2]
+    for _ in range(11):
+        pairs.append(int(rng.integers(0, min(pairs[-1] + 1, n_sites - 2) + 1)))
+    records = fold_layout_records(rng, pairs, zero_block=4)
+    result = FoldResult(rotations=np.rec.fromrecords(records, dtype=ROTATION_DTYPE),
                         rDiag=np.ones(n_sites), signs=np.ones(n_sites, dtype=int), residual=0.0)
-    bits = [1, 0, 0, 1]
+    bits = rng.integers(0, 2, size=n_sites).tolist()
     state = product_state(bits, trunc_tol=0.0)
     dense = dense_coefficients(state)
     apply_inverse_sequence(state, result)
-    for m, theta in reversed(recs):
+    for m, theta, _ in reversed(records):
         dense = dense_gate(n_sites, m, -theta) @ dense
-    np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-12)
+    np.testing.assert_allclose(dense_coefficients(state), dense, rtol=0, atol=1e-12)
     assert_parity_blocked(state, bits)
+
+
+# records in application order: the blocks of pairs 1, 0, 2, replayed as 2, 0, 1
+@pytest.mark.parametrize("edit, message", [
+    (lambda recs: recs[:-1], "blocks of 5"),
+    (lambda recs: recs + recs[:2], "blocks of 5"),
+    (lambda recs: [recs[1], recs[0]] + recs[2:], "per-pair pattern"),
+    (lambda recs: recs[:10] + [(m + 2, t, k) for m, t, k in recs[10:]], "outside the chain"),
+    (lambda recs: recs[:5] + recs[10:] + recs[5:10], "skips right"),
+], ids=["short", "long", "swapped", "outside", "rightward"])
+def test_replay_refuses_records_outside_the_fold_layout(edit, message):
+    records = edit(fold_layout_records(np.random.default_rng(3), [2, 0, 1], zero_block=-1))
+    result = FoldResult(rotations=np.rec.fromrecords(records, dtype=ROTATION_DTYPE),
+                        rDiag=np.ones(4), signs=np.ones(4, dtype=int), residual=0.0)
+    state = product_state([0, 0, 0, 0])
+    with pytest.raises(ValueError, match=message):
+        apply_inverse_sequence(state, result)
+    assert state.bondDims == [1] * 5
