@@ -38,7 +38,7 @@ from .exceptions import (
 from .folding import EPS_FOLD_DEFAULT
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from .observables import log_linear_fit
-from .pipeline import solve_end_bath
+from .pipeline import check_settings, solve_end_bath
 from .spectral import EPS_Z_DEFAULT
 from .tns import TRUNC_TOL_DEFAULT, dense_coefficients
 
@@ -249,12 +249,9 @@ class RunConfig:
     def validate_common(self) -> None:
         if self.jobs < 1:
             raise _UsageError("jobs must be >= 1")
-        if self.trunc_tol < 0 or self.eps_z <= 0 or self.eps_fold <= 0:
-            raise _UsageError("tolerances must be positive (truncTol may be 0)")
-        if self.max_chi < 0:
-            raise _UsageError("max-chi must be >= 0 (0 = unlimited)")
-        # the model's own checks decide what a valid point is, before any output
+        # the library's own checks decide what a valid point and solver setting are, before any output
         try:
+            check_settings(self.trunc_tol, self.max_chi, self.eps_z, self.eps_fold)
             for n in (self.N, *self.sizes):
                 KitaevParams(N=n, w=self.w, mu=self.mu, delta=self.delta)
             EndBathParams(gamma11=self.gamma11, gamma21=self.gamma21,
@@ -321,6 +318,7 @@ def _dump_fold(sol, path: str) -> None:
                       in zip(rots.m.tolist(), rots.theta.tolist(), rots.kind.tolist())],
         "rDiag": [float(v) for v in sol.foldResult.rDiag],
         "signs": [int(v) for v in sol.foldResult.signs],
+        "sites": [int(v) for v in sol.foldResult.sites],
         "foldResidual": float(sol.foldResult.residual),
         "orthoResidual": float(sol.orthoResidual),
         "bondDims": list(sol.state.bondDims),

@@ -97,20 +97,6 @@ def mode_ladders(n_modes: int) -> list:
     return [_string_operator(n_modes, l, _LOWER) for l in range(1, n_modes + 1)]
 
 
-def mode_majoranas(n_modes: int) -> list:
-    """Sparse gamma~_1..gamma~_2n: gamma~_{2l-1} = c_l + c_l^dag, gamma~_2l = i(c_l^dag - c_l).
-
-    This sign choice makes the generator equal the antisymmetrized quadratic
-    form plus Lscalar/2 exactly; the opposite one shifts bath cross terms.
-    """
-    out = []
-    for c in mode_ladders(n_modes):
-        cd = c.conj().T.tocsr()
-        out.append((c + cd).tocsr())
-        out.append((1j * (cd - c)).tocsr())
-    return out
-
-
 def build_hamiltonian_dense(H: MajoranaHamiltonian) -> np.ndarray:
     """(1/2) sum_{j,k} A_{2j-1,2k} gamma_{2j-1} (i gamma_2k) as a 2^N matrix."""
     gam = majorana_site_matrices(H.N)

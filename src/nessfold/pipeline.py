@@ -5,13 +5,15 @@ mode decomposition, stack folding, gate replay, observables) and surfaces
 each stage's typed failure unchanged so callers can map it to a status.
 
 A solve runs with numpy's OpenBLAS pinned to one thread: the replay's SVDs
-and QRs act on blocks of a few hundred rows at most, where waking and
-syncing BLAS threads costs more than the work they share.
+act on blocks of a few hundred rows at most, where waking and syncing BLAS
+threads costs more than the work they share.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
+import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -88,6 +90,18 @@ def one_blas_thread():
                 put(_pin_saved)
 
 
+def check_settings(trunc_tol, max_chi, eps_z, eps_fold) -> None:
+    """Raise ValueError unless trunc_tol is finite and >= 0, eps_z and eps_fold are finite
+    and > 0, and max_chi is an integer >= 0 (0 = unlimited)."""
+    for name, value, zero_ok in (("trunc_tol", trunc_tol, True), ("eps_z", eps_z, False),
+                                 ("eps_fold", eps_fold, False)):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+            raise ValueError(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, got {value!r}")
+    if isinstance(max_chi, bool) or not isinstance(max_chi, numbers.Integral) or max_chi < 0:
+        raise ValueError(f"max_chi must be an integer >= 0 (0 = unlimited), got {max_chi!r}")
+
+
 @dataclass(frozen=True)
 class NessSolution:
     """Everything produced along one solve, for inspection and reporting."""
@@ -110,7 +124,9 @@ def solve(
     eps_z: float = EPS_Z_DEFAULT,
     eps_fold: float = EPS_FOLD_DEFAULT,
 ) -> NessSolution:
-    """Solve one parameter point on one BLAS thread; raises the stage errors documented per module."""
+    """Solve one parameter point on one BLAS thread; raises the stage errors documented per module,
+    or ValueError from check_settings before any stage runs."""
+    check_settings(trunc_tol, max_chi, eps_z, eps_fold)
     baths = list(baths)
     with one_blas_thread():
         H = build_kitaev(params)
@@ -120,8 +136,7 @@ def solve(
         ortho = orthogonality_residual(stack)
         fold_result = fold(stack, eps_fold=eps_fold)
 
-        bits = [(1 + int(s)) // 2 for s in fold_result.signs]
-        state = product_state(bits, trunc_tol=trunc_tol, max_chi=max_chi)
+        state = product_state(fold_result.bits, trunc_tol=trunc_tol, max_chi=max_chi)
         apply_inverse_sequence(state, fold_result)
         normalize_vacuum(state)
         report = build_report(state, fold_result.residual)

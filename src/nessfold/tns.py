@@ -13,8 +13,8 @@ state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
 vectors of bond j have even parity, the rest odd.  The physical index of an
 entry (a, b) of a site's tensor is then fixed, p = parity(a) xor parity(b),
 so each site is stored as one (left bond, right bond) matrix and each parity
-sector of a bond is a plain slice of it.  Two-site updates and gauge shifts
-factorize each sector on its own.
+sector of a bond is a plain slice of it.  Two-site updates factorize each
+sector on its own.
 """
 
 from __future__ import annotations
@@ -108,21 +108,6 @@ def _robust_svd(blocks: np.ndarray):
         return tuple(np.stack(x) for x in zip(*parts))
 
 
-def _qr_sectors(b0: np.ndarray, b1: np.ndarray):
-    """Reduced QR of two blocks with equal row counts in one batched LAPACK call.
-
-    The narrower block is padded with zero columns: Householder QR leaves the
-    factors of leading columns unchanged by zero columns after them.
-    """
-    rows, n0, n1 = b0.shape[0], b0.shape[1], b1.shape[1]
-    padded = np.zeros((2, rows, max(n0, n1)), dtype=complex)
-    padded[0, :, :n0] = b0
-    padded[1, :, :n1] = b1
-    q, r = np.linalg.qr(padded)
-    k0, k1 = min(rows, n0), min(rows, n1)
-    return q[0, :, :k0], r[0, :k0, :n0], q[1, :, :k1], r[1, :k1, :n1]
-
-
 def _truncate(s: np.ndarray, trunc_tol: float, max_chi: int) -> int:
     keep = int(np.count_nonzero(s > trunc_tol * s[0])) if s[0] > 0 else 1
     keep = max(keep, 1)
@@ -158,16 +143,18 @@ def _pair_gate(j: int, records) -> tuple:
     return even, odd
 
 
-def _update_pair(state: TensorState, j: int, gate: tuple) -> None:
+def _update_pair(state: TensorState, j: int, gate: tuple, center_left: bool = False) -> None:
     """Apply a parity-preserving two-site unitary, given as _pair_gate's two blocks, to sites
     (j, j+1) in place and split the result by one batched SVD.
 
     The gate conserves parity, so the two-site block splits into one a x c
     matrix per parity of the cut; both are factorized in one batched SVD and
-    truncated over their merged singular values.  Truncation against the
-    local singular values is only optimal when the orthogonality center sits
-    on the pair; apply_inverse_sequence keeps that invariant, direct callers
-    are responsible for their own gauge.
+    truncated over their merged singular values.  The singular values go to
+    site j+1, or to site j with center_left, and the other site keeps the
+    orthonormal factor, so the orthogonality center ends on that site.
+    Truncation against the local singular values is only optimal when the
+    center sits on the pair; apply_inverse_sequence keeps that invariant,
+    direct callers are responsible for their own gauge.
     """
     if not 0 <= j < state.sites - 1:
         raise ValueError(f"pair ({j + 1},{j + 2}) outside chain of {state.sites}")
@@ -194,23 +181,15 @@ def _update_pair(state: TensorState, j: int, gate: tuple) -> None:
         state.discardedWeight += float((ranked[keep:] * ranked[keep:]).sum()) / total
     k0 = int(np.count_nonzero(order[:keep] < s.shape[1]))
     k1 = keep - k0
-    state.matrices[j] = np.concatenate((U[0, :, :k0], U[1, :, :k1]), axis=1)
-    state.matrices[j + 1] = np.concatenate((s[0, :k0, None] * Vh[0, :k0], s[1, :k1, None] * Vh[1, :k1]))
+    U0, U1, V0, V1 = U[0, :, :k0], U[1, :, :k1], Vh[0, :k0], Vh[1, :k1]
+    if center_left:
+        U0, U1 = U0 * s[0, :k0], U1 * s[1, :k1]
+    else:
+        V0, V1 = s[0, :k0, None] * V0, s[1, :k1, None] * V1
+    state.matrices[j] = np.concatenate((U0, U1), axis=1)
+    state.matrices[j + 1] = np.concatenate((V0, V1))
     state.even[j + 1] = k0
     state.maxBondSeen = max(state.maxBondSeen, keep)
-
-
-def _shift_center_left(state: TensorState, src: int, dst: int) -> None:
-    """LQ sweep: make sites dst+1..src right-orthogonal, pushing weight to dst.
-
-    Each parity sector of the left bond is factorized on its own.
-    """
-    for j in range(src, dst, -1):
-        M, prev, mid = state.matrices[j], state.matrices[j - 1], state.even[j]
-        q0, r0, q1, r1 = _qr_sectors(M[:mid].conj().T, M[mid:].conj().T)
-        state.matrices[j] = np.concatenate((q0.conj().T, q1.conj().T))
-        state.matrices[j - 1] = np.concatenate((prev[:, :mid] @ r0.conj().T, prev[:, mid:] @ r1.conj().T), axis=1)
-        state.even[j] = q0.shape[1]
 
 
 def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
@@ -218,14 +197,14 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
 
     The fold records one block of len(_PAIR_STEPS) rotations per site pair;
     reversed, each block is multiplied into one two-site unitary, zero angles
-    included as exact identity factors, and applied with one SVD.  The
-    orthogonality center sits on each pair before its update, so every
-    truncation happens against genuine Schmidt coefficients and the bond
-    dimension stays at the state's actual entanglement.  The product state is
-    canonical at every site, so the center starts on the first block's pair;
-    reversed, each row of the fold runs through its site pairs from left to
-    right, so the center only walks left, once per row.  Records that do not
-    follow that layout raise ValueError before the state is touched.
+    included as exact identity factors, and applied with one SVD.  Reversed,
+    the fold's rows are staircases of alternating direction, each starting
+    on the pair next to where the previous one ended, so consecutive blocks
+    sit at most one pair apart.  Each update leaves the orthogonality center
+    on the site its pair shares with the next block's pair, and the product
+    state is canonical at every site, so every truncation happens against
+    genuine Schmidt coefficients with no gauge step in between.  Records that
+    do not follow that layout raise ValueError before the state is touched.
     """
     size = len(_PAIR_STEPS)
     rots = result.rotations
@@ -233,21 +212,22 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
         raise ValueError(f"{len(rots)} rotation records do not split into site-pair blocks of {size}")
     ms = rots.m[::-1].reshape(-1, size)
     thetas = -rots.theta[::-1].reshape(-1, size)
-    # a block on pair j (0-based) holds m = 2j + 2 + i for the steps' first local columns i
+    # a block on pair j (0-based) holds m = 2j + 2 + i for the steps' first local columns i, or
+    # m = 2j + 4 - i when the fold cleared its row on the mirrored columns
     steps = np.array([i for i, _ in _PAIR_STEPS[::-1]])
-    pairs = (ms[:, 0] - steps[0]) // 2 - 1
-    if np.any(ms != 2 * pairs[:, None] + 2 + steps):
-        raise ValueError(f"rotation records do not follow the fold's per-pair pattern 2j + 2 + {steps.tolist()}")
+    pairs = (ms[:, 0] - 3) // 2  # both patterns open with the pair's two-site rotation, m = 2j + 3
+    base = 2 * pairs[:, None] + 2
+    if not np.all(np.all(ms == base + steps, axis=1) | np.all(ms == base + 2 - steps, axis=1)):
+        raise ValueError(f"rotation records follow neither of the fold's per-pair patterns "
+                         f"2j + 2 + {steps.tolist()} and 2j + 4 - {steps.tolist()}")
     if np.any((pairs < 0) | (pairs > state.sites - 2)):
         raise ValueError(f"rotation records act outside the chain of {state.sites} sites")
-    if np.any(np.diff(pairs) > 1):
-        raise ValueError("a block skips right past the orthogonality center; the fold's rows never do")
-    center = 0  # the product state is canonical everywhere: the first block finds the center in place
-    for j, m, theta in zip(pairs.tolist(), ms.tolist(), thetas.tolist()):
-        if center > j + 1:
-            _shift_center_left(state, center, j + 1)
-        center = j + 1
-        _update_pair(state, j, _pair_gate(j, zip(m, theta)))
+    moves = np.diff(pairs)
+    if np.any(np.abs(moves) > 1):
+        raise ValueError("a block skips past the orthogonality center; the fold's rows never do")
+    center_left = np.append(moves < 0, False).tolist()
+    for j, m, theta, left in zip(pairs.tolist(), ms.tolist(), thetas.tolist(), center_left):
+        _update_pair(state, j, _pair_gate(j, zip(m, theta)), center_left=left)
 
 
 def coefficient(state: TensorState, bits) -> complex:

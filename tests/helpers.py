@@ -1,11 +1,11 @@
 """Reference operations that only tests need: stack rotations, fold replay, rotation
-counts, dense and record-by-record rotation gates, string expansion."""
+counts, dense and record-by-record rotation gates, mode Majoranas, string expansion."""
 
 import math
 
 import numpy as np
 
-from nessfold.oracle import _ordered_strings
+from nessfold.oracle import _ordered_strings, mode_ladders
 from nessfold.tns import _pair_gate, _physical, _update_pair
 
 
@@ -22,14 +22,15 @@ def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
 
 
 def replay(R: np.ndarray, result) -> np.ndarray:
-    """Re-run a FoldResult's recorded rotations and closure zeroings on a copy of R."""
+    """Re-run a FoldResult's recorded rotations and closure zeroings on a copy of R: after
+    row l's records, the columns of the site it pinned are zeroed in the rows below."""
     W = np.array(R, dtype=complex)
     n_rows = W.shape[0]
     rots = iter(zip(result.rotations.m.tolist(), result.rotations.theta.tolist()))
-    for l in range(1, n_rows):
+    for l, site in zip(range(1, n_rows), result.sites.tolist()):
         for _ in range(5 * (n_rows - l)):
             W = rotate_columns(W, *next(rots))
-        W[l:, 2 * l - 2:2 * l] = 0.0
+        W[l:, 2 * site - 2:2 * site] = 0.0
     return W
 
 
@@ -69,6 +70,20 @@ def apply_gate(state, m: int, theta: float) -> None:
     phase = complex(math.cos(half), math.sin(half))
     M = state.matrices[j]
     state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
+
+
+def mode_majoranas(n_modes: int) -> list:
+    """Sparse gamma~_1..gamma~_2n: gamma~_{2l-1} = c_l + c_l^dag, gamma~_2l = i(c_l^dag - c_l).
+
+    This sign choice makes the generator equal the antisymmetrized quadratic
+    form plus Lscalar/2 exactly; the opposite one shifts bath cross terms.
+    """
+    out = []
+    for c in mode_ladders(n_modes):
+        cd = c.conj().T.tocsr()
+        out.append((c + cd).tocsr())
+        out.append((1j * (cd - c)).tocsr())
+    return out
 
 
 def second_space_from_strings(q: np.ndarray, N: int) -> np.ndarray:

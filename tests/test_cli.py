@@ -276,6 +276,7 @@ def test_dump_fold(capsys, tmp_path):
     assert len(doc["rotations"]) == expected_rotation_count(2)
     assert len(doc["rDiag"]) == 4
     assert set(doc["signs"]) <= {-1, 1}
+    assert doc["sites"] == [1, 4, 2, 3]
     assert doc["foldResidual"] < 1e-10
     assert len(doc["modes"]["real"]) == 8
 

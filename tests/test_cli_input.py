@@ -101,9 +101,10 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
             dtype=ROTATION_DTYPE),
         rDiag=np.array(doc["rDiag"]),
         signs=np.array(doc["signs"]),
+        sites=np.array(doc["sites"]),
         residual=doc["foldResidual"],
     )
-    state = product_state([(1 + s) // 2 for s in doc["signs"]])
+    state = product_state(dumped.bits)
     apply_inverse_sequence(state, dumped)
     normalize_vacuum(state)
 

@@ -58,18 +58,29 @@ def clear_row(W, l):
     return [rec for k in range(W.shape[0] - 1, l - 1, -1) for rec in eliminate_pair(W, l, k)]
 
 
+def zigzag_sites(n):
+    """The site each row pins: 1, 2N, 2, 2N-1, ..., N+1."""
+    return [(l + 1) // 2 if l % 2 else 2 * n + 1 - l // 2 for l in range(1, 2 * n)] + [n + 1]
+
+
 def fold_by_rotation(R):
-    """fold's records, each angle read off the row after the previous rotation reached every row."""
+    """fold's records, each angle read off the row after the previous rotation reached every row:
+    odd rows cleared onto the leftmost free site, even rows onto the rightmost on the mirrored
+    columns, whose record (m, theta) acts on the stack as (2 rows + 2 - m, -theta)."""
     W = np.array(R, dtype=complex)
-    rows, records = W.shape[0], []
+    rows, records, lo, hi = W.shape[0], [], 1, W.shape[0]
     for l in range(1, rows):
-        for k in range(rows - 1, l - 1, -1):
+        mirrored = l % 2 == 0
+        V, first, last = (W[:, ::-1], rows + 1 - hi, rows + 1 - lo) if mirrored else (W, lo, hi)
+        for k in range(last - 1, first - 1, -1):
             for m, kind in pair_records(k):
-                a, b = W[l - 1, m - 2], W[l - 1, m - 1]
+                a, b = V[l - 1, m - 2], V[l - 1, m - 1]
                 theta = np.arctan2(b.imag, a.imag) if kind == "U" else np.arctan2(b.real, a.real)
-                W = rotate_columns(W, m, theta)
-                records.append((m, theta, kind))
-        W[l:, 2 * l - 2:2 * l] = 0.0
+                V = rotate_columns(V, m, theta)
+                records.append((2 * rows + 2 - m, -theta, kind) if mirrored else (m, theta, kind))
+        W, site = (V[:, ::-1], hi) if mirrored else (V, lo)
+        W[l:, 2 * site - 2:2 * site] = 0.0
+        lo, hi = (lo, hi - 1) if mirrored else (lo + 1, hi)
     return records
 
 
@@ -94,7 +105,7 @@ def test_eliminate_pair_clears_site_k_plus_1_and_touches_only_its_columns(l, k):
     W = genuine_stack().R.copy()
     for row in range(1, l):
         clear_row(W, row)
-        close_row(W, row)
+        close_row(W, row, row)
     for right in range(3, k, -1):
         eliminate_pair(W, l, right)
     before = W.copy()
@@ -111,14 +122,24 @@ def test_eliminate_pair_clears_site_k_plus_1_and_touches_only_its_columns(l, k):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_interior_rows_close_with_sign_plus_one(n):
-    """The last pair of each interior row leaves (i r', r) with Im r' >= 0 and r > 0."""
+    """The last pair of each interior row leaves (i r', r) with Im r' >= 0 and r > 0 on the columns
+    the row was cleared on, so it closes +1 there.  An even row is cleared on the mirrored columns
+    onto the rightmost free site; read on the stack's own columns, it closes -1."""
     W = genuine_stack(n=n).R.copy()
-    for l in range(1, 2 * n):
-        clear_row(W, l)
-        assert W[l - 1, 2 * l - 2].imag >= 0 and W[l - 1, 2 * l - 1].real > 0
-        assert abs(W[l - 1, 2 * l - 1].imag) < 1e-14
-        assert close_row(W, l) == 1
-    assert np.all(fold(genuine_stack(n=n)).signs[:-1] == 1)
+    rows, lo, hi = 2 * n, 1, 2 * n
+    for l in range(1, rows):
+        mirrored = l % 2 == 0
+        V, first, last = (W[:, ::-1], rows + 1 - hi, rows + 1 - lo) if mirrored else (W, lo, hi)
+        for k in range(last - 1, first - 1, -1):
+            eliminate_pair(V, l, k)
+        assert V[l - 1, 2 * first - 2].imag >= 0 and V[l - 1, 2 * first - 1].real > 0
+        assert abs(V[l - 1, 2 * first - 1].imag) < 1e-14
+        assert close_row(V, l, first) == 1
+        assert close_row(W, l, hi if mirrored else lo) == (-1 if mirrored else 1)
+        lo, hi = (lo, hi - 1) if mirrored else (lo + 1, hi)
+    result = fold(genuine_stack(n=n))
+    assert result.signs[:-1].tolist() == [1 if l % 2 else -1 for l in range(1, rows)]
+    assert result.sites.tolist() == zigzag_sites(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -136,11 +157,18 @@ def test_close_row_signs():
     Wp[0, 1] = 0.4
     Wp[1, 0] = 7.0  # must be zeroed
     Wm = Wp.copy()
-    assert close_row(Wp, 1) == 1
+    assert close_row(Wp, 1, 1) == 1
     assert Wp[1, 0] == 0.0
 
     Wm[0, 0] = -0.4j
-    assert close_row(Wm, 1) == -1
+    assert close_row(Wm, 1, 1) == -1
+
+    # closure and zeroing act on the site given, not on the row's index
+    Ws = np.zeros((2, 4), dtype=complex)
+    Ws[0, 2:] = [-0.4j, 0.4]
+    Ws[1] = 7.0
+    assert close_row(Ws, 1, 2) == -1
+    np.testing.assert_array_equal(Ws[1], [7.0, 7.0, 0.0, 0.0])
 
 
 def test_close_row_rejects_non_isotropic_pair():
@@ -148,7 +176,7 @@ def test_close_row_rejects_non_isotropic_pair():
     W[0, 0] = 0.3
     W[0, 1] = 1.0
     with pytest.raises(ClosureViolation):
-        close_row(W, 1)
+        close_row(W, 1, 1)
 
 
 def test_fold_counts_and_weights():
@@ -159,6 +187,7 @@ def test_fold_counts_and_weights():
         assert result.rDiag.shape == (2 * n,)
         assert np.all(result.rDiag > 0)
         assert set(result.signs.tolist()) <= {-1, 1}
+        assert result.sites.tolist() == zigzag_sites(n)
         assert result.residual < 1e-12
 
 
@@ -166,13 +195,14 @@ def test_fold_replay_reproduces_pattern():
     stack = genuine_stack(n=2)
     result = fold(stack)
     W = replay(stack.R, result)
-    for l in range(1, 5):
-        assert abs(W[l - 1, 2 * l - 1]) == pytest.approx(result.rDiag[l - 1], abs=1e-12)
-        assert abs(W[l - 1, 2 * l - 2]) == pytest.approx(result.rDiag[l - 1], abs=1e-12)
-    # everything outside the diagonal pairs is gone
+    assert result.sites.tolist() == [1, 4, 2, 3]
+    for l, site in enumerate(result.sites.tolist(), start=1):
+        assert abs(W[l - 1, 2 * site - 1]) == pytest.approx(result.rDiag[l - 1], abs=1e-12)
+        assert abs(W[l - 1, 2 * site - 2]) == pytest.approx(result.rDiag[l - 1], abs=1e-12)
+    # everything outside each row's pinned site is gone
     mask = np.ones(W.shape, dtype=bool)
-    for j in range(W.shape[0]):
-        mask[j, 2 * j: 2 * j + 2] = False
+    for j, site in enumerate(result.sites.tolist()):
+        mask[j, 2 * site - 2: 2 * site] = False
     assert np.abs(W[mask]).max() < 1e-12
 
 
@@ -232,6 +262,8 @@ def test_fold_result_is_frozen():
         result.residual = 0.0
     with pytest.raises(ValueError):
         result.rDiag[0] = 5.0
+    with pytest.raises(ValueError):
+        result.sites[0] = 2
     with pytest.raises(ValueError):
         result.rotations.theta[0] = 5.0
     assert isinstance(result, FoldResult)

@@ -18,7 +18,6 @@ from nessfold.oracle import (
     error_metric,
     lindblad_superoperator,
     majorana_site_matrices,
-    mode_majoranas,
     occupancy_from_vec,
     rho_to_second_space,
     second_space_liouvillian,
@@ -26,7 +25,7 @@ from nessfold.oracle import (
 from nessfold.pipeline import solve_end_bath
 from nessfold.tns import dense_coefficients
 
-from helpers import second_space_from_strings
+from helpers import mode_majoranas, second_space_from_strings
 
 BP = EndBathParams(gamma11=0.8, gamma21=1.7, gamma12=0.4, gamma22=2.1)
 

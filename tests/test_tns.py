@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nessfold import tns
 from nessfold.exceptions import VacuumVanishes
 from nessfold.folding import _PAIR_STEPS, ROTATION_DTYPE, FoldResult, fold
 from nessfold.liouvillian import build_liouvillian
@@ -11,7 +12,8 @@ from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_stack, decompose, stable_projector
 from nessfold.tns import (
-    _shift_center_left,
+    _pair_gate,
+    _update_pair,
     apply_inverse_sequence,
     coefficient,
     dense_coefficients,
@@ -119,12 +121,13 @@ def test_untruncated_run_tracks_bond_growth():
 
 
 def test_inverse_sequence_gauge_moves_are_exact():
-    """The center-shifting QR sweeps must not change the represented state."""
+    """Leaving each update's singular values on the side of the next block must not change the
+    represented state."""
     bp = EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3)
     params = KitaevParams(N=2, w=1.2, mu=0.7, delta=1.0)
     L = build_liouvillian(build_kitaev(params), end_baths(2, bp))
     result = fold(build_stack(stable_projector(decompose(L)), 2))
-    bits = [(1 + int(s)) // 2 for s in result.signs]
+    bits = result.bits
 
     gauged = product_state(bits, trunc_tol=0.0)
     apply_inverse_sequence(gauged, result)
@@ -139,19 +142,30 @@ def test_inverse_sequence_gauge_moves_are_exact():
     )
 
 
-# the replay walks the center left only
-@pytest.mark.parametrize("src, dst", [(1, 0)], ids=["left"])
-def test_gauge_shift_drops_redundant_sector_vectors(src, dst):
-    # bond 1 holds two even vectors, but the site right of it supports only one
+def is_left_orthonormal(t):
+    flat = t.reshape(-1, t.shape[2])
+    return np.allclose(flat.conj().T @ flat, np.eye(t.shape[2]), atol=1e-10)
+
+
+def is_right_orthonormal(t):
+    flat = t.reshape(t.shape[0], -1)
+    return np.allclose(flat @ flat.conj().T, np.eye(t.shape[0]), atol=1e-10)
+
+
+@pytest.mark.parametrize("center_left", [True, False], ids=["left", "right"])
+def test_update_pair_leaves_the_center_on_either_site(center_left):
+    """The singular values go to the site asked for; the other site keeps the orthonormal factor."""
     rng = np.random.default_rng(8)
-    state = product_state([0, 0], trunc_tol=0.0)
-    state.matrices = [rng.normal(size=(1, 3)).astype(complex), rng.normal(size=(3, 1)).astype(complex)]
-    state.even[1] = 2
-    dense = dense_coefficients(state)
-    _shift_center_left(state, src, dst)
-    assert state.bondDims == [1, 2, 1]
-    assert_parity_blocked(state, [0, 0])
-    np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-14)
+    state = product_state([0, 1, 0, 0], trunc_tol=0.0)
+    for m, theta in random_rotations(rng, 4, 30):
+        apply_gate(state, m, theta)
+    dense = dense_gate(4, 5, 0.7) @ dense_coefficients(state)
+    _update_pair(state, 1, _pair_gate(1, [(5, 0.7)]), center_left=center_left)
+    np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-12)
+    left, right = state.tensors[1:3]
+    assert is_right_orthonormal(right) == center_left
+    assert is_left_orthonormal(left) != center_left
+    assert_parity_blocked(state, [0, 1, 0, 0])
 
 
 def test_coefficient_matches_dense_vector():
@@ -204,7 +218,7 @@ def test_replay_keeps_bonds_parity_sorted(n, max_chi):
     sol = solve_end_bath(KitaevParams(N=n, w=0.5, mu=2.0, delta=1.0),
                          EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3), max_chi=max_chi)
     assert (sol.state.discardedWeight > 1e-6) == (max_chi > 0)
-    assert_parity_blocked(sol.state, [(1 + int(s)) // 2 for s in sol.foldResult.signs])
+    assert_parity_blocked(sol.state, sol.foldResult.bits)
     # the dense view the benchmark contracts: (left, 2, right) arrays with the state's norm
     dims, E = sol.state.bondDims, np.ones((1, 1), dtype=complex)
     for j, t in enumerate(sol.state.tensors):
@@ -264,8 +278,8 @@ def test_gesvd_fallback_factorizes_each_parity_block(monkeypatch):
 
 def test_one_svd_call_per_two_site_gate(monkeypatch):
     """The traced benchmark charges exactly one numpy.linalg.svd call to each site-pair block,
-    sum over rows l < 2N of 2N - l, that is 28 at N=4, and one numpy.linalg.qr call to each
-    step of the center's walk back left between rows, sum over l <= 2N - 2 of 2N - 1 - l, that is 21."""
+    sum over rows l < 2N of 2N - l, that is 28 at N=4, and no numpy.linalg.qr call: the center
+    never walks."""
     svd, qr, shapes, qr_calls = np.linalg.svd, np.linalg.qr, [], []
 
     def counted(a, *args, **kwargs):
@@ -281,7 +295,7 @@ def test_one_svd_call_per_two_site_gate(monkeypatch):
     solve_end_bath(KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0))
     assert len(shapes) == sum(8 - l for l in range(1, 8)) == 28
     assert all(len(shape) == 3 and shape[0] == 2 for shape in shapes)
-    assert len(qr_calls) == sum(7 - l for l in range(1, 7)) == 21
+    assert qr_calls == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -289,61 +303,87 @@ def test_fused_replay_matches_record_by_record_gates(n):
     sol = solve_end_bath(KitaevParams(N=n, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0),
                          trunc_tol=0.0)
     rots = sol.foldResult.rotations
-    naive = product_state([(1 + int(s)) // 2 for s in sol.foldResult.signs], trunc_tol=0.0)
+    naive = product_state(sol.foldResult.bits, trunc_tol=0.0)
     for m, theta in zip(rots.m[::-1].tolist(), rots.theta[::-1].tolist()):
         apply_gate(naive, m, -theta)
     np.testing.assert_allclose(dense_coefficients(sol.state), dense_coefficients(naive), rtol=0, atol=1e-12)
     assert sol.state.discardedWeight == 0.0
 
 
-def fold_layout_records(rng, pairs, zero_block):
+def fold_layout_records(rng, pairs, mirrored, zero_block):
     """Fold-layout records, in application order, whose reversed blocks act on `pairs` (0-based):
-    each block is _PAIR_STEPS on pair j at random angles, some of them zero, all of block
-    `zero_block` zero."""
+    block b is _PAIR_STEPS on pair j, at m = 2j + 2 + i or, if mirrored[b], at m = 2j + 4 - i as
+    from a row cleared on the mirrored columns, at random angles, some of them zero, all of
+    block `zero_block` zero."""
     records = []
-    for b, j in enumerate(pairs):
+    for b, (j, mirror) in enumerate(zip(pairs, mirrored)):
         thetas = rng.uniform(-np.pi, np.pi, len(_PAIR_STEPS)) * (rng.random(len(_PAIR_STEPS)) > 0.3)
-        block = [(2 * j + 2 + i, 0.0 if b == zero_block else float(t), kind)
+        block = [(2 * j + 4 - i if mirror else 2 * j + 2 + i, 0.0 if b == zero_block else float(t), kind)
                  for (i, kind), t in zip(_PAIR_STEPS, thetas)]
         records = block + records
     return records
 
 
+def fold_result(records, n_sites):
+    return FoldResult(rotations=np.rec.fromrecords(records, dtype=ROTATION_DTYPE), rDiag=np.ones(n_sites),
+                      signs=np.ones(n_sites, dtype=int), sites=np.arange(1, n_sites + 1), residual=0.0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_replay_matches_dense_gates(seed):
-    """Random blocks in the fold's layout, zero angles and an all-zero block included, replay as the
-    dense gate product: each next block sits at most one pair right of the last one."""
+    """Random blocks in the fold's layout, either pattern, zero angles and an all-zero block
+    included, replay as the dense gate product: each next block sits at most one pair left or
+    right of the last one, or on the same pair."""
     rng = np.random.default_rng(seed)
     n_sites = 5
     pairs = [n_sites - 2]
-    for _ in range(11):
-        pairs.append(int(rng.integers(0, min(pairs[-1] + 1, n_sites - 2) + 1)))
-    records = fold_layout_records(rng, pairs, zero_block=4)
-    result = FoldResult(rotations=np.rec.fromrecords(records, dtype=ROTATION_DTYPE),
-                        rDiag=np.ones(n_sites), signs=np.ones(n_sites, dtype=int), residual=0.0)
+    for _ in range(15):
+        pairs.append(int(np.clip(pairs[-1] + rng.integers(-1, 2), 0, n_sites - 2)))
+    records = fold_layout_records(rng, pairs, rng.random(len(pairs)) < 0.5, zero_block=4)
     bits = rng.integers(0, 2, size=n_sites).tolist()
     state = product_state(bits, trunc_tol=0.0)
     dense = dense_coefficients(state)
-    apply_inverse_sequence(state, result)
+    apply_inverse_sequence(state, fold_result(records, n_sites))
     for m, theta, _ in reversed(records):
         dense = dense_gate(n_sites, m, -theta) @ dense
     np.testing.assert_allclose(dense_coefficients(state), dense, rtol=0, atol=1e-12)
     assert_parity_blocked(state, bits)
 
 
-# records in application order: the blocks of pairs 1, 0, 2, replayed as 2, 0, 1
+def test_every_update_finds_the_center_on_its_pair(monkeypatch):
+    """Before each two-site update of the fold's replay, the sites left of the pair are
+    left-orthonormal and those right of it right-orthonormal, so every truncation sees the
+    pair's Schmidt values."""
+    update, pairs = tns._update_pair, []
+
+    def checked(state, j, gate, center_left=False):
+        tensors = state.tensors
+        assert all(is_left_orthonormal(t) for t in tensors[:j])
+        assert all(is_right_orthonormal(t) for t in tensors[j + 2:])
+        pairs.append(j)
+        update(state, j, gate, center_left)
+
+    monkeypatch.setattr(tns, "_update_pair", checked)
+    sol = solve_end_bath(KitaevParams(N=3, w=0.5, mu=2.0, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0))
+    # row 5 on pair (3, 4), row 4 descending from (4, 5), row 3 ascending from (2, 3), ...
+    assert pairs[:4] == [2, 3, 2, 1]
+    assert len(pairs) == sum(6 - l for l in range(1, 6))
+    assert sol.foldResult.sites.tolist() == [1, 6, 2, 5, 3, 4]
+
+
+# records in application order: the blocks of pairs 0, 1, 2 from one left-pinned row, replayed as 2, 1, 0
 @pytest.mark.parametrize("edit, message", [
     (lambda recs: recs[:-1], "blocks of 5"),
     (lambda recs: recs + recs[:2], "blocks of 5"),
-    (lambda recs: [recs[1], recs[0]] + recs[2:], "per-pair pattern"),
+    (lambda recs: [recs[1], recs[0]] + recs[2:], "per-pair patterns"),
     (lambda recs: recs[:10] + [(m + 2, t, k) for m, t, k in recs[10:]], "outside the chain"),
-    (lambda recs: recs[:5] + recs[10:] + recs[5:10], "skips right"),
-], ids=["short", "long", "swapped", "outside", "rightward"])
+    (lambda recs: recs[5:] + recs[:5], "skips past the orthogonality center"),
+    (lambda recs: recs[5:10] + recs[:5] + recs[10:], "skips past the orthogonality center"),
+], ids=["short", "long", "swapped", "outside", "rightward", "leftward"])
 def test_replay_refuses_records_outside_the_fold_layout(edit, message):
-    records = edit(fold_layout_records(np.random.default_rng(3), [2, 0, 1], zero_block=-1))
-    result = FoldResult(rotations=np.rec.fromrecords(records, dtype=ROTATION_DTYPE),
-                        rDiag=np.ones(4), signs=np.ones(4, dtype=int), residual=0.0)
+    records = fold_layout_records(np.random.default_rng(3), [2, 1, 0], [False] * 3, zero_block=-1)
+    apply_inverse_sequence(product_state([0, 0, 0, 0]), fold_result(records, 4))  # the layout as built replays
     state = product_state([0, 0, 0, 0])
     with pytest.raises(ValueError, match=message):
-        apply_inverse_sequence(state, result)
+        apply_inverse_sequence(state, fold_result(edit(records), 4))
     assert state.bondDims == [1] * 5
