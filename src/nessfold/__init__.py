@@ -12,6 +12,7 @@ from .exceptions import (
     NonUniqueNess,
     SingularEigenbasis,
     StackDegenerate,
+    UnphysicalReadout,
     VacuumVanishes,
 )
 from .folding import FoldResult, fold
@@ -62,6 +63,7 @@ __all__ = [
     "StackDegenerate",
     "TensorState",
     "TransferStack",
+    "UnphysicalReadout",
     "VacuumVanishes",
     "build_kitaev",
     "build_liouvillian",

@@ -33,6 +33,7 @@ from .exceptions import (
     NonUniqueNess,
     SingularEigenbasis,
     StackDegenerate,
+    UnphysicalReadout,
     VacuumVanishes,
 )
 from .folding import EPS_FOLD_DEFAULT
@@ -57,6 +58,7 @@ _FAILURES = (
     (ClosureViolation, "closure_violation", EXIT_NUMERICAL),
     (StackDegenerate, "closure_violation", EXIT_NUMERICAL),
     (VacuumVanishes, "vacuum_vanishes", EXIT_NUMERICAL),
+    (UnphysicalReadout, "unphysical_readout", EXIT_NUMERICAL),
 )
 _FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
 _STATUS_EXIT = {STATUS_OK: EXIT_OK, **{status: code for _, status, code in _FAILURES}}
@@ -292,7 +294,7 @@ def _solve_task(task: dict) -> dict:
         if task["with_occupancy"]:
             row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
         row["maxBond"] = sol.report.maxBond
-        row["foldResidual"] = sol.report.foldResidual
+        row["foldResidual"] = sol.foldResult.residual
         row["orthoResidual"] = sol.orthoResidual
         if task["dump_fold"]:
             _dump_fold(sol, task["dump_fold"])

@@ -23,3 +23,7 @@ class StackDegenerate(NessfoldError):
 
 class VacuumVanishes(NessfoldError):
     """The vacuum coefficient is zero, so vacuum normalization breaks down."""
+
+
+class UnphysicalReadout(NessfoldError, ValueError):
+    """A readout is unphysical: an occupancy has complex leakage or lies outside [0, 1]."""

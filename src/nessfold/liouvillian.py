@@ -20,25 +20,19 @@ from .model import BathChannel, MajoranaHamiltonian
 
 @dataclass(frozen=True)
 class LiouvillianCoeffs:
-    """Antisymmetrized coefficient matrix, its removed diagonal, and the scalar eigenvalue."""
+    """Antisymmetrized coefficient matrix and the scalar eigenvalue."""
 
     N: int
     Lmat: np.ndarray
     Lscalar: float
-    rawDiagonal: np.ndarray
 
     def __post_init__(self):
         n = 4 * self.N
         Lmat = np.array(self.Lmat, dtype=complex)
-        raw = np.array(self.rawDiagonal, dtype=complex)
         if Lmat.shape != (n, n):
             raise ValueError(f"Lmat must be {n}x{n}, got {Lmat.shape}")
-        if raw.shape != (n,):
-            raise ValueError(f"rawDiagonal must have length {n}, got {raw.shape}")
         Lmat.setflags(write=False)
-        raw.setflags(write=False)
         object.__setattr__(self, "Lmat", Lmat)
-        object.__setattr__(self, "rawDiagonal", raw)
         object.__setattr__(self, "Lscalar", float(self.Lscalar))
 
 
@@ -55,7 +49,7 @@ def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> Liouv
     (4j-2, 4k-1); each bath channel contributes ten quadratic families with
     real or imaginary prefactors.  The raw matrix is then antisymmetrized via
     L'[j][k] = (L[j][k] - L[k][j]) / 2, which is valid because the Majorana
-    products anticommute; the diagonal is removed and kept for diagnostics.
+    products anticommute; the diagonal is removed.
     """
     N = H.N
     for ch in baths:
@@ -87,9 +81,6 @@ def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> Liouv
         raw[1::4, 3::4] += 2.0 * oe       # (4j-2, 4k)
         raw[2::4, 0::4] += 2.0 * eo       # (4j-1, 4k-3)
 
-    rawDiagonal = np.diag(raw).copy()
     Lmat = (raw - raw.T) / 2.0
     np.fill_diagonal(Lmat, 0.0)
-    return LiouvillianCoeffs(
-        N=N, Lmat=Lmat, Lscalar=scalar_eigenvalue(baths), rawDiagonal=rawDiagonal
-    )
+    return LiouvillianCoeffs(N=N, Lmat=Lmat, Lscalar=scalar_eigenvalue(baths))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import UnphysicalReadout
 from .tns import TensorState, coefficient
 
 IMAG_TOL = 1e-10
@@ -19,13 +20,11 @@ IMAG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ObservableReport:
-    """Summary row for one solved parameter point."""
+    """Observables of one solved parameter point."""
 
     eec: float
     occupancy: np.ndarray
-    vacuumCoeff: complex
     maxBond: int
-    foldResidual: float
 
     def __post_init__(self):
         occ = np.asarray(self.occupancy, dtype=float).copy()
@@ -33,8 +32,6 @@ class ObservableReport:
         object.__setattr__(self, "occupancy", occ)
         if self.eec < 0:
             raise ValueError(f"eec must be nonnegative, got {self.eec}")
-        if occ.size and (occ.min() < -1e-8 or occ.max() > 1 + 1e-8):
-            raise ValueError(f"occupancy outside [0,1]: range [{occ.min()}, {occ.max()}]")
 
 
 def _require_normalized(state: TensorState) -> None:
@@ -80,15 +77,19 @@ def _imag_tolerance(state: TensorState) -> float:
 
 
 def site_occupancy(state: TensorState, j: int) -> float:
-    """(1 + Re[z0 c_j])/2 from the pair (2j-1, 2j); complex leakage fails loudly."""
+    """(1 + Re[z0 c_j])/2 from the pair (2j-1, 2j); raises UnphysicalReadout on complex
+    leakage or a value outside [0, 1]."""
     _require_normalized(state)
     n_sites = state.sites // 2
     if not 1 <= j <= n_sites:
         raise ValueError(f"site must lie in 1..{n_sites}, got {j}")
     val = majorana_pair_expectation(state, 2 * j - 1, 2 * j)
     if abs(val.imag) > _imag_tolerance(state):
-        raise ValueError(f"occupancy at site {j} has imaginary part {val.imag:.3e}")
-    return float((1.0 + val.real) / 2.0)
+        raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {val.imag:.3e}")
+    occ = float((1.0 + val.real) / 2.0)
+    if occ < -1e-8 or occ > 1 + 1e-8:
+        raise UnphysicalReadout(f"occupancy at site {j} is {occ!r}, outside [0,1]")
+    return occ
 
 
 def occupancy_profile(state: TensorState) -> np.ndarray:
@@ -96,16 +97,10 @@ def occupancy_profile(state: TensorState) -> np.ndarray:
     return np.array([site_occupancy(state, j) for j in range(1, n_sites + 1)])
 
 
-def build_report(state: TensorState, fold_residual: float) -> ObservableReport:
+def build_report(state: TensorState) -> ObservableReport:
     n_sites = state.sites // 2
     eec = end_to_end_correlation(state) if n_sites >= 2 else 0.0
-    return ObservableReport(
-        eec=eec,
-        occupancy=occupancy_profile(state),
-        vacuumCoeff=complex(state.z0),
-        maxBond=int(state.maxBondSeen),
-        foldResidual=float(fold_residual),
-    )
+    return ObservableReport(eec=eec, occupancy=occupancy_profile(state), maxBond=int(state.maxBondSeen))
 
 
 def log_linear_fit(x, y) -> tuple[float, float, float]:

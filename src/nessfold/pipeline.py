@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .folding import EPS_FOLD_DEFAULT, FoldResult, fold
-from .liouvillian import LiouvillianCoeffs, build_liouvillian
+from .liouvillian import build_liouvillian
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from .observables import ObservableReport, build_report
 from .spectral import (
     EPS_Z_DEFAULT,
     ModeSpectrum,
-    TransferStack,
     build_stack,
     decompose,
     orthogonality_residual,
@@ -104,12 +103,9 @@ def check_settings(trunc_tol, max_chi, eps_z, eps_fold) -> None:
 
 @dataclass(frozen=True)
 class NessSolution:
-    """Everything produced along one solve, for inspection and reporting."""
+    """Modes, fold, normalized state and readout of one solve; the stage functions give the rest."""
 
-    params: KitaevParams
-    liouvillian: LiouvillianCoeffs
     spectrum: ModeSpectrum
-    stack: TransferStack
     foldResult: FoldResult
     state: TensorState
     report: ObservableReport
@@ -139,17 +135,9 @@ def solve(
         state = product_state(fold_result.bits, trunc_tol=trunc_tol, max_chi=max_chi)
         apply_inverse_sequence(state, fold_result)
         normalize_vacuum(state)
-        report = build_report(state, fold_result.residual)
-    return NessSolution(
-        params=params,
-        liouvillian=L,
-        spectrum=spectrum,
-        stack=stack,
-        foldResult=fold_result,
-        state=state,
-        report=report,
-        orthoResidual=ortho,
-    )
+        report = build_report(state)
+    return NessSolution(spectrum=spectrum, foldResult=fold_result, state=state, report=report,
+                        orthoResidual=ortho)
 
 
 def solve_end_bath(

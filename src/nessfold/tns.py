@@ -250,11 +250,11 @@ def vacuum_amplitude(state: TensorState) -> complex:
     return coefficient(state, [0] * state.sites)
 
 
-def normalize_vacuum(state: TensorState, eps: float = VACUUM_EPS) -> complex:
+def normalize_vacuum(state: TensorState) -> complex:
     """Fix the overall scale so the vacuum coefficient becomes exactly 1."""
     c0 = vacuum_amplitude(state)
-    if abs(c0) < eps:
-        raise VacuumVanishes(f"vacuum amplitude {abs(c0):.3e} below {eps:.3e}")
+    if abs(c0) < VACUUM_EPS:
+        raise VacuumVanishes(f"vacuum amplitude {abs(c0):.3e} below {VACUUM_EPS:.3e}")
     state.z0 = 1.0 / c0
     return state.z0
 

@@ -22,7 +22,8 @@ from nessfold.cli import (
     _task_from_config,
     main,
 )
-from nessfold.exceptions import SingularEigenbasis, VacuumVanishes
+from nessfold import exceptions
+from nessfold.exceptions import NessfoldError, SingularEigenbasis, VacuumVanishes
 
 from helpers import expected_rotation_count
 
@@ -320,6 +321,24 @@ def test_jobs_pool_is_sized_by_the_work(capsys, monkeypatch):
     assert sizes == [2]
 
 
+# ---------------------------------------------------------------- failed readout
+
+# a chi=2 cap reads N=4 fine but leaves N=6 and N=8 with occupancies outside [0, 1]
+_CAPPED_READOUT = ["--sizes", "4,6,8", "--w", "1", "--mu", "3", "--max-chi", "2"]
+
+
+@pytest.mark.parametrize("command", ["sweep-size", "phase-grid"])
+def test_failed_readout_is_a_row_not_an_abort(capsys, command):
+    code, out, err = run_cli(capsys, [command, *_CAPPED_READOUT])
+    assert code == EXIT_NUMERICAL
+    assert "Traceback" not in err
+    header, rows = parse_csv(out)
+    assert [cells(header, r)["status"] for r in rows] == ["ok", "unphysical_readout",
+                                                           "unphysical_readout"]
+    _, parallel, _ = run_cli(capsys, [command, *_CAPPED_READOUT, "--jobs", "2"])
+    assert strip_runtime(parallel) == strip_runtime(out)
+
+
 # ---------------------------------------------------------------- bench, validate
 
 
@@ -358,6 +377,14 @@ def test_sweep_values_inclusive_endpoints():
     vals = _sweep_values({"start": 0.0, "stop": 4.0, "step": 0.5})
     assert vals == [0.5 * k for k in range(9)]
     assert _sweep_values({"start": 0.0, "stop": 1.0, "step": 0.4}) == [0.0, 0.4, 0.8]
+
+
+def test_every_typed_failure_has_a_row_status():
+    """A NessfoldError without a _FAILURES row escapes _solve_task and aborts the whole sweep."""
+    typed = {cls for cls in vars(exceptions).values() if isinstance(cls, type)
+             and issubclass(cls, NessfoldError) and cls is not NessfoldError}
+    assert typed
+    assert typed <= {kind for kind, _, _ in cli._FAILURES}
 
 
 def test_solve_task_maps_stage_failures(monkeypatch):

@@ -29,7 +29,6 @@ def test_single_channel_hand_value():
     )
     np.testing.assert_allclose(L.Lmat, expected, atol=1e-15)
     assert L.Lscalar == pytest.approx(-8.0)
-    assert np.sum(L.rawDiagonal) == pytest.approx(-4.0)
 
 
 def test_unitary_part_placement():
@@ -62,14 +61,6 @@ def test_scalar_eigenvalue_matches_channel_norms():
     assert scalar_eigenvalue(chans) == pytest.approx(-4.0 * (1.5 / 2 + 2.5 / 2))
 
 
-def test_raw_diagonal_sums_to_half_scalar():
-    params = KitaevParams(N=4, w=0.9, mu=1.7, delta=1.2)
-    bp = EndBathParams(gamma11=0.6, gamma21=1.4, gamma12=0.2, gamma22=3.1)
-    L = build_liouvillian(build_kitaev(params), end_baths(4, bp))
-    assert np.sum(L.rawDiagonal) == pytest.approx(L.Lscalar / 2.0, abs=1e-12)
-    assert np.abs(np.imag(L.rawDiagonal)).max() == 0.0
-
-
 def test_bath_size_mismatch_rejected():
     H = build_kitaev(KitaevParams(N=2, w=1.0, mu=1.0, delta=1.0))
     with pytest.raises(ValueError):
@@ -81,13 +72,12 @@ def test_no_baths_means_no_dissipative_terms():
     L = build_liouvillian(build_kitaev(params), [])
     assert L.Lscalar == 0.0
     assert np.abs(np.imag(L.Lmat)).max() == 0.0
-    assert np.sum(L.rawDiagonal) == 0.0
 
 
 def test_coeffs_shape_validation():
     from nessfold.liouvillian import LiouvillianCoeffs
 
     with pytest.raises(ValueError):
-        LiouvillianCoeffs(N=2, Lmat=np.zeros((4, 4)), Lscalar=0.0, rawDiagonal=np.zeros(8))
+        LiouvillianCoeffs(N=2, Lmat=np.zeros((4, 4)), Lscalar=0.0)
     with pytest.raises(ValueError):
-        LiouvillianCoeffs(N=2, Lmat=np.zeros((8, 8)), Lscalar=0.0, rawDiagonal=np.zeros(4))
+        LiouvillianCoeffs(N=2, Lmat=np.zeros((8, 4)), Lscalar=0.0)

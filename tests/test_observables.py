@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nessfold.exceptions import UnphysicalReadout
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.observables import (
     ObservableReport,
@@ -80,7 +81,7 @@ def test_occupancy_rejects_complex_leakage():
     state = product_state([0, 0])
     apply_gate(state, 3, 2 * np.arctan(1e-5))  # |00) + 1e-5j |11) after normalization
     normalize_vacuum(state)
-    with pytest.raises(ValueError, match="imaginary"):
+    with pytest.raises(UnphysicalReadout, match="imaginary"):
         site_occupancy(state, 1)
     # truncated runs widen the tolerance with the discarded weight
     state.discardedWeight = 1e-10
@@ -89,11 +90,23 @@ def test_occupancy_rejects_complex_leakage():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        ObservableReport(eec=-0.1, occupancy=np.array([0.5]), vacuumCoeff=1.0,
-                         maxBond=1, foldResidual=0.0)
-    with pytest.raises(ValueError):
-        ObservableReport(eec=0.1, occupancy=np.array([1.5]), vacuumCoeff=1.0,
-                         maxBond=1, foldResidual=0.0)
+        ObservableReport(eec=-0.1, occupancy=np.array([0.5]), maxBond=1)
+    # the lone site of test_single_site_occupancy_closed_form has z0 c_1 = 0.5; a vacuum scale
+    # off by +-4 reads occupancy 1.5 or -0.5
+    bp = EndBathParams(gamma11=1.0, gamma21=3.0)
+    state = solve_end_bath(KitaevParams(N=1, w=0.0, mu=1.0, delta=0.0), bp).state
+    z0 = state.z0
+    for scale in (4.0, -4.0):
+        state.z0 = scale * z0
+        with pytest.raises(UnphysicalReadout, match="outside"):
+            site_occupancy(state, 1)
+
+
+def test_capped_readout_outside_unit_range_is_refused():
+    # a chi=2 cap leaves this state with occupancies up to 1.14
+    with pytest.raises(UnphysicalReadout):
+        solve_end_bath(KitaevParams(N=6, w=1.0, mu=3.0, delta=1.0),
+                       EndBathParams(gamma21=1.0, gamma22=1.0), max_chi=2)
 
 
 def test_build_report_single_site_has_zero_eec():
@@ -101,7 +114,7 @@ def test_build_report_single_site_has_zero_eec():
     sol = solve_end_bath(KitaevParams(N=1, w=0.0, mu=1.0, delta=0.0), bp)
     assert sol.report.eec == 0.0
     assert sol.report.maxBond >= 1
-    assert sol.report.vacuumCoeff != 0
+    assert sol.state.z0 != 0
 
 
 def test_log_linear_fit_recovers_exact_decay():

@@ -81,7 +81,7 @@ def test_singular_eigenbasis_guard():
         [0.0, 0.0, -1.0, K],
         [0.0, 0.0, 0.0, -1.0],
     ])
-    fake = LiouvillianCoeffs(N=1, Lmat=-M / 4.0, Lscalar=-1.0, rawDiagonal=np.zeros(4))
+    fake = LiouvillianCoeffs(N=1, Lmat=-M / 4.0, Lscalar=-1.0)
     with pytest.raises(SingularEigenbasis):
         decompose(fake)
 
