@@ -78,7 +78,7 @@ BASE_COLUMNS = [
 ]
 PHASE_COLUMNS = BASE_COLUMNS + ["fitSlope", "fitResidual", "boundaryMu"]
 _POINT_COLUMNS = BASE_COLUMNS[:8]
-BENCH_COLUMNS = _POINT_COLUMNS + ["runsSeconds", "medianSeconds", "logLogSlope"]
+BENCH_COLUMNS = _POINT_COLUMNS + ["runsSeconds", "medianSeconds", "logLogSlope", "status"]
 
 _FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 _FIG1_PARAMS = [KitaevParams(N=n, w=w, mu=mu, delta=1.0) for n in (2, 3) for w, mu in
@@ -293,13 +293,16 @@ def _solve_task(task: dict) -> dict:
         row["eec"] = sol.report.eec if params.N >= 2 else ""
         if task["with_occupancy"]:
             row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
-        row["maxBond"] = sol.report.maxBond
-        row["foldResidual"] = sol.foldResult.residual
-        row["orthoResidual"] = sol.orthoResidual
         if task["dump_fold"]:
             _dump_fold(sol, task["dump_fold"])
     except _FAILURE_TYPES as exc:
         row["status"], _ = _failure(exc)
+        # a refused readout still carries the finished fold and replay
+        sol = getattr(exc, "solution", None)
+    if sol is not None:
+        row["maxBond"] = int(sol.state.maxBondSeen)
+        row["foldResidual"] = sol.foldResult.residual
+        row["orthoResidual"] = sol.orthoResidual
     row["runtimeSeconds"] = time.perf_counter() - t0
     return row
 

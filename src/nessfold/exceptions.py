@@ -26,4 +26,10 @@ class VacuumVanishes(NessfoldError):
 
 
 class UnphysicalReadout(NessfoldError, ValueError):
-    """A readout is unphysical: an occupancy has complex leakage or lies outside [0, 1]."""
+    """A readout is unphysical: an occupancy has complex leakage or lies outside [0, 1].
+
+    Raised by `pipeline.solve`, it carries the solve's `NessSolution` with no report as
+    `solution`: the fold and the replay finished, so their diagnostics stay readable.
+    """
+
+    solution = None

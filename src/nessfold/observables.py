@@ -39,20 +39,6 @@ def _require_normalized(state: TensorState) -> None:
         raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
 
 
-def majorana_pair_expectation(state: TensorState, odd_idx: int, even_idx: int) -> complex:
-    """z0-weighted coefficient of the pattern occupied exactly at the two positions."""
-    _require_normalized(state)
-    n2 = state.sites
-    if not (1 <= odd_idx <= n2 and 1 <= even_idx <= n2):
-        raise ValueError(f"indices must lie in 1..{n2}, got ({odd_idx}, {even_idx})")
-    if odd_idx % 2 == 0 or even_idx % 2 == 1:
-        raise ValueError(f"need (odd, even) index pair, got ({odd_idx}, {even_idx})")
-    bits = [0] * n2
-    bits[odd_idx - 1] = 1
-    bits[even_idx - 1] = 1
-    return state.z0 * coefficient(state, bits)
-
-
 def end_to_end_correlation(state: TensorState) -> float:
     """2|z0 (c_A + c_B)| with c_A occupied at (2, 2N-1) and c_B at (1, 2N)."""
     _require_normalized(state)
@@ -77,13 +63,15 @@ def _imag_tolerance(state: TensorState) -> float:
 
 
 def site_occupancy(state: TensorState, j: int) -> float:
-    """(1 + Re[z0 c_j])/2 from the pair (2j-1, 2j); raises UnphysicalReadout on complex
-    leakage or a value outside [0, 1]."""
+    """(1 + Re[z0 c_j])/2 with c_j the coefficient occupied exactly at the pair (2j-1, 2j);
+    raises UnphysicalReadout on complex leakage or a value outside [0, 1]."""
     _require_normalized(state)
     n_sites = state.sites // 2
     if not 1 <= j <= n_sites:
         raise ValueError(f"site must lie in 1..{n_sites}, got {j}")
-    val = majorana_pair_expectation(state, 2 * j - 1, 2 * j)
+    bits = [0] * state.sites
+    bits[2 * j - 2] = bits[2 * j - 1] = 1
+    val = state.z0 * coefficient(state, bits)
     if abs(val.imag) > _imag_tolerance(state):
         raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {val.imag:.3e}")
     occ = float((1.0 + val.real) / 2.0)

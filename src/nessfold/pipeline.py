@@ -12,6 +12,7 @@ threads costs more than the work they share.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import math
 import numbers
 import threading
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import UnphysicalReadout
 from .folding import EPS_FOLD_DEFAULT, FoldResult, fold
 from .liouvillian import build_liouvillian
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
@@ -103,12 +105,14 @@ def check_settings(trunc_tol, max_chi, eps_z, eps_fold) -> None:
 
 @dataclass(frozen=True)
 class NessSolution:
-    """Modes, fold, normalized state and readout of one solve; the stage functions give the rest."""
+    """Modes, fold, normalized state and readout of one solve; the stage functions give the rest.
+
+    `report` is None only on the solution an UnphysicalReadout carries."""
 
     spectrum: ModeSpectrum
     foldResult: FoldResult
     state: TensorState
-    report: ObservableReport
+    report: ObservableReport | None
     orthoResidual: float
 
 
@@ -135,9 +139,14 @@ def solve(
         state = product_state(fold_result.bits, trunc_tol=trunc_tol, max_chi=max_chi)
         apply_inverse_sequence(state, fold_result)
         normalize_vacuum(state)
-        report = build_report(state)
-    return NessSolution(spectrum=spectrum, foldResult=fold_result, state=state, report=report,
-                        orthoResidual=ortho)
+        sol = NessSolution(spectrum=spectrum, foldResult=fold_result, state=state, report=None,
+                           orthoResidual=ortho)
+        try:
+            report = build_report(state)
+        except UnphysicalReadout as exc:
+            exc.solution = sol
+            raise
+    return dataclasses.replace(sol, report=report)
 
 
 def solve_end_bath(

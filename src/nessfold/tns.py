@@ -6,7 +6,9 @@ that encoding: an even pair index m gives a single-site phase gate at site
 m/2, an odd one a nearest-neighbor gate at ((m-1)/2, (m+1)/2) whose string
 factors cancel.  The replay multiplies the fold's block of records for one
 site pair into one two-site unitary, which acts on the pair's even states
-(|00>, |11>) and odd states (|01>, |10>) as two 2x2 blocks.
+(|00>, |11>) and odd states (|01>, |10>) as two 2x2 blocks; it builds every
+block's unitary once per solve, already read as a 2x2 mix of the cut's two
+parity sectors for each pair of bond parities.
 
 Every gate conserves fermion parity and the replay starts from a product
 state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
@@ -19,7 +21,6 @@ sector on its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,50 +109,55 @@ def _robust_svd(blocks: np.ndarray):
         return tuple(np.stack(x) for x in zip(*parts))
 
 
-def _truncate(s: np.ndarray, trunc_tol: float, max_chi: int) -> int:
-    keep = int(np.count_nonzero(s > trunc_tol * s[0])) if s[0] > 0 else 1
-    keep = max(keep, 1)
-    if max_chi > 0:
-        keep = min(keep, max_chi)
-    return keep
+_MIX_AXES = np.indices((2, 2, 2, 2))
+# sign of theta in the phase on each left leg of the two parity blocks, for a phase on the
+# left site and on the right site, which reverses in the odd block: there the right leg is
+# the left one flipped
+_PHASE_SIGNS = np.array([[[1.0, -1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
 
 
-def _pair_gate(j: int, records) -> tuple:
-    """Product of the (m, theta) records, in application order, each exp(theta/2 *
-    gamma~_{m-1} gamma~_m), on the site pair (j, j+1), 0-based.
+def _pair_gates(pairs, ms, thetas) -> np.ndarray:
+    """Cut-sector mixes of blocks of (m, theta) records on site pairs, one block per row of
+    ms and thetas, multiplied in application order along the row.
 
-    Returns its two parity blocks, on (|00>, |11>) and on (|01>, |10>), each a
-    row-major 2x2 list indexed by the left leg.  m = 2j+3 is the pair's gate
-    cos + i sin X(x)X; m = 2j+2 and m = 2j+4 are the phase
-    diag(e^{i theta/2}, e^{-i theta/2}) on the left and on the right site, which
-    reverses in the odd block on the right site.
+    Record (m, theta) is exp(theta/2 * gamma~_{m-1} gamma~_m) on the block's pair (j, j+1),
+    0-based: m = 2j+3 is the pair's gate cos + i sin X(x)X; m = 2j+2 and m = 2j+4 are the
+    phase diag(e^{i theta/2}, e^{-i theta/2}) on the left and on the right site.  The
+    product is built as two 2x2 parity blocks, on (|00>, |11>) and on (|01>, |10>), each
+    indexed by the left leg.  On a two-site amplitude with left bond parity pa and right
+    bond parity pb, cut sector q holds the legs (pa^q, pb^q), so parity block pa^pb maps
+    sector q to sector x with its entry [pa^x, pa^q].  Returns G of shape
+    (blocks, 2, 2, 2, 2) with G[b, q, x, pa, pb] that entry of block b's product.
     """
-    even, odd = [1 + 0j, 0j, 0j, 1 + 0j], [1 + 0j, 0j, 0j, 1 + 0j]
-    for m, theta in records:
-        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-        if m == 2 * j + 3:
-            s *= 1j
-            for g in (even, odd):
-                g[:] = [c * g[0] + s * g[2], c * g[1] + s * g[3], s * g[0] + c * g[2], s * g[1] + c * g[3]]
-            continue
-        e = complex(c, s)
-        ec = e.conjugate()
-        even[:] = [e * even[0], e * even[1], ec * even[2], ec * even[3]]
-        if m != 2 * j + 2:
-            e, ec = ec, e
-        odd[:] = [e * odd[0], e * odd[1], ec * odd[2], ec * odd[3]]
-    return even, odd
+    pairs, ms = np.asarray(pairs)[:, None], np.asarray(ms)
+    half = 0.5 * np.asarray(thetas, dtype=float)[..., None, None, None]
+    c, s = np.cos(half), np.sin(half)
+    two = (ms == 2 * pairs + 3)[..., None, None, None]
+    # each record is cos + i sin K, K the leg swap X(x)X for the pair's gate and the diagonal of
+    # leg signs for a phase, applied as cos g + (i sin) K g with each product rounded on its own:
+    # numpy's fused complex multiply rounds differently and moves small eec values by 1e-10
+    swap = np.where(two, 1j * s, 0)
+    phase = np.where(two, 0, 1j * s * _PHASE_SIGNS[(ms == 2 * pairs + 4).astype(int)][..., None])
+    g = np.zeros((len(ms), 2, 2, 2), dtype=complex)
+    g[..., [0, 1], [0, 1]] = 1.0
+    for cos, sin_swap, sin_phase in zip(*(np.moveaxis(t, 1, 0) for t in (c, swap, phase))):
+        g = cos * g + sin_phase * g + sin_swap * g[:, :, ::-1]
+    q, x, pa, pb = _MIX_AXES
+    return g[:, pa ^ pb, pa ^ x, pa ^ q]
 
 
-def _update_pair(state: TensorState, j: int, gate: tuple, center_left: bool = False) -> None:
-    """Apply a parity-preserving two-site unitary, given as _pair_gate's two blocks, to sites
+def _update_pair(state: TensorState, j: int, gate: np.ndarray, center_left: bool = False) -> None:
+    """Apply a parity-preserving two-site unitary, given as one block of _pair_gates, to sites
     (j, j+1) in place and split the result by one batched SVD.
 
     The gate conserves parity, so the two-site block splits into one a x c
-    matrix per parity of the cut; both are factorized in one batched SVD and
-    truncated over their merged singular values.  The singular values go to
-    site j+1, or to site j with center_left, and the other site keeps the
-    orthonormal factor, so the orthogonality center ends on that site.
+    matrix per parity of the cut; the gate mixes the two entrywise, with a
+    2x2 mix for each pair of bond parities.  Both are factorized in one
+    batched SVD and truncated together: each sector keeps its singular values
+    above truncTol times the larger top one, and when the maxChi cap binds the
+    sectors are ranked together, sector 0 first on ties.  The singular values
+    go to site j+1, or to site j with center_left, and the other site keeps
+    the orthonormal factor, so the orthogonality center ends on that site.
     Truncation against the local singular values is only optimal when the
     center sits on the pair; apply_inverse_sequence keeps that invariant,
     direct callers are responsible for their own gauge.
@@ -159,35 +165,35 @@ def _update_pair(state: TensorState, j: int, gate: tuple, center_left: bool = Fa
     if not 0 <= j < state.sites - 1:
         raise ValueError(f"pair ({j + 1},{j + 2}) outside chain of {state.sites}")
     L, R, mid = state.matrices[j], state.matrices[j + 1], state.even[j + 1]
-    # one a x c block per parity of the cut
-    M = np.stack((L[:, :mid] @ R[:mid], L[:, mid:] @ R[mid:]))
-    # entry (a, b) of cut sector q has legs (pa^q, pb^q): its parity block is pa^pb and its
-    # index there the left leg pa^q, so odd-parity rows see the block reversed in both indices
-    rows = (slice(None, state.even[j]), slice(state.even[j], None))
-    cols = (slice(None, state.even[j + 2]), slice(state.even[j + 2], None))
-    for pa in (0, 1):
-        for pb in (0, 1):
-            g = gate[pa ^ pb][::-1] if pa else gate[pa ^ pb]
-            b0, b1 = M[0, rows[pa], cols[pb]], M[1, rows[pa], cols[pb]]
-            new0 = g[0] * b0 + g[1] * b1
-            M[1, rows[pa], cols[pb]] = g[2] * b0 + g[3] * b1
-            M[0, rows[pa], cols[pb]] = new0
-    U, s, Vh = _robust_svd(M)
-    order = np.argsort(-s.ravel(), kind="stable")
-    ranked = s.ravel()[order]
-    keep = _truncate(ranked, state.truncTol, state.maxChi)
-    total = float((ranked * ranked).sum())
-    if total > 0:
-        state.discardedWeight += float((ranked[keep:] * ranked[keep:]).sum()) / total
-    k0 = int(np.count_nonzero(order[:keep] < s.shape[1]))
-    k1 = keep - k0
-    U0, U1, V0, V1 = U[0, :, :k0], U[1, :, :k1], Vh[0, :k0], Vh[1, :k1]
+    a, c, even_a, even_c = L.shape[0], R.shape[1], state.even[j], state.even[j + 2]
+    # cut sector q's block L[:, q] R[q], then each bond-parity pair's mix spread over its
+    # entries, so that one broadcast product and one sum over q give both new sectors
+    M = np.empty((2, 1, a, c), dtype=complex)
+    np.matmul(L[:, :mid], R[:mid], out=M[0, 0])
+    np.matmul(L[:, mid:], R[mid:], out=M[1, 0])
+    mix = gate.repeat((even_a, a - even_a), axis=2).repeat((even_c, c - even_c), axis=3)
+    mix *= M
+    U, s, Vh = _robust_svd(np.add(mix[0], mix[1], out=mix[0]))
+    # each sector comes back sorted, so the values it keeps are a prefix
+    k0, k1 = (s > state.truncTol * max(s[0, 0], s[1, 0])).sum(axis=1).tolist()
+    keep = max(k0 + k1, 1)
+    if state.maxChi > 0:
+        keep = min(keep, state.maxChi)
+    if keep != k0 + k1:
+        # the cap or the floor of one vector binds: rank both sectors together, sector 0 first on ties
+        k0 = int(np.count_nonzero(np.argsort(-s.ravel(), kind="stable")[:keep] < s.shape[1]))
+        k1 = keep - k0
+    if keep < s.size:
+        s0, s1 = s
+        total = float(np.dot(s0, s0) + np.dot(s1, s1))
+        if total > 0:
+            state.discardedWeight += float(np.dot(s0[k0:], s0[k0:]) + np.dot(s1[k1:], s1[k1:])) / total
     if center_left:
-        U0, U1 = U0 * s[0, :k0], U1 * s[1, :k1]
+        U *= s[:, None, :]
     else:
-        V0, V1 = s[0, :k0, None] * V0, s[1, :k1, None] * V1
-    state.matrices[j] = np.concatenate((U0, U1), axis=1)
-    state.matrices[j + 1] = np.concatenate((V0, V1))
+        Vh *= s[:, :, None]
+    state.matrices[j] = np.concatenate((U[0, :, :k0], U[1, :, :k1]), axis=1)
+    state.matrices[j + 1] = np.concatenate((Vh[0, :k0], Vh[1, :k1]))
     state.even[j + 1] = k0
     state.maxBondSeen = max(state.maxBondSeen, keep)
 
@@ -226,8 +232,8 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     if np.any(np.abs(moves) > 1):
         raise ValueError("a block skips past the orthogonality center; the fold's rows never do")
     center_left = np.append(moves < 0, False).tolist()
-    for j, m, theta, left in zip(pairs.tolist(), ms.tolist(), thetas.tolist(), center_left):
-        _update_pair(state, j, _pair_gate(j, zip(m, theta)), center_left=left)
+    for j, gate, left in zip(pairs.tolist(), _pair_gates(pairs, ms, thetas), center_left):
+        _update_pair(state, j, gate, center_left=left)
 
 
 def coefficient(state: TensorState, bits) -> complex:

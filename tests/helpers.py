@@ -1,12 +1,14 @@
 """Reference operations that only tests need: stack rotations, fold replay, rotation
-counts, dense and record-by-record rotation gates, mode Majoranas, string expansion."""
+counts, dense and record-by-record rotation gates, Majorana pair expectations, mode
+Majoranas, string expansion."""
 
 import math
 
 import numpy as np
 
+from nessfold.observables import _require_normalized
 from nessfold.oracle import _ordered_strings, mode_ladders
-from nessfold.tns import _pair_gate, _physical, _update_pair
+from nessfold.tns import _pair_gates, _physical, _update_pair, coefficient
 
 
 def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
@@ -61,7 +63,7 @@ def apply_gate(state, m: int, theta: float) -> None:
     """
     if m % 2 == 1:
         j = (m - 1) // 2 - 1
-        _update_pair(state, j, _pair_gate(j, [(m, theta)]))
+        _update_pair(state, j, _pair_gates([j], [[m]], [[theta]])[0])
         return
     j = m // 2 - 1
     if not 0 <= j < state.sites:
@@ -70,6 +72,20 @@ def apply_gate(state, m: int, theta: float) -> None:
     phase = complex(math.cos(half), math.sin(half))
     M = state.matrices[j]
     state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
+
+
+def majorana_pair_expectation(state, odd_idx: int, even_idx: int) -> complex:
+    """z0-weighted coefficient of the pattern occupied exactly at the two positions."""
+    _require_normalized(state)
+    n2 = state.sites
+    if not (1 <= odd_idx <= n2 and 1 <= even_idx <= n2):
+        raise ValueError(f"indices must lie in 1..{n2}, got ({odd_idx}, {even_idx})")
+    if odd_idx % 2 == 0 or even_idx % 2 == 1:
+        raise ValueError(f"need (odd, even) index pair, got ({odd_idx}, {even_idx})")
+    bits = [0] * n2
+    bits[odd_idx - 1] = 1
+    bits[even_idx - 1] = 1
+    return state.z0 * coefficient(state, bits)
 
 
 def mode_majoranas(n_modes: int) -> list:

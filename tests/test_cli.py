@@ -339,6 +339,18 @@ def test_failed_readout_is_a_row_not_an_abort(capsys, command):
     assert strip_runtime(parallel) == strip_runtime(out)
 
 
+def test_failed_readout_row_keeps_the_fold_and_replay_diagnostics(capsys):
+    code, out, err = run_cli(capsys, ["occupancy", "--N", "6", "--w", "1", "--mu", "3", "--max-chi", "2",
+                                      "--format", "json"])
+    assert code == EXIT_NUMERICAL
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["status"] == "unphysical_readout"
+    assert doc["eec"] is None and doc["occupancy"] is None
+    assert doc["maxBond"] == 2
+    assert 0 <= doc["foldResidual"] < 1e-10 and 0 <= doc["orthoResidual"] < 1e-10
+
+
 # ---------------------------------------------------------------- bench, validate
 
 
@@ -353,6 +365,14 @@ def test_bench_output(capsys):
     assert first["logLogSlope"] == ""
     assert last["logLogSlope"] != ""
     assert float(last["medianSeconds"]) > 0
+
+
+def test_bench_rows_carry_their_status(capsys):
+    code, out, _ = run_cli(capsys, ["bench", "--sizes", "4,6", "--w", "1", "--mu", "3", "--max-chi", "2"])
+    assert code == EXIT_NUMERICAL
+    header, rows = parse_csv(out)
+    assert [(cells(header, r)["N"], cells(header, r)["status"]) for r in rows] == [
+        ("4", "ok"), ("6", "unphysical_readout")]
 
 
 def test_validate_suite_passes(capsys):

@@ -10,14 +10,13 @@ from nessfold.observables import (
     build_report,
     end_to_end_correlation,
     log_linear_fit,
-    majorana_pair_expectation,
     occupancy_profile,
     site_occupancy,
 )
 from nessfold.pipeline import solve_end_bath
 from nessfold.tns import normalize_vacuum, product_state
 
-from helpers import apply_gate
+from helpers import apply_gate, majorana_pair_expectation
 
 
 def solved_state(n=2, w=1.0, mu=1.0, g1=1.0, g2=3.0):

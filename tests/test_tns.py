@@ -1,5 +1,7 @@
 """Tensor-state mechanics: gates, truncation bookkeeping, gauge moves, amplitudes."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,8 @@ from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_stack, decompose, stable_projector
 from nessfold.tns import (
-    _pair_gate,
+    TensorState,
+    _pair_gates,
     _update_pair,
     apply_inverse_sequence,
     coefficient,
@@ -160,7 +163,7 @@ def test_update_pair_leaves_the_center_on_either_site(center_left):
     for m, theta in random_rotations(rng, 4, 30):
         apply_gate(state, m, theta)
     dense = dense_gate(4, 5, 0.7) @ dense_coefficients(state)
-    _update_pair(state, 1, _pair_gate(1, [(5, 0.7)]), center_left=center_left)
+    _update_pair(state, 1, _pair_gates([1], [[5]], [[0.7]])[0], center_left=center_left)
     np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-12)
     left, right = state.tensors[1:3]
     assert is_right_orthonormal(right) == center_left
@@ -247,6 +250,61 @@ def test_cap_breaks_a_tie_across_parity_sectors():
     assert state.bondDims[1] == 1
     assert state.discardedWeight == pytest.approx(0.5, abs=1e-14)
     assert_parity_blocked(state, [0, 0, 1])
+
+
+def pair_record_dense(j, m, theta):
+    """Dense 4x4 of one record on the site pair (j, j+1), 0-based, left site first."""
+    if m % 2:
+        return rotation_gate(m, theta)
+    phase = rotation_gate(m, theta)
+    return np.kron(phase, np.eye(2)) if m == 2 * j + 2 else np.kron(np.eye(2), phase)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+def test_pair_gates_match_dense_block_products(mirrored):
+    """Each block's sector mix is the dense product of its records, in the fold's per-pair
+    pattern: entry [q, x, pa, pb] takes the legs (pa^q, pb^q) to (pa^x, pb^x)."""
+    rng = np.random.default_rng(11)
+    steps = [i for i, _ in _PAIR_STEPS[::-1]]
+    pairs = rng.integers(0, 5, size=8)
+    ms = np.array([[2 * j + 4 - i if mirrored else 2 * j + 2 + i for i in steps] for j in pairs])
+    thetas = rng.uniform(-np.pi, np.pi, ms.shape) * (rng.random(ms.shape) > 0.2)
+    gates = _pair_gates(pairs, ms, thetas)
+    assert gates.shape == (len(pairs), 2, 2, 2, 2)
+    for j, row, angles, gate in zip(pairs.tolist(), ms.tolist(), thetas.tolist(), gates):
+        dense = np.eye(4, dtype=complex)
+        for m, theta in zip(row, angles):
+            dense = pair_record_dense(j, m, theta) @ dense
+        expected = np.zeros((2, 2, 2, 2), dtype=complex)
+        for q, x, pa, pb in itertools.product((0, 1), repeat=4):
+            expected[q, x, pa, pb] = dense[2 * (pa ^ x) + (pb ^ x), 2 * (pa ^ q) + (pb ^ q)]
+        np.testing.assert_allclose(gate, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("s_even, s_odd", [((0.5, 0.25), (0.25, 0.125)), ((0.25, 0.125), (0.5, 0.25))],
+                         ids=["even-top", "odd-top"])
+def test_cap_splits_a_cross_sector_tie_by_the_stable_ranking(s_even, s_odd):
+    """Schmidt values tied across the cut's parity sectors at a cap of 2 split as the stable
+    ranking of both sectors does, sector 0 first on ties, and the state keeps exactly the
+    Schmidt terms that ranking keeps."""
+    # isometric end sites around a pair whose cut sectors are diag(s_even) and diag(s_odd), so
+    # those are the Schmidt values of bond 2 and row k of sector q's block in R is its term
+    R = np.vstack((np.diag(s_even), np.diag(s_odd))).astype(complex)
+    matrices = [np.ones((1, 2), dtype=complex), np.hstack((np.eye(2), np.eye(2))).astype(complex), R,
+                np.ones((2, 1), dtype=complex)]
+    state = TensorState(matrices=matrices, even=[1, 1, 2, 1, 1], truncTol=0.0, maxChi=2)
+    values = np.concatenate((s_even, s_odd))
+    kept = np.argsort(-values, kind="stable")[:2]
+    dropped = np.setdiff1d(np.arange(4), kept)
+    truncated = TensorState(matrices=[*matrices[:2], R.copy(), matrices[3]], even=list(state.even))
+    truncated.matrices[2][dropped] = 0.0
+
+    _update_pair(state, 1, _pair_gates([1], [[5]], [[0.0]])[0])
+    assert state.bondDims[2] == 2
+    assert state.even[2] == int(np.count_nonzero(kept < 2))
+    assert state.discardedWeight == pytest.approx(float((values[dropped] ** 2).sum() / (values ** 2).sum()),
+                                                  rel=0, abs=1e-15)
+    np.testing.assert_allclose(dense_coefficients(state), dense_coefficients(truncated), rtol=0, atol=1e-14)
 
 
 def test_gesvd_fallback_factorizes_each_parity_block(monkeypatch):
