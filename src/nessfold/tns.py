@@ -173,7 +173,9 @@ def _update_pair(state: TensorState, j: int, gate: np.ndarray, center_left: bool
     np.matmul(L[:, mid:], R[mid:], out=M[1, 0])
     mix = gate.repeat((even_a, a - even_a), axis=2).repeat((even_c, c - even_c), axis=3)
     mix *= M
-    U, s, Vh = _robust_svd(np.add(mix[0], mix[1], out=mix[0]))
+    np.add(mix[0], mix[1], out=M[:, 0])
+    del mix  # twice the sectors' size: freed so that it does not add to the SVD's peak memory
+    U, s, Vh = _robust_svd(M[:, 0])
     # each sector comes back sorted, so the values it keeps are a prefix
     k0, k1 = (s > state.truncTol * max(s[0, 0], s[1, 0])).sum(axis=1).tolist()
     keep = max(k0 + k1, 1)
