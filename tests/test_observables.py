@@ -72,6 +72,9 @@ def test_occupancy_bounds_and_profile():
     assert occ.shape == (3,)
     assert np.all(occ >= -1e-8) and np.all(occ <= 1 + 1e-8)
     np.testing.assert_allclose(occ, sol.report.occupancy)
+    # site j reads the Majorana pair (2j-1, 2j)
+    pairs = [majorana_pair_expectation(sol.state, 2 * j - 1, 2 * j) for j in (1, 2, 3)]
+    np.testing.assert_allclose(occ, [(1 + v.real) / 2 for v in pairs], rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         site_occupancy(sol.state, 4)
 
