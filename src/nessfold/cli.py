@@ -130,8 +130,21 @@ def integer_list(value) -> list:
     return [integer(v) for v in value]
 
 
+def sweep(value) -> list:
+    """A sweep object {start, stop, step=1} as its inclusive grid; any other key is refused."""
+    if not {"start", "stop"} <= set(value) <= {"start", "stop", "step"}:
+        raise ValueError("a sweep holds start, stop and an optional step, and nothing else")
+    start, stop, step = (number(value.get(key, 1.0)) for key in ("start", "stop", "step"))
+    if step <= 0:
+        raise ValueError("sweep step must be positive")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if n < 1:
+        raise ValueError("sweep stop lies before start")
+    return [round(start + k * step, 12) for k in range(n)]
+
+
 def _parse_range(text: str) -> dict:
-    """start:stop:step as a sweep object; RunConfig._set_sweep checks the bounds."""
+    """start:stop:step as a sweep object; the sweep cast checks the bounds."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("range must look like start:stop:step")
@@ -176,6 +189,10 @@ _SETTINGS = (
     _Setting("sizes", integer_list, (), "sizes", "comma-separated chain lengths",
              parse=_parse_sizes),
     _Setting("dump_fold", string, None, "dump", "write rotation/diagnostic JSON to this path"),
+    # a config spells these as a w or mu sweep object, see RunConfig.load_file
+    _Setting("w_range", sweep, None, "grid", "hopping sweep start:stop:step", parse=_parse_range),
+    _Setting("mu_range", sweep, None, "grid", "potential sweep start:stop:step",
+             parse=_parse_range),
 )
 _BY_NAME = {s.name: s for s in _SETTINGS}
 _TASK_KEYS = tuple(s.name for s in _SETTINGS if s.group in ("point", "solver"))
@@ -191,13 +208,11 @@ def _flag_help(s: _Setting) -> str:
 
 
 class RunConfig:
-    """Flat run description: one attribute per _SETTINGS row plus the w/mu sweeps."""
+    """Flat run description: one attribute per _SETTINGS row."""
 
     def __init__(self):
         for s in _SETTINGS:
             setattr(self, s.name, s.default)
-        self.wSweep = None
-        self.muSweep = None
 
     def _set(self, name: str, value) -> None:
         s = _BY_NAME[name]
@@ -218,35 +233,17 @@ class RunConfig:
         if not isinstance(doc, dict):
             raise _UsageError(f"config {path} must hold a JSON object")
         for key, value in doc.items():
-            if key in ("w", "mu") and isinstance(value, dict):
-                self._set_sweep(key, value)
-            elif key in _BY_NAME:
-                self._set(key, value)
-            else:
+            if key in ("w", "mu") and isinstance(value, dict):  # a sweep object spells a range
+                key += "_range"
+            elif key not in _BY_NAME or _BY_NAME[key].group == "grid":
                 raise _UsageError(f"unknown config key {key!r}")
-
-    def _set_sweep(self, axis: str, d: dict) -> None:
-        missing = {"start", "stop"} - set(d)
-        if missing:
-            raise _UsageError(f"{axis} sweep needs start/stop, missing {sorted(missing)}")
-        try:
-            sweep = {key: float(d.get(key, 1.0)) for key in ("start", "stop", "step")}
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"{axis} sweep bounds must be numbers: {exc}") from exc
-        if not all(math.isfinite(v) for v in sweep.values()):
-            raise _UsageError(f"{axis} sweep bounds must be finite")
-        if sweep["step"] <= 0:
-            raise _UsageError(f"{axis} sweep step must be positive")
-        setattr(self, axis + "Sweep", sweep)
+            self._set(key, value)
 
     def apply_flags(self, args: argparse.Namespace) -> None:
         for name in _BY_NAME:
             value = getattr(args, name, None)
             if value is not None:
                 self._set(name, value)
-        for axis in ("w", "mu"):
-            if getattr(args, axis + "_range", None) is not None:
-                self._set_sweep(axis, getattr(args, axis + "_range"))
 
     def validate_common(self) -> None:
         if self.jobs < 1:
@@ -260,13 +257,6 @@ class RunConfig:
                           gamma12=self.gamma12, gamma22=self.gamma22)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-
-
-def _sweep_values(sweep: dict) -> list:
-    n = int(math.floor((sweep["stop"] - sweep["start"]) / sweep["step"] + 1e-9)) + 1
-    if n < 1:
-        raise _UsageError("sweep stop lies before start")
-    return [round(sweep["start"] + k * sweep["step"], 12) for k in range(n)]
 
 
 # ---------------------------------------------------------------- workers
@@ -448,10 +438,8 @@ def _with_fits(rows, per_point: int):
 
 def cmd_phase_grid(cfg: RunConfig) -> int:
     _require_sizes(cfg, "phase-grid")
-    w_values = _sweep_values(cfg.wSweep) if cfg.wSweep else [cfg.w]
-    mu_values = _sweep_values(cfg.muSweep) if cfg.muSweep else [cfg.mu]
-    tasks = [_task_from_config(cfg, N=n, w=w, mu=mu)
-             for w in w_values for mu in mu_values for n in cfg.sizes]
+    tasks = [_task_from_config(cfg, N=n, w=w, mu=mu) for w in cfg.w_range or [cfg.w]
+             for mu in cfg.mu_range or [cfg.mu] for n in cfg.sizes]
     rows = _with_fits(_map_tasks(tasks, cfg.jobs), len(cfg.sizes))
     return _write_rows(cfg, PHASE_COLUMNS, rows)
 
@@ -612,7 +600,8 @@ _COMMANDS = {
     "occupancy": ("solve one point and report the site profile", _POINT_RUN + ("dump",),
                   partial(cmd_point, command="occupancy")),
     "sweep-size": ("correlation vs chain length", _POINT_RUN + ("sizes",), cmd_sweep_size),
-    "phase-grid": ("size sweeps over a (w, mu) grid", _POINT_RUN + ("sizes",), cmd_phase_grid),
+    "phase-grid": ("size sweeps over a (w, mu) grid", _POINT_RUN + ("sizes", "grid"),
+                   cmd_phase_grid),
     "validate": ("run the oracle cross-check suite", ("io", "solver"), cmd_validate),
     "bench": ("median runtime per chain length (3 runs each)", _POINT_RUN + ("sizes",),
               cmd_bench),
@@ -633,10 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                 if s.group == group:
                     p.add_argument("--" + s.name.replace("_", "-"), type=s.parse or s.cast,
                                    choices=s.choices, help=_flag_help(s))
-        if command == "phase-grid":
-            p.add_argument("--w-range", type=_parse_range, help="hopping sweep start:stop:step")
-            p.add_argument("--mu-range", type=_parse_range,
-                           help="potential sweep start:stop:step")
     return parser
 
 
@@ -649,7 +634,7 @@ def main(argv=None) -> int:
             cfg.load_file(args.config)
         cfg.apply_flags(args)
         cfg.validate_common()
-        if (cfg.wSweep or cfg.muSweep) and args.command != "phase-grid":
+        if (cfg.w_range or cfg.mu_range) and args.command != "phase-grid":
             raise _UsageError(f"{args.command} takes no w/mu range; ranges belong to phase-grid")
         return _COMMANDS[args.command][2](cfg)
     except (_UsageError, OSError) as exc:

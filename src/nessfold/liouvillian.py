@@ -44,12 +44,14 @@ def scalar_eigenvalue(baths: list[BathChannel]) -> float:
 def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> LiouvillianCoeffs:
     """Accumulate the quadratic coefficient families and antisymmetrize.
 
-    Raw coefficients are collected exactly as the expansion dictates: the
-    unitary part places (1/2) A[2j-1][2k] at positions (4k, 4j-3) and
-    (4j-2, 4k-1); each bath channel contributes ten quadratic families with
-    real or imaginary prefactors.  The raw matrix is then antisymmetrized via
-    L'[j][k] = (L[j][k] - L[k][j]) / 2, which is valid because the Majorana
-    products anticommute; the diagonal is removed.
+    Raw coefficients are collected as the expansion dictates: the unitary
+    part places (1/2) A[2j-1][2k] at positions (4k, 4j-3) and (4j-2, 4k-1);
+    each bath channel contributes six quadratic families with real or
+    imaginary prefactors.  The expansion's four other bath families, -B B^T
+    terms at (4j-r, 4k-r), are symmetric and are left out, since the
+    antisymmetrization L'[j][k] = (L[j][k] - L[k][j]) / 2 cancels them.  That
+    step is valid because the Majorana products anticommute, and it leaves a
+    zero diagonal.
     """
     N = H.N
     for ch in baths:
@@ -62,7 +64,7 @@ def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> Liouv
     raw[3::4, 0::4] += A_oe.T / 2.0   # (4k, 4j-3)
     raw[1::4, 2::4] += A_oe / 2.0     # (4j-2, 4k-1)
 
-    # Bath part: ten families per channel, summed over all site pairs (j, k).
+    # Bath part: six families per channel, summed over all site pairs (j, k).
     for ch in baths:
         bo = ch.B[0::2]  # multiplies gamma_{2j-1}
         be = ch.B[1::2]  # multiplies i gamma_{2j}
@@ -70,10 +72,6 @@ def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> Liouv
         oe = np.outer(bo, be)
         eo = np.outer(be, bo)
         ee = np.outer(be, be)
-        raw[3::4, 3::4] += -ee            # (4j,   4k)
-        raw[2::4, 2::4] += -ee            # (4j-1, 4k-1)
-        raw[1::4, 1::4] += -oo            # (4j-2, 4k-2)
-        raw[0::4, 0::4] += -oo            # (4j-3, 4k-3)
         raw[0::4, 3::4] += 2j * oe        # (4j-3, 4k)
         raw[1::4, 2::4] += 2j * oe        # (4j-2, 4k-1)
         raw[1::4, 0::4] += 2j * oo        # (4j-2, 4k-3)
@@ -82,5 +80,4 @@ def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> Liouv
         raw[2::4, 0::4] += 2.0 * eo       # (4j-1, 4k-3)
 
     Lmat = (raw - raw.T) / 2.0
-    np.fill_diagonal(Lmat, 0.0)
     return LiouvillianCoeffs(N=N, Lmat=Lmat, Lscalar=scalar_eigenvalue(baths))

@@ -13,14 +13,18 @@ is a real vector B of length 2N,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 
 def _check_finite_real(name: str, value) -> float:
+    """A real number as a float; complex, bool, str and other non-numbers are refused."""
     if isinstance(value, complex):
         raise ValueError(f"{name} must be real, got complex {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -41,7 +45,7 @@ class KitaevParams:
     delta: float
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise ValueError(f"chain length must be an integer >= 1, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
         for name in ("w", "mu", "delta"):

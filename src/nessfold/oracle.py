@@ -18,7 +18,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exceptions import NonUniqueNess, VacuumVanishes
 from .model import BathChannel, KitaevParams, MajoranaHamiltonian, build_kitaev
@@ -27,7 +26,6 @@ KERNEL_ABS_TOL = 1e-10
 KERNEL_GAP = 1e-6
 FIRST_SPACE_MAX_SITES = 3
 SECOND_SPACE_MAX_SITES = 6
-_ARPACK_SIGMA = 1e-4
 
 _ID2 = sp.identity(2, format="csr", dtype=complex)
 _Z = sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
@@ -155,12 +153,7 @@ def dense_first_space_ness(params, baths) -> DenseFirstSpaceNess:
     jump_ops = [bath_operator_dense(ch, gam) for ch in baths]
     S = lindblad_superoperator(build_hamiltonian_dense(H), jump_ops)
     dim = 2 ** H.N
-    if H.N <= 2:
-        w, V = np.linalg.eig(S.toarray())
-    else:
-        # dim^2 = 4096: full dense eig is minutes per point, shift-invert is not
-        v0 = np.full(dim * dim, 1.0 / dim)
-        w, V = spla.eigs(S.tocsc(), k=6, sigma=_ARPACK_SIGMA, v0=v0)
+    w, V = np.linalg.eig(S.toarray())  # at most 64 x 64
     idx = _kernel_index(w)
     rho = V[:, idx].reshape(dim, dim)
     t = np.trace(rho)

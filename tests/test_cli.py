@@ -18,9 +18,9 @@ from nessfold.cli import (
     RunConfig,
     _aggregate_exit,
     _solve_task,
-    _sweep_values,
     _task_from_config,
     main,
+    sweep,
 )
 from nessfold import exceptions
 from nessfold.exceptions import NessfoldError, SingularEigenbasis, VacuumVanishes
@@ -394,9 +394,9 @@ def test_aggregate_exit_ladder():
 
 
 def test_sweep_values_inclusive_endpoints():
-    vals = _sweep_values({"start": 0.0, "stop": 4.0, "step": 0.5})
+    vals = sweep({"start": 0.0, "stop": 4.0, "step": 0.5})
     assert vals == [0.5 * k for k in range(9)]
-    assert _sweep_values({"start": 0.0, "stop": 1.0, "step": 0.4}) == [0.0, 0.4, 0.8]
+    assert sweep({"start": 0.0, "stop": 1.0, "step": 0.4}) == [0.0, 0.4, 0.8]
 
 
 def test_every_typed_failure_has_a_row_status():

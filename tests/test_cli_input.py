@@ -44,6 +44,13 @@ def run_cli(capsys, argv):
     (["bench", "--sizes", "2,3"], {"w": {"start": 0, "stop": 1, "step": 0.5}}),
     (["validate"], {"mu": {"start": 0, "stop": 1}}),
     (["sweep-size", "--sizes", "2,3"], {"w": {"start": 0, "stop": 1}}),
+    # a sweep object holds numbers under start, stop and step, and nothing else
+    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "stpe": 0.5}}),
+    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": True}}),
+    (["phase-grid", "--sizes", "2"], {"mu": {"start": False, "stop": 1}}),
+    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": 0.5, "n": 3}}),
+    # a range has no config key of its own
+    (["phase-grid", "--sizes", "2"], {"w_range": {"start": 0, "stop": 1}}),
     # an unwritable dump path fails before the header and the solve
     (["ness", "--dump-fold", "no/dir.json"], None),
     (["occupancy", "--dump-fold", "."], None),
@@ -120,7 +127,7 @@ COMMAND_GROUPS = {
     "ness": {"point", "io", "solver", "dump"},
     "occupancy": {"point", "io", "solver", "dump"},
     "sweep-size": {"point", "io", "solver", "sizes"},
-    "phase-grid": {"point", "io", "solver", "sizes"},
+    "phase-grid": {"point", "io", "solver", "sizes", "grid"},
     "validate": {"io", "solver"},
     "bench": {"point", "io", "solver", "sizes"},
 }
@@ -133,7 +140,6 @@ def test_parser_flags_come_from_the_settings_table():
     for command, sub in subparsers.choices.items():
         options = {a.dest: a.option_strings for a in sub._actions if a.dest != "help"}
         settings = {s.name for s in _SETTINGS if s.group in COMMAND_GROUPS[command]}
-        extra = {"config"} | ({"w_range", "mu_range"} if command == "phase-grid" else set())
-        assert set(options) == settings | extra, command
+        assert set(options) == settings | {"config"}, command
         for name in settings:
             assert options[name] == ["--" + name.replace("_", "-")], (command, name)

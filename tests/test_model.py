@@ -47,6 +47,11 @@ def test_kitaev_support_is_odd_row_even_column():
         dict(N=2, w=np.inf, mu=1.0, delta=1.0),
         dict(N=2, w=1.0, mu=np.nan, delta=1.0),
         dict(N=2, w=1.0, mu=1.0, delta=1.0 + 2.0j),
+        # booleans and strings are no numbers, as the CLI and check_settings hold too
+        dict(N=True, w=1.0, mu=1.0, delta=1.0),
+        dict(N=2, w=True, mu=1.0, delta=1.0),
+        dict(N=2, w=1.0, mu="1.5", delta=1.0),
+        dict(N=2, w=1.0, mu=1.0, delta=np.True_),
     ],
 )
 def test_kitaev_params_rejects_bad_input(kwargs):
@@ -113,6 +118,18 @@ def test_end_baths_all_zero_gives_empty_list():
 def test_end_bath_params_rejects_negative_rate():
     with pytest.raises(ValueError):
         EndBathParams(gamma11=-0.1)
+
+
+@pytest.mark.parametrize("rates", [dict(gamma21=True), dict(gamma22="2"), dict(gamma11=None)])
+def test_end_bath_params_rejects_a_rate_that_is_no_number(rates):
+    with pytest.raises(ValueError):
+        EndBathParams(**rates)
+
+
+def test_params_take_numpy_scalars():
+    p = KitaevParams(N=np.int64(3), w=np.float32(0.5), mu=np.float64(1.5), delta=np.int32(1))
+    assert (p.N, p.w, p.mu, p.delta) == (3, 0.5, 1.5, 1.0)
+    assert EndBathParams(gamma21=np.float64(2.0)).gamma21 == 2.0
 
 
 def test_params_are_frozen():

@@ -200,9 +200,9 @@ def test_vector_observables_match_pipeline():
         )
 
 
-def test_arpack_and_dense_kernels_agree():
-    """The sparse shift-invert path at N=3 must reproduce the N<=2 dense route
-    transplanted onto the same problem via the second-space oracle."""
+def test_first_and_second_space_kernels_agree_at_n3():
+    """The first-space oracle's dense kernel at its largest size, N=3, must reproduce
+    the second-space oracle's on the same problem."""
     params = KitaevParams(N=3, w=0.8, mu=1.6, delta=1.0)
     chans = end_baths(3, BP)
     first = rho_to_second_space(dense_first_space_ness(params, chans).rho)
