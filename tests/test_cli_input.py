@@ -44,13 +44,6 @@ def run_cli(capsys, argv):
     (["bench", "--sizes", "2,3"], {"w": {"start": 0, "stop": 1, "step": 0.5}}),
     (["validate"], {"mu": {"start": 0, "stop": 1}}),
     (["sweep-size", "--sizes", "2,3"], {"w": {"start": 0, "stop": 1}}),
-    # a sweep object holds numbers under start, stop and step, and nothing else
-    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "stpe": 0.5}}),
-    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": True}}),
-    (["phase-grid", "--sizes", "2"], {"mu": {"start": False, "stop": 1}}),
-    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": 0.5, "n": 3}}),
-    # a range has no config key of its own
-    (["phase-grid", "--sizes", "2"], {"w_range": {"start": 0, "stop": 1}}),
     # an unwritable dump path fails before the header and the solve
     (["ness", "--dump-fold", "no/dir.json"], None),
     (["occupancy", "--dump-fold", "."], None),
@@ -61,6 +54,13 @@ def run_cli(capsys, argv):
     (["ness", "--trunc-tol", "inf"], None),
     (["ness", "--w=-inf"], None),
     (["ness"], {"trunc_tol": float("nan")}),
+    # a sweep object holds numbers under start, stop and step, and nothing else
+    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "stpe": 0.5}}),
+    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": True}}),
+    (["phase-grid", "--sizes", "2"], {"mu": {"start": False, "stop": 1}}),
+    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": 0.5, "n": 3}}),
+    # a range has no config key of its own
+    (["phase-grid", "--sizes", "2"], {"w_range": {"start": 0, "stop": 1}}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)
