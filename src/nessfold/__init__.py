@@ -11,7 +11,6 @@ from .exceptions import (
     NessfoldError,
     NonUniqueNess,
     SingularEigenbasis,
-    StackDegenerate,
     UnphysicalReadout,
     VacuumVanishes,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "NonUniqueNess",
     "ObservableReport",
     "SingularEigenbasis",
-    "StackDegenerate",
     "TensorState",
     "TransferStack",
     "UnphysicalReadout",

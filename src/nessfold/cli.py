@@ -7,7 +7,9 @@ streamed row by row so long sweeps can be tailed.  The pipeline is seedless;
 identical configs produce identical output apart from the runtime column.
 
 Exit codes: 0 success, 1 usage, 2 physical degeneracy (non-unique stationary
-state), 3 numerical failure.
+state), 3 numerical failure.  A solver failure does not abort a run: each
+failure type becomes one row status, and the run exits with the worst code
+over its rows.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .exceptions import (
     NessfoldError,
     NonUniqueNess,
     SingularEigenbasis,
-    StackDegenerate,
     UnphysicalReadout,
     VacuumVanishes,
 )
@@ -50,24 +51,17 @@ EXIT_NUMERICAL = 3
 
 STATUS_OK = "ok"
 
-# One row per solver failure: the exception, the row status it becomes and the
-# exit code that status gives.  Exit codes rank numerical > degenerate > ok.
+# One row per row status: the solver failure that gives it and its exit code.
+# Exit codes rank numerical > degenerate > ok.
 _FAILURES = (
     (NonUniqueNess, "non_unique", EXIT_DEGENERATE),
     (SingularEigenbasis, "singular_eigenbasis", EXIT_NUMERICAL),
     (ClosureViolation, "closure_violation", EXIT_NUMERICAL),
-    (StackDegenerate, "closure_violation", EXIT_NUMERICAL),
     (VacuumVanishes, "vacuum_vanishes", EXIT_NUMERICAL),
     (UnphysicalReadout, "unphysical_readout", EXIT_NUMERICAL),
 )
-_FAILURE_TYPES = tuple(kind for kind, _, _ in _FAILURES)
+_STATUS_OF = {kind: status for kind, status, _ in _FAILURES}
 _STATUS_EXIT = {STATUS_OK: EXIT_OK, **{status: code for _, status, code in _FAILURES}}
-
-
-def _failure(exc: Exception) -> tuple:
-    """(status, exit code) of the _FAILURES row exc belongs to; any other error is numerical."""
-    return next(((status, code) for kind, status, code in _FAILURES if isinstance(exc, kind)),
-                (None, EXIT_NUMERICAL))
 
 
 BASE_COLUMNS = [
@@ -218,7 +212,7 @@ class RunConfig:
         s = _BY_NAME[name]
         try:
             value = s.cast(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # a sweep too long to count overflows
             raise _UsageError(f"bad value {value!r} for {name}: {exc}") from exc
         if s.choices and value not in s.choices:
             raise _UsageError(f"{name} must be {' or '.join(s.choices)}, got {value!r}")
@@ -228,7 +222,7 @@ class RunConfig:
         with open(path) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise _UsageError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise _UsageError(f"config {path} must hold a JSON object")
@@ -285,8 +279,8 @@ def _solve_task(task: dict) -> dict:
             row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
         if task["dump_fold"]:
             _dump_fold(sol, task["dump_fold"])
-    except _FAILURE_TYPES as exc:
-        row["status"], _ = _failure(exc)
+    except NessfoldError as exc:
+        row["status"] = _STATUS_OF[type(exc)]  # a KeyError here is a failure type with no row
         # a refused readout still carries the finished fold and replay
         sol = getattr(exc, "solution", None)
     if sol is not None:
@@ -325,36 +319,14 @@ def _dump_fold(sol, path: str) -> None:
         fh.write("\n")
 
 
-# ---------------------------------------------------------------- emitters
+# ---------------------------------------------------------------- output
 
 
-class RowEmitter:
-    """Streams dict rows to CSV or JSON lines with a fixed column order."""
-
-    def __init__(self, stream, columns, fmt: str):
-        self.stream = stream
-        self.columns = columns
-        self._csv = None
-        if fmt == "csv":
-            self._csv = csv.writer(stream, lineterminator="\n")
-            self._csv.writerow(columns)
-            stream.flush()
-
-    @staticmethod
-    def _plain(value):
-        """None for a blank cell, a Python number for a numpy scalar."""
-        if value == "" or value is None:
-            return None
-        return value.item() if isinstance(value, np.generic) else value
-
-    def write(self, row: dict) -> None:
-        values = [self._plain(row.get(c, "")) for c in self.columns]
-        if self._csv is not None:
-            self._csv.writerow(["" if v is None else repr(v) if isinstance(v, float) else str(v)
-                                for v in values])
-        else:
-            self.stream.write(json.dumps(dict(zip(self.columns, values))) + "\n")
-        self.stream.flush()
+def _plain(value):
+    """None for a blank cell, a Python number for a numpy scalar."""
+    if value == "" or value is None:
+        return None
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @contextmanager
@@ -366,23 +338,28 @@ def _open_out(path: str):
         yield fh
 
 
-def _aggregate_exit(statuses) -> int:
-    """The worst exit code over the statuses; see _FAILURES for the ranking."""
-    return max((_STATUS_EXIT[s] for s in statuses), default=EXIT_OK)
-
-
 def _write_rows(cfg: RunConfig, columns, rows) -> int:
-    """Stream rows to cfg.out and return the worst exit over their statuses.
+    """Stream rows to cfg.out as CSV or JSON lines in column order, and return the worst
+    exit code over their statuses; see _FAILURES for the ranking.
 
     rows may be lazy: a bad --out fails, and the CSV header goes out, before any solve.
     """
-    statuses = []
+    code = EXIT_OK
     with _open_out(cfg.out) as stream:
-        emitter = RowEmitter(stream, columns, cfg.format)
+        writer = csv.writer(stream, lineterminator="\n")
+        if cfg.format == "csv":
+            writer.writerow(columns)
+            stream.flush()
         for row in rows:
-            emitter.write(row)
-            statuses.append(row["status"])
-    return _aggregate_exit(statuses)
+            values = [_plain(row.get(c, "")) for c in columns]
+            if cfg.format == "csv":
+                writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else str(v)
+                                 for v in values])
+            else:
+                stream.write(json.dumps(dict(zip(columns, values))) + "\n")
+            stream.flush()
+            code = max(code, _STATUS_EXIT[row["status"]])
+    return code
 
 
 # ---------------------------------------------------------------- commands
@@ -640,11 +617,9 @@ def main(argv=None) -> int:
     except (_UsageError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NessfoldError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        _, code = _failure(exc)
-        label = "degenerate" if code == EXIT_DEGENERATE else "numerical failure"
-        print(f"{parser.prog}: {label}: {exc}", file=sys.stderr)
-        return code
+    except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+        print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

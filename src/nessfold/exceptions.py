@@ -1,4 +1,5 @@
-"""Failure modes of the stationary-state construction."""
+"""Failure modes of the stationary-state construction, one type per mode; the CLI
+turns each type into its own row status."""
 
 
 class NessfoldError(Exception):
@@ -14,11 +15,8 @@ class SingularEigenbasis(NessfoldError):
 
 
 class ClosureViolation(NessfoldError):
-    """A folded row does not close onto a single fermionic mode."""
-
-
-class StackDegenerate(NessfoldError):
-    """A folded row has vanishing weight and cannot define a mode."""
+    """A folded row does not close onto a single fermionic mode: its site pair breaks the
+    self-orthogonality closure, or its weight vanishes so that it defines no mode."""
 
 
 class VacuumVanishes(NessfoldError):

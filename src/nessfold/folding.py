@@ -21,7 +21,7 @@ from math import atan2, cos, sin
 
 import numpy as np
 
-from .exceptions import ClosureViolation, StackDegenerate
+from .exceptions import ClosureViolation
 from .spectral import TransferStack
 
 EPS_FOLD_DEFAULT = 1e-10
@@ -153,14 +153,14 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
             records += block if view is W else [(4 * N + 2 - m, -theta, kind) for m, theta, kind in block]
         r = view[l - 1, 2 * first - 1]
         if abs(r) < eps_fold:
-            raise StackDegenerate(f"row {l} weight {abs(r):.3e} below {eps_fold:.3e}")
+            raise ClosureViolation(f"row {l} weight {abs(r):.3e} below {eps_fold:.3e}")
         rDiag[l - 1] = r.real
         signs[l - 1] = close_row(W, l, site, eps_fold)
         sites[l - 1] = site
 
     last = W[2 * N - 1, 2 * lo - 1]
     if abs(last) < eps_fold:
-        raise StackDegenerate(f"row {2 * N} weight {abs(last):.3e} below {eps_fold:.3e}")
+        raise ClosureViolation(f"row {2 * N} weight {abs(last):.3e} below {eps_fold:.3e}")
     rDiag[2 * N - 1] = abs(last)
     signs[2 * N - 1] = _closure_sign(W[2 * N - 1, 2 * lo - 2], last, eps_fold)
     sites[2 * N - 1] = lo

@@ -254,13 +254,9 @@ def coefficient(state: TensorState, bits) -> complex:
     return complex(v[0]) if v.size else 0j
 
 
-def vacuum_amplitude(state: TensorState) -> complex:
-    return coefficient(state, [0] * state.sites)
-
-
 def normalize_vacuum(state: TensorState) -> complex:
     """Fix the overall scale so the vacuum coefficient becomes exactly 1."""
-    c0 = vacuum_amplitude(state)
+    c0 = coefficient(state, [0] * state.sites)
     if abs(c0) < VACUUM_EPS:
         raise VacuumVanishes(f"vacuum amplitude {abs(c0):.3e} below {VACUUM_EPS:.3e}")
     state.z0 = 1.0 / c0

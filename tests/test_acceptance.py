@@ -17,12 +17,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from nessfold.cli import CHECKS
-from nessfold.exceptions import (
-    ClosureViolation,
-    NonUniqueNess,
-    SingularEigenbasis,
-    StackDegenerate,
-)
+from nessfold.exceptions import ClosureViolation, NonUniqueNess, SingularEigenbasis
 from nessfold.folding import fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
@@ -112,7 +107,7 @@ def _spectrum_or_skip(L):
 def _solved_or_skip(params, bp):
     try:
         return solve_end_bath(params, bp)
-    except (NonUniqueNess, SingularEigenbasis, ClosureViolation, StackDegenerate):
+    except (NonUniqueNess, SingularEigenbasis, ClosureViolation):
         assume(False)
 
 
@@ -171,7 +166,7 @@ def test_criterion_6_stack_orthogonality(case):
     assert orthogonality_residual(stack) <= 1e-10
     try:
         result = fold(stack)
-    except (ClosureViolation, StackDegenerate):
+    except ClosureViolation:
         assume(False)
     W = replay(stack.R, result)
     assert float(np.abs(W @ W.T).max()) <= 1e-9
@@ -185,7 +180,7 @@ def test_criterion_6_fold_residual(case):
     stack = build_stack(stable_projector(_spectrum_or_skip(_coeffs(case))), params.N)
     try:
         result = fold(stack)
-    except (ClosureViolation, StackDegenerate):
+    except ClosureViolation:
         assume(False)
     assert result.residual <= 1e-10
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from nessfold import cli
@@ -16,9 +17,9 @@ from nessfold.cli import (
     EXIT_USAGE,
     PHASE_COLUMNS,
     RunConfig,
-    _aggregate_exit,
     _solve_task,
     _task_from_config,
+    _write_rows,
     main,
     sweep,
 )
@@ -251,6 +252,10 @@ def test_config_error_paths(capsys, tmp_path):
 
     assert run_cli(capsys, ["ness", "--config", str(tmp_path / "missing.json")])[0] == EXIT_USAGE
 
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    code, out, err = run_cli(capsys, ["ness", "--config", str(bad)])
+    assert code == EXIT_USAGE and out == "" and "numerical failure" not in err
+
 
 # ---------------------------------------------------------------- output
 
@@ -386,11 +391,15 @@ def test_validate_suite_passes(capsys):
 # ---------------------------------------------------------------- units
 
 
-def test_aggregate_exit_ladder():
-    assert _aggregate_exit(["ok", "ok"]) == EXIT_OK
-    assert _aggregate_exit(["ok", "non_unique"]) == EXIT_DEGENERATE
-    assert _aggregate_exit(["non_unique", "closure_violation"]) == EXIT_NUMERICAL
-    assert _aggregate_exit([]) == EXIT_OK
+@pytest.mark.parametrize("statuses, expected", [
+    (["ok", "ok"], EXIT_OK),
+    (["ok", "non_unique"], EXIT_DEGENERATE),
+    (["non_unique", "closure_violation"], EXIT_NUMERICAL),
+    ([], EXIT_OK),
+], ids=["ok", "degenerate", "numerical", "empty"])
+def test_aggregate_exit_ladder(capsys, statuses, expected):
+    assert _write_rows(RunConfig(), ["status"], [{"status": s} for s in statuses]) == expected
+    assert capsys.readouterr().out.splitlines() == ["status", *statuses]
 
 
 def test_sweep_values_inclusive_endpoints():
@@ -400,11 +409,15 @@ def test_sweep_values_inclusive_endpoints():
 
 
 def test_every_typed_failure_has_a_row_status():
-    """A NessfoldError without a _FAILURES row escapes _solve_task and aborts the whole sweep."""
+    """Every NessfoldError has a _FAILURES row, and every status exactly one: a failure
+    without a row aborts the whole sweep, and two exceptions for one status are one
+    failure mode spelled twice."""
     typed = {cls for cls in vars(exceptions).values() if isinstance(cls, type)
              and issubclass(cls, NessfoldError) and cls is not NessfoldError}
     assert typed
     assert typed <= {kind for kind, _, _ in cli._FAILURES}
+    statuses = [status for _, status, _ in cli._FAILURES]
+    assert len(statuses) == len(set(statuses))
 
 
 def test_solve_task_maps_stage_failures(monkeypatch):
@@ -422,3 +435,15 @@ def test_solve_task_maps_stage_failures(monkeypatch):
 
     monkeypatch.setattr("nessfold.cli.solve_end_bath", raise_singular)
     assert _solve_task(task)["status"] == "singular_eigenbasis"
+
+
+def test_untyped_solver_error_is_a_numerical_failure(capsys, monkeypatch):
+    """An error outside the failure table aborts the run in main, after the CSV header."""
+    def raise_linalg(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic")
+
+    monkeypatch.setattr("nessfold.cli.solve_end_bath", raise_linalg)
+    code, out, err = run_cli(capsys, ["ness"])
+    assert code == EXIT_NUMERICAL
+    assert out == ",".join(BASE_COLUMNS) + "\n"
+    assert err == "nessfold: numerical failure: synthetic\n"

@@ -61,6 +61,13 @@ def run_cli(capsys, argv):
     (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": 0.5, "n": 3}}),
     # a range has no config key of its own
     (["phase-grid", "--sizes", "2"], {"w_range": {"start": 0, "stop": 1}}),
+    # a sweep whose point count overflows, from a flag or from a config
+    (["phase-grid", "--sizes", "2", "--w-range", "0:1e300:1e-300"], None),
+    (["phase-grid", "--sizes", "2"], {"mu": {"start": -1e308, "stop": 1e308, "step": 1e-300}}),
+    # a sweep steps forward, and bench needs sizes to time
+    (["phase-grid", "--sizes", "2", "--w-range", "0:1:0"], None),
+    (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": -0.5}}),
+    (["bench"], {"sizes": []}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nessfold.exceptions import ClosureViolation, StackDegenerate
+from nessfold.exceptions import ClosureViolation
 from nessfold.folding import FoldResult, close_row, eliminate_pair, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
@@ -232,7 +232,7 @@ def test_fold_gauges_interior_signs_positive():
 
 def test_fold_zero_row_degenerate():
     R = canonical_pattern(np.array([0.0, 1.0]), np.array([1, 1]))
-    with pytest.raises(StackDegenerate):
+    with pytest.raises(ClosureViolation, match="weight"):
         fold(TransferStack(N=1, R=R))
 
 

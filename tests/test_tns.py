@@ -22,7 +22,6 @@ from nessfold.tns import (
     dense_coefficients,
     normalize_vacuum,
     product_state,
-    vacuum_amplitude,
 )
 
 from helpers import apply_gate, rotation_gate
@@ -190,7 +189,7 @@ def test_coefficient_matches_dense_vector():
 
 def test_vacuum_normalization():
     state = product_state([0, 0])
-    assert vacuum_amplitude(state) == 1.0
+    assert coefficient(state, [0] * state.sites) == 1.0
     z0 = normalize_vacuum(state)
     assert z0 == 1.0
     assert state.z0 == 1.0
@@ -198,7 +197,7 @@ def test_vacuum_normalization():
 
 def test_vacuum_vanishes_on_occupied_state():
     state = product_state([1, 1, 1])
-    assert vacuum_amplitude(state) == 0.0
+    assert coefficient(state, [0] * state.sites) == 0.0
     with pytest.raises(VacuumVanishes):
         normalize_vacuum(state)
 
