@@ -1,10 +1,10 @@
 """Command-line experiment runner.
 
-Subcommands cover single stationary-state solves, correlation-vs-size sweeps,
-two-axis phase grids, occupancy profiles, an oracle validation suite, and a
-timing benchmark.  Output is CSV (RFC-4180, one header row) or JSON lines,
-streamed row by row so long sweeps can be tailed.  The pipeline is seedless;
-identical configs produce identical output apart from the runtime column.
+Subcommands cover single-point solves, size sweeps, phase grids, occupancy
+profiles, an oracle validation suite and a timing benchmark; each takes exactly
+the settings it reads, as flags and as config keys.  Output is CSV (RFC-4180,
+one header row) or JSON lines, streamed row by row so long sweeps can be tailed.
+The pipeline is seedless: the same config gives the same output, runtimes aside.
 
 Exit codes: 0 success, 1 usage, 2 physical degeneracy (non-unique stationary
 state), 3 numerical failure.  A solver failure does not abort a run: each
@@ -157,7 +157,7 @@ class _Setting(NamedTuple):
     name: str  # config-file key, argparse dest and RunConfig attribute; flag --name-with-dashes
     cast: object  # applied to config values and to flag values alike
     default: object
-    group: str  # which subcommands take the flag, see _COMMANDS
+    group: str  # which subcommands take the flag and the config key, see _COMMANDS
     help: str  # flag help; the default is appended by _flag_help
     parse: object = None  # argparse type, where the flag is spelled unlike the config value
     choices: tuple = None
@@ -173,9 +173,9 @@ _SETTINGS = (
     _Setting("gamma21", number, 1.0, "point", "left creation rate"),
     _Setting("gamma12", number, 0.0, "point", "right annihilation rate"),
     _Setting("gamma22", number, 1.0, "point", "right creation rate"),
-    _Setting("out", string, "-", "io", "output path"),
-    _Setting("format", string, "csv", "io", "output format", choices=("csv", "json")),
-    _Setting("jobs", integer, 1, "io", "concurrent parameter points"),
+    _Setting("out", string, "-", "out", "output path"),
+    _Setting("format", string, "csv", "format", "output format", choices=("csv", "json")),
+    _Setting("jobs", integer, 1, "jobs", "concurrent parameter points"),
     _Setting("trunc_tol", number, TRUNC_TOL_DEFAULT, "solver", "relative singular-value cutoff"),
     _Setting("max_chi", integer, 0, "solver", "bond dimension cap, 0 = unlimited"),
     _Setting("eps_z", number, EPS_Z_DEFAULT, "solver", "relative dead-mode threshold"),
@@ -218,7 +218,7 @@ class RunConfig:
             raise _UsageError(f"{name} must be {' or '.join(s.choices)}, got {value!r}")
         setattr(self, name, value)
 
-    def load_file(self, path: str) -> None:
+    def load_file(self, path: str, command: str) -> None:
         with open(path) as fh:
             try:
                 doc = json.load(fh)
@@ -231,6 +231,15 @@ class RunConfig:
                 key += "_range"
             elif key not in _BY_NAME or _BY_NAME[key].group == "grid":
                 raise _UsageError(f"unknown config key {key!r}")
+            s = _BY_NAME[key]
+            if s.group not in _COMMANDS[command][1]:
+                *rest, last = [c for c, (_, groups, _) in _COMMANDS.items() if s.group in groups]
+                takers = f"{', '.join(rest)} and {last} take" if rest else f"{last} takes"
+                raise _UsageError(f"{command} takes no {key}; only {takers} it")
+            # the casts also read flag text, so a number spelled as a string stops here
+            inner = value.values() if type(value) is dict else value if type(value) is list else ()
+            if s.cast is not string and any(isinstance(v, str) for v in (value, *inner)):
+                raise _UsageError(f"bad value {value!r} for {key}: a number spelled as a string")
             self._set(key, value)
 
     def apply_flags(self, args: argparse.Namespace) -> None:
@@ -239,9 +248,11 @@ class RunConfig:
             if value is not None:
                 self._set(name, value)
 
-    def validate_common(self) -> None:
+    def validate_common(self, command: str) -> None:
         if self.jobs < 1:
             raise _UsageError("jobs must be >= 1")
+        if "sizes" in _COMMANDS[command][1] and not self.sizes:
+            raise _UsageError(f"{command} needs a nonempty sizes list")
         # the library's own checks decide what a valid point and solver setting are, before any output
         try:
             check_settings(self.trunc_tol, self.max_chi, self.eps_z, self.eps_fold)
@@ -382,15 +393,13 @@ def cmd_point(cfg: RunConfig, command: str) -> int:
     return _write_rows(cfg, BASE_COLUMNS, map(_solve_task, [task]))
 
 
-def _require_sizes(cfg: RunConfig, command: str) -> None:
-    if not cfg.sizes:
-        raise _UsageError(f"{command} needs a nonempty sizes list")
+def _require_sizes(cfg: RunConfig) -> None:
     if min(cfg.sizes) < 2:
         raise _UsageError("correlation sweeps need sizes >= 2")
 
 
 def cmd_sweep_size(cfg: RunConfig) -> int:
-    _require_sizes(cfg, "sweep-size")
+    _require_sizes(cfg)
     tasks = [_task_from_config(cfg, N=n) for n in cfg.sizes]
     return _write_rows(cfg, BASE_COLUMNS, _map_tasks(tasks, cfg.jobs))
 
@@ -414,7 +423,7 @@ def _with_fits(rows, per_point: int):
 
 
 def cmd_phase_grid(cfg: RunConfig) -> int:
-    _require_sizes(cfg, "phase-grid")
+    _require_sizes(cfg)
     tasks = [_task_from_config(cfg, N=n, w=w, mu=mu) for w in cfg.w_range or [cfg.w]
              for mu in cfg.mu_range or [cfg.mu] for n in cfg.sizes]
     rows = _with_fits(_map_tasks(tasks, cfg.jobs), len(cfg.sizes))
@@ -444,8 +453,6 @@ def _bench_rows(cfg: RunConfig):
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    if not cfg.sizes:
-        raise _UsageError("bench needs a nonempty sizes list")
     return _write_rows(cfg, BENCH_COLUMNS, _bench_rows(cfg))
 
 
@@ -568,19 +575,18 @@ def cmd_validate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- parser
 
 
-# One row per subcommand: its help, the _SETTINGS groups it takes flags for, its function.
-# validate ignores --format, --jobs and the solver flags, bench ignores --jobs; both keep them.
-_POINT_RUN = ("point", "io", "solver")
+# Per subcommand: its help, the _SETTINGS groups it takes as flags and config keys, its function.
+_POINT_OUT = ("point", "out", "format")
+_SIZE_SWEEP = _POINT_OUT + ("jobs", "solver", "sizes")
 _COMMANDS = {
-    "ness": ("solve one parameter point", _POINT_RUN + ("dump",),
+    "ness": ("solve one parameter point", _POINT_OUT + ("solver", "dump"),
              partial(cmd_point, command="ness")),
-    "occupancy": ("solve one point and report the site profile", _POINT_RUN + ("dump",),
+    "occupancy": ("solve one point and report the site profile", _POINT_OUT + ("solver", "dump"),
                   partial(cmd_point, command="occupancy")),
-    "sweep-size": ("correlation vs chain length", _POINT_RUN + ("sizes",), cmd_sweep_size),
-    "phase-grid": ("size sweeps over a (w, mu) grid", _POINT_RUN + ("sizes", "grid"),
-                   cmd_phase_grid),
-    "validate": ("run the oracle cross-check suite", ("io", "solver"), cmd_validate),
-    "bench": ("median runtime per chain length (3 runs each)", _POINT_RUN + ("sizes",),
+    "sweep-size": ("correlation vs chain length", _SIZE_SWEEP, cmd_sweep_size),
+    "phase-grid": ("size sweeps over a (w, mu) grid", _SIZE_SWEEP + ("grid",), cmd_phase_grid),
+    "validate": ("run the oracle cross-check suite", ("out",), cmd_validate),
+    "bench": ("median runtime per chain length (3 runs each)", _POINT_OUT + ("solver", "sizes"),
               cmd_bench),
 }
 
@@ -593,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (summary, groups, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for group in groups:
-            if group == "io":  # --config heads the io flags, where --help has always shown it
+            if group == "out":  # --config heads the output flags, where --help has always shown it
                 p.add_argument("--config", help="JSON config file; flags override its keys")
             for s in _SETTINGS:
                 if s.group == group:
@@ -607,12 +613,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = RunConfig()
     try:
-        if getattr(args, "config", None):
-            cfg.load_file(args.config)
+        if args.config:
+            cfg.load_file(args.config, args.command)
         cfg.apply_flags(args)
-        cfg.validate_common()
-        if (cfg.w_range or cfg.mu_range) and args.command != "phase-grid":
-            raise _UsageError(f"{args.command} takes no w/mu range; ranges belong to phase-grid")
+        cfg.validate_common(args.command)
         return _COMMANDS[args.command][2](cfg)
     except (_UsageError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

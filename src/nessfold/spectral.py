@@ -21,12 +21,11 @@ EPS_Z_DEFAULT = 1e-8
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Eigenvalues z, right eigenvectors Z (columns), Z^{-1}, and the stable index set."""
+    """Eigenvalues z, right eigenvectors Z (columns) and Z^{-1}; the stable modes come first."""
 
     z: np.ndarray
     Z: np.ndarray
     Zinv: np.ndarray
-    plusSet: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,11 @@ class TransferStack:
 def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectrum:
     """Full eigendecomposition of -4 Lmat with a fixed deterministic ordering.
 
-    Eigenvalues are sorted by (Re z descending, Im z ascending).  The stable
-    set collects indices with Re z above eps_z scaled by the largest |Re z|.
-    Raises NonUniqueNess when the stable set does not have size 2N or any real
-    part sits inside the threshold band, and SingularEigenbasis when the
-    eigenvector matrix is ill conditioned (condition number above 1/eps_z).
+    Eigenvalues are sorted by (Re z descending, Im z ascending), so the stable
+    set, the modes with Re z above eps_z scaled by the largest |Re z|, comes
+    first.  Raises NonUniqueNess when the stable set does not have size 2N or
+    any real part sits inside the threshold band, and SingularEigenbasis when
+    the eigenvector matrix is ill conditioned (condition number above 1/eps_z).
     """
     M = -4.0 * L.Lmat
     z, Z = np.linalg.eig(M)
@@ -75,16 +74,13 @@ def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectru
             f"eigenvector matrix condition {cond:.3e} exceeds {1.0 / eps_z:.3e}"
         )
     Zinv = np.linalg.solve(Z, np.eye(Z.shape[0], dtype=complex))
-    return ModeSpectrum(z=z, Z=Z, Zinv=Zinv, plusSet=plus)
+    return ModeSpectrum(z=z, Z=Z, Zinv=Zinv)
 
 
 def stable_projector(spec: ModeSpectrum) -> np.ndarray:
-    """Spectral projector onto the stable branch: S = Z[:, plus] Zinv[plus, :]."""
-    if 2 * len(spec.plusSet) != len(spec.z):
-        raise NonUniqueNess(
-            f"stable set has {len(spec.plusSet)} modes, expected {len(spec.z) // 2}"
-        )
-    return spec.Z[:, spec.plusSet] @ spec.Zinv[spec.plusSet, :]
+    """Spectral projector onto the stable branch, the first 2N modes: S = Z[:, :2N] Zinv[:2N, :]."""
+    n = len(spec.z) // 2
+    return spec.Z[:, :n] @ spec.Zinv[:n, :]
 
 
 def build_stack(S: np.ndarray, N: int) -> TransferStack:

@@ -115,7 +115,7 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep-size", "--sizes", ","])
     assert exc.value.code == EXIT_USAGE
-    code, _, err = run_cli(capsys, ["ness", "--jobs", "0"])
+    code, _, err = run_cli(capsys, ["sweep-size", "--sizes", "2", "--jobs", "0"])
     assert code == EXIT_USAGE and "jobs" in err
 
 

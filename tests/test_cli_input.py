@@ -6,11 +6,13 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from nessfold.cli import _SETTINGS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_USAGE, build_parser, main
+from nessfold.cli import (_SETTINGS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_USAGE, RunConfig,
+                          _UsageError, build_parser, main)
 from nessfold.folding import ROTATION_DTYPE, FoldResult
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import solve_end_bath
@@ -68,6 +70,18 @@ def run_cli(capsys, argv):
     (["phase-grid", "--sizes", "2", "--w-range", "0:1:0"], None),
     (["phase-grid", "--sizes", "2"], {"w": {"start": 0, "stop": 1, "step": -0.5}}),
     (["bench"], {"sizes": []}),
+    # a config number spelled as a string, at the top level or in a list or sweep object
+    (["ness"], {"N": "3"}),
+    (["ness"], {"w": "0.5"}),
+    (["sweep-size"], {"sizes": ["2", "3"]}),
+    (["phase-grid", "--sizes", "2"], {"w": {"start": "0", "stop": "1"}}),
+    # a subcommand takes no flag and no config key for a setting it does not read
+    (["validate", "--max-chi", "8"], None),
+    (["validate", "--format", "json"], None),
+    (["ness", "--jobs", "2"], None),
+    (["bench", "--sizes", "2", "--jobs", "2"], None),
+    (["ness"], {"sizes": [2, 3]}),
+    (["validate"], {"N": 3}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -129,14 +143,14 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
                                sol.state.z0 * dense_coefficients(sol.state), rtol=0, atol=1e-12)
 
 
-# the flag groups of each subcommand, as the CLI has always offered them
+# the settings groups each subcommand reads, and so takes as flags and as config keys
 COMMAND_GROUPS = {
-    "ness": {"point", "io", "solver", "dump"},
-    "occupancy": {"point", "io", "solver", "dump"},
-    "sweep-size": {"point", "io", "solver", "sizes"},
-    "phase-grid": {"point", "io", "solver", "sizes", "grid"},
-    "validate": {"io", "solver"},
-    "bench": {"point", "io", "solver", "sizes"},
+    "ness": {"point", "out", "format", "solver", "dump"},
+    "occupancy": {"point", "out", "format", "solver", "dump"},
+    "sweep-size": {"point", "out", "format", "jobs", "solver", "sizes"},
+    "phase-grid": {"point", "out", "format", "jobs", "solver", "sizes", "grid"},
+    "validate": {"out"},
+    "bench": {"point", "out", "format", "solver", "sizes"},
 }
 
 
@@ -150,3 +164,26 @@ def test_parser_flags_come_from_the_settings_table():
         assert set(options) == settings | {"config"}, command
         for name in settings:
             assert options[name] == ["--" + name.replace("_", "-")], (command, name)
+
+
+# a value each setting's cast accepts, where its default is no such value
+_CONFIG_VALUES = {"sizes": [2, 3], "dump_fold": "fold.json",
+                  "w_range": {"start": 0, "stop": 1}, "mu_range": {"start": 0, "stop": 1}}
+
+
+def test_config_keys_are_the_settings_a_subcommand_takes(tmp_path):
+    path = tmp_path / "run.json"
+    for command, groups in COMMAND_GROUPS.items():
+        for s in _SETTINGS:
+            key = s.name.removesuffix("_range")  # a config spells a range as a w or mu sweep object
+            path.write_text(json.dumps({key: _CONFIG_VALUES.get(s.name, s.default)}))
+            cfg = RunConfig()
+            if s.group in groups:
+                cfg.load_file(str(path), command)
+                continue
+            with pytest.raises(_UsageError) as exc:
+                cfg.load_file(str(path), command)
+            refused, takers = str(exc.value).split("; only ")
+            assert refused == f"{command} takes no {s.name}"
+            named = set(re.split(", | and ", takers.removesuffix(" takes it").removesuffix(" take it")))
+            assert named == {c for c, g in COMMAND_GROUPS.items() if s.group in g}, takers

@@ -7,7 +7,6 @@ from nessfold.exceptions import NonUniqueNess, SingularEigenbasis
 from nessfold.liouvillian import LiouvillianCoeffs, build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import (
-    ModeSpectrum,
     TransferStack,
     build_stack,
     decompose,
@@ -32,10 +31,11 @@ def test_eigenvalue_ordering_is_deterministic():
 
 
 def test_plus_set_size_and_positivity():
+    """The stable set is the first 2N modes: exactly those have Re z > 0."""
     L = coeffs(n=4)
     spec = decompose(L)
-    assert len(spec.plusSet) == 2 * L.N
-    assert np.all(spec.z[spec.plusSet].real > 0)
+    assert np.all(spec.z[: 2 * L.N].real > 0)
+    assert np.all(spec.z[2 * L.N:].real < 0)
 
 
 def test_spectrum_reconstructs_generator():
@@ -52,10 +52,9 @@ def test_projector_properties():
     assert np.abs(S @ S - S).max() < 1e-12
     assert np.trace(S).real == pytest.approx(2 * L.N, abs=1e-10)
     # S acts as identity on the stable eigenvectors and kills the others
-    plus = spec.plusSet
-    np.testing.assert_allclose(S @ spec.Z[:, plus], spec.Z[:, plus], atol=1e-12)
-    minus = np.setdiff1d(np.arange(len(spec.z)), plus)
-    assert np.abs(S @ spec.Z[:, minus]).max() < 1e-12
+    plus, minus = spec.Z[:, : 2 * L.N], spec.Z[:, 2 * L.N:]
+    np.testing.assert_allclose(S @ plus, plus, atol=1e-12)
+    assert np.abs(S @ minus).max() < 1e-12
 
 
 def test_degenerate_point_raises():
@@ -110,14 +109,3 @@ def test_orthogonality_residual_on_genuine_stack():
 def test_orthogonality_residual_counts_diagonal():
     stack = TransferStack(N=1, R=np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]], dtype=complex))
     assert orthogonality_residual(stack) == pytest.approx(1.0)
-
-
-def test_stable_projector_rejects_inconsistent_spectrum():
-    spec = ModeSpectrum(
-        z=np.array([1.0, -1.0, 2.0, -2.0]),
-        Z=np.eye(4, dtype=complex),
-        Zinv=np.eye(4, dtype=complex),
-        plusSet=np.array([0]),
-    )
-    with pytest.raises(NonUniqueNess):
-        stable_projector(spec)
