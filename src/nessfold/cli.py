@@ -598,6 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, groups, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
+        p.set_defaults(subparser=p)  # main refuses a flag this subcommand lacks with its own usage
         for group in groups:
             if group == "out":  # --config heads the output flags, where --help has always shown it
                 p.add_argument("--config", help="JSON config file; flags override its keys")
@@ -610,7 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     cfg = RunConfig()
     try:
         if args.config:

@@ -87,29 +87,24 @@ def eliminate_pair(W: np.ndarray, l: int, k: int) -> list:
     return records
 
 
-def _closure_sign(a: complex, b: complex, eps_fold: float) -> int:
-    """Sign s with a = s*i*b, or raise.  Row self-orthogonality forces a^2 + b^2 = 0."""
-    err_plus = abs(a - 1j * b)
-    err_minus = abs(a + 1j * b)
+def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAULT) -> int:
+    """Return the sign s with W[l][2s-1] = s*i*W[l][2s] on row l's pinned site, or raise,
+    then zero that site's columns in the rows below in place.
+
+    Row self-orthogonality forces the pair (a, b) to obey a^2 + b^2 = 0.
+    Zeroing is exact, not approximate: once row l creates its mode, the same
+    pair can never act again in lower rows (fermionic nilpotency), so their
+    coefficients there are irrelevant.
+    """
+    a, b = W[l - 1, 2 * site - 2], W[l - 1, 2 * site - 1]
+    err_plus, err_minus = abs(a - 1j * b), abs(a + 1j * b)
     if min(err_plus, err_minus) > eps_fold:
         raise ClosureViolation(
             f"row pair ({a:.3e}, {b:.3e}) violates closure by "
             f"{min(err_plus, err_minus):.3e} (tolerance {eps_fold:.3e})"
         )
-    return 1 if err_plus <= err_minus else -1
-
-
-def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAULT) -> int:
-    """Verify W[l][2s-1] = +-i W[l][2s] on row l's pinned site s, then zero site s's
-    columns in the rows below in place.
-
-    Zeroing is exact, not approximate: once row l creates its mode, the same
-    pair can never act again in lower rows (fermionic nilpotency), so their
-    coefficients there are irrelevant.
-    """
-    sign = _closure_sign(W[l - 1, 2 * site - 2], W[l - 1, 2 * site - 1], eps_fold)
     W[l:, 2 * site - 2:2 * site] = 0.0
-    return sign
+    return 1 if err_plus <= err_minus else -1
 
 
 def _pattern_residual(W: np.ndarray, sites: np.ndarray) -> float:
@@ -123,14 +118,15 @@ def _pattern_residual(W: np.ndarray, sites: np.ndarray) -> float:
 def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:
     """Reduce the full stack, recording every rotation (zero angles included).
 
-    Rows 1..2N-1 are cleared pair by pair and closed in order, odd rows onto
-    the leftmost free site and even rows onto the rightmost; row 2N is
-    already confined to the one site left, so it only gets the closure check.
-    An even row is cleared by eliminate_pair on the column-reversed view,
-    where a record (m, theta) acts as (4N+2-m, -theta) on the stack.  The
-    sign of a right-pinned interior row is read on the unreversed columns,
-    so it closes -1.  Row 2N's surviving entry may carry a residual phase
-    that no rotation removes, hence rDiag stores its magnitude there.
+    One loop clears and closes every row in order, odd rows onto the leftmost
+    free site and even rows onto the rightmost; row 2N finds one free site
+    left and no pair to clear.  An even row is cleared by eliminate_pair on
+    the column-reversed view, where a record (m, theta) acts as
+    (4N+2-m, -theta) on the stack.  The sign of a right-pinned row is read on
+    the unreversed columns, so an interior one closes -1.  rDiag stores the
+    magnitude of each row's pinned weight: the rotations leave an interior
+    row's weight real and positive, while row 2N may keep a phase that no
+    rotation removes.
     """
     N = stack.N
     W = np.array(stack.R, dtype=complex)
@@ -141,7 +137,7 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
     sites = np.zeros(2 * N, dtype=int)
     lo, hi = 1, 2 * N  # the free sites
 
-    for l in range(1, 2 * N):
+    for l in range(1, 2 * N + 1):
         if l % 2:
             view, first, last, site = W, lo, hi, lo
             lo += 1
@@ -151,19 +147,11 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
         for k in range(last - 1, first - 1, -1):
             block = eliminate_pair(view, l, k)
             records += block if view is W else [(4 * N + 2 - m, -theta, kind) for m, theta, kind in block]
-        r = view[l - 1, 2 * first - 1]
-        if abs(r) < eps_fold:
-            raise ClosureViolation(f"row {l} weight {abs(r):.3e} below {eps_fold:.3e}")
-        rDiag[l - 1] = r.real
+        rDiag[l - 1] = abs(view[l - 1, 2 * first - 1])
+        if rDiag[l - 1] < eps_fold:
+            raise ClosureViolation(f"row {l} weight {rDiag[l - 1]:.3e} below {eps_fold:.3e}")
         signs[l - 1] = close_row(W, l, site, eps_fold)
         sites[l - 1] = site
-
-    last = W[2 * N - 1, 2 * lo - 1]
-    if abs(last) < eps_fold:
-        raise ClosureViolation(f"row {2 * N} weight {abs(last):.3e} below {eps_fold:.3e}")
-    rDiag[2 * N - 1] = abs(last)
-    signs[2 * N - 1] = _closure_sign(W[2 * N - 1, 2 * lo - 2], last, eps_fold)
-    sites[2 * N - 1] = lo
 
     rotations = np.rec.fromrecords(records, dtype=ROTATION_DTYPE)
     for arr in (rotations, rDiag, signs, sites):

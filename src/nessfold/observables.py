@@ -108,6 +108,6 @@ def log_linear_fit(x, y) -> tuple[float, float, float]:
     pred = slope * x + intercept
     ss_res = float(((ly - pred) ** 2).sum())
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    if ss_tot == 0:
-        return float(slope), float(intercept), 0.0 if ss_res == 0 else float("inf")
-    return float(slope), float(intercept), float(np.sqrt(max(ss_res / ss_tot, 0.0)))
+    # a flat series is fit exactly; polyfit's roundoff slope leaves ss_res a few ulps above 0
+    residual = float(np.sqrt(ss_res / ss_tot)) if ss_tot else 0.0
+    return float(slope), float(intercept), residual

@@ -11,8 +11,10 @@ import re
 import numpy as np
 import pytest
 
+from nessfold import cli
 from nessfold.cli import (_SETTINGS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_USAGE, RunConfig,
                           _UsageError, build_parser, main)
+from nessfold.exceptions import ClosureViolation
 from nessfold.folding import ROTATION_DTYPE, FoldResult
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import solve_end_bath
@@ -82,6 +84,9 @@ def run_cli(capsys, argv):
     (["bench", "--sizes", "2", "--jobs", "2"], None),
     (["ness"], {"sizes": [2, 3]}),
     (["validate"], {"N": 3}),
+    # a range flag needs all three of its parts, and a choice setting takes only its choices
+    (["phase-grid", "--sizes", "2", "--w-range", "0:1"], None),
+    (["ness"], {"format": "xml"}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -94,6 +99,34 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config)
     assert out == ""
     assert "error" in err and "numerical failure" not in err
     assert not {"None", "False"} & set(os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("argv", [["validate", "--max-chi", "8"], ["ness", "--jobs", "2"]])
+def test_unknown_flag_is_refused_with_the_subcommand_usage(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"usage: nessfold {argv[0]} [-h]")
+    assert f"nessfold {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n" in err
+
+
+def test_validate_reports_a_raising_check_and_exits_three(capsys, monkeypatch):
+    def broken():
+        raise ClosureViolation("synthetic")
+
+    monkeypatch.setattr(cli, "CHECKS", {"fine": lambda: (True, "ok"), "broken": broken})
+    code, out, _ = run_cli(capsys, ["validate"])
+    assert code == EXIT_NUMERICAL
+    fine, failed, summary = out.splitlines()
+    assert fine.startswith("PASS  fine ")
+    assert failed.startswith("FAIL  broken ") and "ClosureViolation: synthetic" in failed
+    assert summary == "1/2 checks passed"
+
+
+def test_degeneracy_check_fails_when_the_solve_does_not_refuse(monkeypatch):
+    monkeypatch.setattr(cli, "solve_end_bath", lambda *args, **kwargs: None)
+    ok, detail = cli._check_degeneracy()
+    assert not ok
+    assert detail == "N=4 at w=1, mu=0 did not report a degeneracy"
 
 
 def bench_rows(out):

@@ -231,9 +231,11 @@ def test_fold_gauges_interior_signs_positive():
 
 
 def test_fold_zero_row_degenerate():
-    R = canonical_pattern(np.array([0.0, 1.0]), np.array([1, 1]))
-    with pytest.raises(ClosureViolation, match="weight"):
-        fold(TransferStack(N=1, R=R))
+    """A vanishing row is refused by name, the first row and the last alike."""
+    for weights, row in (([0.0, 1.0], 1), ([1.0, 0.0], 2)):
+        R = canonical_pattern(np.array(weights), np.array([1, 1]))
+        with pytest.raises(ClosureViolation, match=f"row {row} weight"):
+            fold(TransferStack(N=1, R=R))
 
 
 def test_fold_closure_violation():

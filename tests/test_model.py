@@ -71,6 +71,13 @@ def test_majorana_hamiltonian_rejects_wrong_shape():
         MajoranaHamiltonian(N=2, A=np.zeros((3, 4)))
 
 
+def test_majorana_hamiltonian_rejects_non_finite_entry():
+    A = np.zeros((4, 4))
+    A[0, 1] = np.nan  # an allowed (odd row, even column) slot
+    with pytest.raises(ValueError, match="finite"):
+        MajoranaHamiltonian(N=2, A=A)
+
+
 def test_bath_channel_rejects_complex_and_odd_length():
     with pytest.raises(ValueError):
         BathChannel(B=np.array([1.0 + 1j, 0.0]))
@@ -113,6 +120,11 @@ def test_end_baths_order_and_zero_omission():
 
 def test_end_baths_all_zero_gives_empty_list():
     assert end_baths(2, EndBathParams()) == []
+
+
+def test_end_baths_rejects_empty_chain():
+    with pytest.raises(ValueError, match="chain length"):
+        end_baths(0, EndBathParams(gamma11=1.0))
 
 
 def test_end_bath_params_rejects_negative_rate():

@@ -128,6 +128,12 @@ def test_log_linear_fit_recovers_exact_decay():
     assert residual == pytest.approx(0.0, abs=1e-7)
 
 
+def test_log_linear_fit_of_a_flat_series_has_no_residual():
+    _, intercept, residual = log_linear_fit([4, 6, 8, 10], [0.3] * 4)
+    assert intercept == pytest.approx(np.log(0.3), abs=1e-12)
+    assert residual == 0.0
+
+
 def test_log_linear_fit_validation():
     with pytest.raises(ValueError):
         log_linear_fit([1, 2], [1.0, 2.0])

@@ -109,6 +109,19 @@ def test_solve_without_an_openblas_handle(monkeypatch):
     np.testing.assert_allclose(unpinned.occupancy, pinned.occupancy, rtol=0, atol=1e-13)
 
 
+def test_no_openblas_handle_without_the_extension(monkeypatch):
+    def refuse(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", refuse)
+    assert pipeline._openblas_threads() is None
+
+
+def test_no_openblas_handle_without_a_get_set_pair(monkeypatch):
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda path: object())
+    assert pipeline._openblas_threads() is None
+
+
 _SOLVES = {
     "library": (
         "from nessfold import EndBathParams, KitaevParams, solve_end_bath\n"
