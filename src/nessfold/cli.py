@@ -312,10 +312,9 @@ def _map_tasks(tasks, jobs: int):
 
 
 def _dump_fold(sol, path: str) -> None:
-    rots = sol.foldResult.rotations
     doc = {
-        "rotations": [{"m": m, "theta": theta, "kind": kind} for m, theta, kind
-                      in zip(rots.m.tolist(), rots.theta.tolist(), rots.kind.tolist())],
+        "rotations": [{"m": m, "theta": theta, "kind": kind}
+                      for m, theta, kind in sol.foldResult.rotations.tolist()],
         "rDiag": [float(v) for v in sol.foldResult.rDiag],
         "signs": [int(v) for v in sol.foldResult.signs],
         "sites": [int(v) for v in sol.foldResult.sites],

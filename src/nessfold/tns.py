@@ -1,14 +1,14 @@
 """Matrix-product representation of second-space states and rotation gates.
 
 A chain of 2N fermionic modes maps under Jordan-Wigner to 2N qubits with
-site 1 as the most significant bit.  Every recorded rotation is 2-local in
-that encoding: an even pair index m gives a single-site phase gate at site
-m/2, an odd one a nearest-neighbor gate at ((m-1)/2, (m+1)/2) whose string
-factors cancel.  The replay multiplies the fold's block of records for one
-site pair into one two-site unitary, which acts on the pair's even states
-(|00>, |11>) and odd states (|01>, |10>) as two 2x2 blocks; it builds every
-block's unitary once per solve, already read as a 2x2 mix of the cut's two
-parity sectors for each pair of bond parities.
+site 1 as the most significant bit.  Every rotation of the fold is 2-local
+in that encoding: one that mixes the two sites of a pair is a
+nearest-neighbor gate whose string factors cancel, one inside a site a
+single-site phase gate.  The replay multiplies the five rotations of each
+of the fold's site-pair blocks into one two-site unitary, which acts on the
+pair's even states (|00>, |11>) and odd states (|01>, |10>) as two 2x2
+blocks; it builds every block's unitary once per solve, already read as a
+2x2 mix of the cut's two parity sectors for each pair of bond parities.
 
 Every gate conserves fermion parity and the replay starts from a product
 state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
@@ -116,29 +116,31 @@ _MIX_AXES = np.indices((2, 2, 2, 2))
 _PHASE_SIGNS = np.array([[[1.0, -1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
 
 
-def _pair_gates(pairs, ms, thetas) -> np.ndarray:
-    """Cut-sector mixes of blocks of (m, theta) records on site pairs, one block per row of
-    ms and thetas, multiplied in application order along the row.
+def _pair_gates(mirrored, thetas) -> np.ndarray:
+    """Cut-sector mixes undoing the fold's site-pair blocks, one per entry of mirrored and row
+    of thetas: a block's _PAIR_STEPS at those angles, undone last first at negated angles.
 
-    Record (m, theta) is exp(theta/2 * gamma~_{m-1} gamma~_m) on the block's pair (j, j+1),
-    0-based: m = 2j+3 is the pair's gate cos + i sin X(x)X; m = 2j+2 and m = 2j+4 are the
-    phase diag(e^{i theta/2}, e^{-i theta/2}) on the left and on the right site.  The
-    product is built as two 2x2 parity blocks, on (|00>, |11>) and on (|01>, |10>), each
-    indexed by the left leg.  On a two-site amplitude with left bond parity pa and right
-    bond parity pb, cut sector q holds the legs (pa^q, pb^q), so parity block pa^pb maps
-    sector q to sector x with its entry [pa^x, pa^q].  Returns G of shape
-    (blocks, 2, 2, 2, 2) with G[b, q, x, pa, pb] that entry of block b's product.
+    Step (column i, theta) is exp(theta/2 * gamma~_a gamma~_b) on the Majoranas (a, b) =
+    (i+1, i+2) of the pair's four, or (3-i, 4-i) when mirrored: at column 1 the pair's gate
+    cos + i sin X(x)X, else the phase diag(e^{i theta/2}, e^{-i theta/2}) on the right site
+    when (column == 2) != mirrored and on the left one otherwise.  The product is built as
+    two 2x2 parity blocks, on (|00>, |11>) and on (|01>, |10>), each indexed by the left leg.
+    On a two-site amplitude with left bond parity pa and right bond parity pb, cut sector q
+    holds the legs (pa^q, pb^q), so parity block pa^pb maps sector q to sector x with its
+    entry [pa^x, pa^q].  Returns G of shape (blocks, 2, 2, 2, 2) with G[b, q, x, pa, pb]
+    that entry of the product undoing block b.
     """
-    pairs, ms = np.asarray(pairs)[:, None], np.asarray(ms)
-    half = 0.5 * np.asarray(thetas, dtype=float)[..., None, None, None]
+    columns = np.array([i for i, _ in _PAIR_STEPS[::-1]])
+    half = -0.5 * np.asarray(thetas, dtype=float)[:, ::-1, None, None, None]
     c, s = np.cos(half), np.sin(half)
-    two = (ms == 2 * pairs + 3)[..., None, None, None]
-    # each record is cos + i sin K, K the leg swap X(x)X for the pair's gate and the diagonal of
+    two = (columns == 1)[:, None, None, None]
+    right = (columns == 2) != np.asarray(mirrored)[:, None]
+    # each step is cos + i sin K, K the leg swap X(x)X for the pair's gate and the diagonal of
     # leg signs for a phase, applied as cos g + (i sin) K g with each product rounded on its own:
     # numpy's fused complex multiply rounds differently and moves small eec values by 1e-10
     swap = np.where(two, 1j * s, 0)
-    phase = np.where(two, 0, 1j * s * _PHASE_SIGNS[(ms == 2 * pairs + 4).astype(int)][..., None])
-    g = np.zeros((len(ms), 2, 2, 2), dtype=complex)
+    phase = np.where(two, 0, 1j * s * _PHASE_SIGNS[right.astype(int)][..., None])
+    g = np.zeros((len(right), 2, 2, 2), dtype=complex)
     g[..., [0, 1], [0, 1]] = 1.0
     for cos, sin_swap, sin_phase in zip(*(np.moveaxis(t, 1, 0) for t in (c, swap, phase))):
         g = cos * g + sin_phase * g + sin_swap * g[:, :, ::-1]
@@ -201,40 +203,27 @@ def _update_pair(state: TensorState, j: int, gate: np.ndarray, center_left: bool
 
 
 def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
-    """Undo the recorded rotation bundle: reversed order, negated angles.
+    """Undo the fold's rotation bundle: its site-pair blocks in reverse order, each undone.
 
-    The fold records one block of len(_PAIR_STEPS) rotations per site pair;
-    reversed, each block is multiplied into one two-site unitary, zero angles
-    included as exact identity factors, and applied with one SVD.  Reversed,
-    the fold's rows are staircases of alternating direction, each starting
-    on the pair next to where the previous one ended, so consecutive blocks
-    sit at most one pair apart.  Each update leaves the orthogonality center
-    on the site its pair shares with the next block's pair, and the product
-    state is canonical at every site, so every truncation happens against
-    genuine Schmidt coefficients with no gauge step in between.  Records that
-    do not follow that layout raise ValueError before the state is touched.
+    Each block is multiplied into one two-site unitary, zero angles included
+    as exact identity factors, and applied with one SVD.  Reversed, the
+    fold's rows are staircases of alternating direction, each starting on the
+    pair next to where the previous one ended, so consecutive blocks sit at
+    most one pair apart.  Each update leaves the orthogonality center on the
+    site its pair shares with the next block's pair, and the product state is
+    canonical at every site, so every truncation happens against genuine
+    Schmidt coefficients with no gauge step in between.  Blocks that leave
+    the chain or skip a pair raise ValueError before the state is touched.
     """
-    size = len(_PAIR_STEPS)
-    rots = result.rotations
-    if len(rots) % size:
-        raise ValueError(f"{len(rots)} rotation records do not split into site-pair blocks of {size}")
-    ms = rots.m[::-1].reshape(-1, size)
-    thetas = -rots.theta[::-1].reshape(-1, size)
-    # a block on pair j (0-based) holds m = 2j + 2 + i for the steps' first local columns i, or
-    # m = 2j + 4 - i when the fold cleared its row on the mirrored columns
-    steps = np.array([i for i, _ in _PAIR_STEPS[::-1]])
-    pairs = (ms[:, 0] - 3) // 2  # both patterns open with the pair's two-site rotation, m = 2j + 3
-    base = 2 * pairs[:, None] + 2
-    if not np.all(np.all(ms == base + steps, axis=1) | np.all(ms == base + 2 - steps, axis=1)):
-        raise ValueError(f"rotation records follow neither of the fold's per-pair patterns "
-                         f"2j + 2 + {steps.tolist()} and 2j + 4 - {steps.tolist()}")
+    blocks = result.blocks[::-1]
+    pairs = blocks.pair
     if np.any((pairs < 0) | (pairs > state.sites - 2)):
-        raise ValueError(f"rotation records act outside the chain of {state.sites} sites")
+        raise ValueError(f"blocks act outside the chain of {state.sites} sites")
     moves = np.diff(pairs)
     if np.any(np.abs(moves) > 1):
         raise ValueError("a block skips past the orthogonality center; the fold's rows never do")
     center_left = np.append(moves < 0, False).tolist()
-    for j, gate, left in zip(pairs.tolist(), _pair_gates(pairs, ms, thetas), center_left):
+    for j, gate, left in zip(pairs.tolist(), _pair_gates(blocks.mirrored, blocks.angles), center_left):
         _update_pair(state, j, gate, center_left=left)
 
 

@@ -1,11 +1,12 @@
-"""Reference operations that only tests need: stack rotations, fold replay, rotation
-counts, dense and record-by-record rotation gates, Majorana pair expectations, mode
-Majoranas, string expansion."""
+"""Reference operations that only tests need: stack rotations, fold replay, dumped records
+regrouped into blocks, dense and record-by-record rotation gates, Majorana pair
+expectations, mode Majoranas, string expansion."""
 
 import math
 
 import numpy as np
 
+from nessfold.folding import _PAIR_STEPS, BLOCK_DTYPE
 from nessfold.observables import _require_normalized
 from nessfold.oracle import _ordered_strings, mode_ladders
 from nessfold.tns import _pair_gates, _physical, _update_pair, coefficient
@@ -24,22 +25,39 @@ def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
 
 
 def replay(R: np.ndarray, result) -> np.ndarray:
-    """Re-run a FoldResult's recorded rotations and closure zeroings on a copy of R: after
-    row l's records, the columns of the site it pinned are zeroed in the rows below."""
+    """Re-run a FoldResult's rotations and closure zeroings on a copy of R, one record at a
+    time: after row l's 2N - l blocks, the columns of the site it pinned are zeroed in the
+    rows below."""
     W = np.array(R, dtype=complex)
     n_rows = W.shape[0]
-    rots = iter(zip(result.rotations.m.tolist(), result.rotations.theta.tolist()))
+    blocks = iter(result.rotations.reshape(-1, len(_PAIR_STEPS)).tolist())
     for l, site in zip(range(1, n_rows), result.sites.tolist()):
-        for _ in range(5 * (n_rows - l)):
-            W = rotate_columns(W, *next(rots))
+        for _ in range(n_rows - l):
+            for m, theta, _ in next(blocks):
+                W = rotate_columns(W, m, theta)
         W[l:, 2 * site - 2:2 * site] = 0.0
     return W
 
 
-def expected_rotation_count(N: int) -> int:
-    """Rotations recorded by fold: five (3 U + 2 V) for each site pair (k, k+1), l <= k < 2N,
-    of each row l < 2N."""
-    return sum(5 * (2 * N - l) for l in range(1, 2 * N))
+def blocks_from_records(records) -> np.recarray:
+    """Regroup (m, theta, kind) records, in application order as --dump-fold writes them,
+    into the fold's site-pair blocks, five records each: the second has m = 2j+3 on pair j,
+    and the first m = 2j+4 for a plain block or 2j+2 for a mirrored one.  Raises ValueError
+    on records that do not split into fives or on a block that follows neither pattern."""
+    size = len(_PAIR_STEPS)
+    if len(records) % size:
+        raise ValueError(f"{len(records)} rotation records do not split into site-pair blocks of {size}")
+    columns = np.array([i for i, _ in _PAIR_STEPS])
+    blocks = []
+    for start in range(0, len(records), size):
+        ms, thetas, _ = zip(*records[start:start + size])
+        pair = (ms[1] - 3) // 2
+        mirrored = ms[0] == 2 * pair + 2
+        if list(ms) != (2 * pair + (4 - columns if mirrored else 2 + columns)).tolist():
+            raise ValueError(f"rotation records {list(ms)} follow neither of the fold's per-pair patterns "
+                             f"2j + 2 + {columns.tolist()} and 2j + 4 - {columns.tolist()}")
+        blocks.append((pair, mirrored, thetas))
+    return np.rec.fromrecords(blocks, dtype=BLOCK_DTYPE)
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,6 +73,14 @@ def rotation_gate(m: int, theta: float) -> np.ndarray:
     return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
 
 
+def two_site_gate(theta: float) -> np.ndarray:
+    """Sector mix of exp(theta/2 * gamma~_{2j+2} gamma~_{2j+3}) on a site pair (j, j+1): the
+    undo of a block whose one nonzero angle, -theta, is a step on local column 1."""
+    angles = [0.0] * len(_PAIR_STEPS)
+    angles[[i for i, _ in _PAIR_STEPS].index(1)] = -theta
+    return _pair_gates([False], [angles])[0]
+
+
 def apply_gate(state, m: int, theta: float) -> None:
     """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to a TensorState in place, one record at a
     time: the reference the fused site-pair replay of tns.apply_inverse_sequence is checked
@@ -63,7 +89,7 @@ def apply_gate(state, m: int, theta: float) -> None:
     """
     if m % 2 == 1:
         j = (m - 1) // 2 - 1
-        _update_pair(state, j, _pair_gates([j], [[m]], [[theta]])[0])
+        _update_pair(state, j, two_site_gate(theta))
         return
     j = m // 2 - 1
     if not 0 <= j < state.sites:

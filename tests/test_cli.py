@@ -26,7 +26,7 @@ from nessfold.cli import (
 from nessfold import exceptions
 from nessfold.exceptions import NessfoldError, SingularEigenbasis, VacuumVanishes
 
-from helpers import expected_rotation_count
+from helpers import blocks_from_records
 
 
 def run_cli(capsys, argv):
@@ -279,7 +279,7 @@ def test_dump_fold(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["ness", "--N", "2", "--dump-fold", str(target)])
     assert code == EXIT_OK
     doc = json.loads(target.read_text())
-    assert len(doc["rotations"]) == expected_rotation_count(2)
+    assert len(blocks_from_records([(r["m"], r["theta"], r["kind"]) for r in doc["rotations"]])) == 2 * 3
     assert len(doc["rDiag"]) == 4
     assert set(doc["signs"]) <= {-1, 1}
     assert doc["sites"] == [1, 4, 2, 3]

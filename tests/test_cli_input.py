@@ -15,10 +15,12 @@ from nessfold import cli
 from nessfold.cli import (_SETTINGS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_USAGE, RunConfig,
                           _UsageError, build_parser, main)
 from nessfold.exceptions import ClosureViolation
-from nessfold.folding import ROTATION_DTYPE, FoldResult
+from nessfold.folding import FoldResult
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import solve_end_bath
 from nessfold.tns import apply_inverse_sequence, dense_coefficients, normalize_vacuum, product_state
+
+from helpers import blocks_from_records
 
 
 def run_cli(capsys, argv):
@@ -155,11 +157,8 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
                                   "--dump-fold", str(target)])
     assert code == 0
     doc = json.loads(target.read_text())
-    rots = doc["rotations"]
     dumped = FoldResult(
-        rotations=np.rec.fromarrays(
-            [[r["m"] for r in rots], [r["theta"] for r in rots], [r["kind"] for r in rots]],
-            dtype=ROTATION_DTYPE),
+        blocks=blocks_from_records([(r["m"], r["theta"], r["kind"]) for r in doc["rotations"]]),
         rDiag=np.array(doc["rDiag"]),
         signs=np.array(doc["signs"]),
         sites=np.array(doc["sites"]),
@@ -171,6 +170,7 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
 
     sol = solve_end_bath(KitaevParams(N=3, w=0.5, mu=2.0, delta=1.0),
                          EndBathParams(gamma21=1.0, gamma22=1.0))
+    np.testing.assert_array_equal(dumped.blocks, sol.foldResult.blocks)
     np.testing.assert_array_equal(dumped.rotations, sol.foldResult.rotations)
     np.testing.assert_allclose(state.z0 * dense_coefficients(state),
                                sol.state.z0 * dense_coefficients(sol.state), rtol=0, atol=1e-12)

@@ -9,7 +9,7 @@ from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import TransferStack, build_stack, decompose, stable_projector
 
-from helpers import expected_rotation_count, replay, rotate_columns
+from helpers import replay, rotate_columns
 
 BP = EndBathParams(gamma11=0.3, gamma21=1.0, gamma12=0.6, gamma22=1.4)
 
@@ -54,8 +54,20 @@ def pair_records(k):
 
 
 def clear_row(W, l):
-    """Row l's records, clearing its site pairs from the right end down to k = l."""
-    return [rec for k in range(W.shape[0] - 1, l - 1, -1) for rec in eliminate_pair(W, l, k)]
+    """Row l's angles, one list per site pair, clearing from the right end down to k = l."""
+    return [eliminate_pair(W, l, k) for k in range(W.shape[0] - 1, l - 1, -1)]
+
+
+def pair_by_rotation(V, l, k):
+    """eliminate_pair one rotation at a time, each angle read off row l after the previous
+    rotation reached every row: the rotated copy of V and the pair's (m, theta, kind) records."""
+    records = []
+    for m, kind in pair_records(k):
+        a, b = V[l - 1, m - 2], V[l - 1, m - 1]
+        theta = np.arctan2(b.imag, a.imag) if kind == "U" else np.arctan2(b.real, a.real)
+        V = rotate_columns(V, m, theta)
+        records.append((m, theta, kind))
+    return V, records
 
 
 def zigzag_sites(n):
@@ -73,11 +85,9 @@ def fold_by_rotation(R):
         mirrored = l % 2 == 0
         V, first, last = (W[:, ::-1], rows + 1 - hi, rows + 1 - lo) if mirrored else (W, lo, hi)
         for k in range(last - 1, first - 1, -1):
-            for m, kind in pair_records(k):
-                a, b = V[l - 1, m - 2], V[l - 1, m - 1]
-                theta = np.arctan2(b.imag, a.imag) if kind == "U" else np.arctan2(b.real, a.real)
-                V = rotate_columns(V, m, theta)
-                records.append((2 * rows + 2 - m, -theta, kind) if mirrored else (m, theta, kind))
+            V, block = pair_by_rotation(V, l, k)
+            records += [(2 * rows + 2 - m, -theta, kind) if mirrored else (m, theta, kind)
+                        for m, theta, kind in block]
         W, site = (V[:, ::-1], hi) if mirrored else (V, lo)
         W[l:, 2 * site - 2:2 * site] = 0.0
         lo, hi = (lo, hi - 1) if mirrored else (lo + 1, hi)
@@ -87,9 +97,9 @@ def fold_by_rotation(R):
 def test_strip_phases_makes_row_real():
     stack = genuine_stack()
     W = stack.R.copy()
-    rots = clear_row(W, 1)
+    angles = clear_row(W, 1)
     assert np.abs(W[0, 1:].imag).max() < 1e-14
-    assert [(m, kind) for m, _, kind in rots] == [rec for k in (3, 2, 1) for rec in pair_records(k)]
+    assert [len(block) for block in angles] == [5, 5, 5]
 
 
 def test_eliminate_clears_tail():
@@ -109,8 +119,10 @@ def test_eliminate_pair_clears_site_k_plus_1_and_touches_only_its_columns(l, k):
     for right in range(3, k, -1):
         eliminate_pair(W, l, right)
     before = W.copy()
-    rots = eliminate_pair(W, l, k)
-    assert [(m, kind) for m, _, kind in rots] == pair_records(k)
+    angles = eliminate_pair(W, l, k)
+    # the angles of pair_records(k), in that order
+    _, ref = pair_by_rotation(before, l, k)
+    np.testing.assert_allclose(angles, [theta for _, theta, _ in ref], rtol=0, atol=1e-14)
     assert np.abs(W[l - 1, 2 * k:2 * k + 2]).max() < 1e-14 * np.abs(before[l - 1]).max()
     outside = np.ones(W.shape[1], dtype=bool)
     outside[2 * k - 2:2 * k + 2] = False
@@ -183,12 +195,22 @@ def test_fold_counts_and_weights():
     for n in (1, 2, 3):
         stack = genuine_stack(n=n)
         result = fold(stack)
-        assert len(result.rotations) == expected_rotation_count(n)
+        assert len(result.blocks) == n * (2 * n - 1)
         assert result.rDiag.shape == (2 * n,)
         assert np.all(result.rDiag > 0)
         assert set(result.signs.tolist()) <= {-1, 1}
         assert result.sites.tolist() == zigzag_sites(n)
         assert result.residual < 1e-12
+        # row l's 2N - l blocks clear the pairs of its free sites, an odd row right to left on
+        # the stack's own columns, an even row left to right on the mirrored ones
+        start = 0
+        for l in range(1, 2 * n):
+            row = result.blocks[start:start + 2 * n - l]
+            start += len(row)
+            free = sorted(set(range(1, 2 * n + 1)) - set(result.sites[:l - 1].tolist()))
+            assert row.mirrored.tolist() == [l % 2 == 0] * len(row)
+            assert np.diff(row.pair).tolist() == [1 if l % 2 == 0 else -1] * (len(row) - 1)
+            assert sorted(row.pair.tolist()) == list(range(free[0] - 1, free[-1] - 1))
 
 
 def test_fold_replay_reproduces_pattern():
@@ -266,6 +288,8 @@ def test_fold_result_is_frozen():
         result.rDiag[0] = 5.0
     with pytest.raises(ValueError):
         result.sites[0] = 2
+    with pytest.raises(ValueError):
+        result.blocks.angles[0, 0] = 5.0
     with pytest.raises(ValueError):
         result.rotations.theta[0] = 5.0
     assert isinstance(result, FoldResult)

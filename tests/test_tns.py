@@ -8,7 +8,7 @@ import scipy.linalg
 
 from nessfold import tns
 from nessfold.exceptions import VacuumVanishes
-from nessfold.folding import _PAIR_STEPS, ROTATION_DTYPE, FoldResult, fold
+from nessfold.folding import _PAIR_STEPS, FoldResult, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.pipeline import solve_end_bath
@@ -24,7 +24,7 @@ from nessfold.tns import (
     product_state,
 )
 
-from helpers import apply_gate, rotation_gate
+from helpers import apply_gate, blocks_from_records, rotation_gate, two_site_gate
 
 
 def dense_gate(n_sites, m, theta):
@@ -162,7 +162,7 @@ def test_update_pair_leaves_the_center_on_either_site(center_left):
     for m, theta in random_rotations(rng, 4, 30):
         apply_gate(state, m, theta)
     dense = dense_gate(4, 5, 0.7) @ dense_coefficients(state)
-    _update_pair(state, 1, _pair_gates([1], [[5]], [[0.7]])[0], center_left=center_left)
+    _update_pair(state, 1, two_site_gate(0.7), center_left=center_left)
     np.testing.assert_allclose(dense_coefficients(state), dense, atol=1e-12)
     left, right = state.tensors[1:3]
     assert is_right_orthonormal(right) == center_left
@@ -261,19 +261,20 @@ def pair_record_dense(j, m, theta):
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
 def test_pair_gates_match_dense_block_products(mirrored):
-    """Each block's sector mix is the dense product of its records, in the fold's per-pair
-    pattern: entry [q, x, pa, pb] takes the legs (pa^q, pb^q) to (pa^x, pb^x)."""
+    """Each block's sector mix is the dense product undoing its records, in the fold's per-pair
+    pattern, last record first at negated angles: entry [q, x, pa, pb] takes the legs
+    (pa^q, pb^q) to (pa^x, pb^x)."""
     rng = np.random.default_rng(11)
-    steps = [i for i, _ in _PAIR_STEPS[::-1]]
+    steps = [i for i, _ in _PAIR_STEPS]
     pairs = rng.integers(0, 5, size=8)
     ms = np.array([[2 * j + 4 - i if mirrored else 2 * j + 2 + i for i in steps] for j in pairs])
     thetas = rng.uniform(-np.pi, np.pi, ms.shape) * (rng.random(ms.shape) > 0.2)
-    gates = _pair_gates(pairs, ms, thetas)
+    gates = _pair_gates([mirrored] * len(pairs), thetas)
     assert gates.shape == (len(pairs), 2, 2, 2, 2)
     for j, row, angles, gate in zip(pairs.tolist(), ms.tolist(), thetas.tolist(), gates):
         dense = np.eye(4, dtype=complex)
-        for m, theta in zip(row, angles):
-            dense = pair_record_dense(j, m, theta) @ dense
+        for m, theta in zip(row[::-1], angles[::-1]):
+            dense = pair_record_dense(j, m, -theta) @ dense
         expected = np.zeros((2, 2, 2, 2), dtype=complex)
         for q, x, pa, pb in itertools.product((0, 1), repeat=4):
             expected[q, x, pa, pb] = dense[2 * (pa ^ x) + (pb ^ x), 2 * (pa ^ q) + (pb ^ q)]
@@ -298,7 +299,7 @@ def test_cap_splits_a_cross_sector_tie_by_the_stable_ranking(s_even, s_odd):
     truncated = TensorState(matrices=[*matrices[:2], R.copy(), matrices[3]], even=list(state.even))
     truncated.matrices[2][dropped] = 0.0
 
-    _update_pair(state, 1, _pair_gates([1], [[5]], [[0.0]])[0])
+    _update_pair(state, 1, two_site_gate(0.0))
     assert state.bondDims[2] == 2
     assert state.even[2] == int(np.count_nonzero(kept < 2))
     assert state.discardedWeight == pytest.approx(float((values[dropped] ** 2).sum() / (values ** 2).sum()),
@@ -382,7 +383,8 @@ def fold_layout_records(rng, pairs, mirrored, zero_block):
 
 
 def fold_result(records, n_sites):
-    return FoldResult(rotations=np.rec.fromrecords(records, dtype=ROTATION_DTYPE), rDiag=np.ones(n_sites),
+    """The records regrouped into blocks by the reader of dumped folds."""
+    return FoldResult(blocks=blocks_from_records(records), rDiag=np.ones(n_sites),
                       signs=np.ones(n_sites, dtype=int), sites=np.arange(1, n_sites + 1), residual=0.0)
 
 
@@ -428,7 +430,8 @@ def test_every_update_finds_the_center_on_its_pair(monkeypatch):
     assert sol.foldResult.sites.tolist() == [1, 6, 2, 5, 3, 4]
 
 
-# records in application order: the blocks of pairs 0, 1, 2 from one left-pinned row, replayed as 2, 1, 0
+# records in application order: the blocks of pairs 0, 1, 2 from one left-pinned row, replayed as
+# 2, 1, 0.  The reader of dumped records refuses the first three, the replay the blocks of the rest.
 @pytest.mark.parametrize("edit, message", [
     (lambda recs: recs[:-1], "blocks of 5"),
     (lambda recs: recs + recs[:2], "blocks of 5"),
