@@ -219,7 +219,7 @@ class RunConfig:
         setattr(self, name, value)
 
     def load_file(self, path: str, command: str) -> None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 whatever the locale
             try:
                 doc = json.load(fh)
             except ValueError as exc:  # bad JSON, or bytes that are not UTF-8

@@ -7,11 +7,12 @@ rows onto the rightmost, so the free sites stay one contiguous run.  Inside
 a pair three U-rotations strip the complex phases and two V-rotations push
 the real parts off the far site's two columns, all inside the pair's four
 columns.  Closure then pins the surviving pair to a single fermionic mode,
-after which the pinned site's columns can be zeroed in every lower row
-(nilpotency).  Each cleared site pair leaves one block of five angles; in
-application order the blocks define the bundled transformation whose inverse
-rebuilds the stationary state, each replays as one two-site gate, and
-reversed, the rows alternate between ascending and descending staircases.
+which never acts again in a lower row (nilpotency), so each row is cleared
+inside the live block: the rows not yet closed, on the free sites.  Each
+cleared site pair leaves one block of five angles; in application order the
+blocks define the bundled transformation whose inverse rebuilds the
+stationary state, each replays as one two-site gate, and reversed, the rows
+alternate between ascending and descending staircases.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ BLOCK_DTYPE = np.dtype([("pair", np.int64), ("mirrored", bool), ("angles", np.fl
 @dataclass(frozen=True)
 class FoldResult:
     """Site-pair blocks (read-only record array of BLOCK_DTYPE, application order; row l
-    contributes the next 2N - l), per-row weights, closure signs and pinned sites (1-based)."""
+    contributes the next 2N - l), per-row weights, closure signs, pinned sites (1-based),
+    and the largest entry any row keeps on its other free sites, read as that row closes."""
 
     blocks: np.recarray
     rDiag: np.ndarray
@@ -99,13 +101,12 @@ def eliminate_pair(W: np.ndarray, l: int, k: int) -> list:
 
 
 def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAULT) -> int:
-    """Return the sign s with W[l][2s-1] = s*i*W[l][2s] on row l's pinned site, or raise,
-    then zero that site's columns in the rows below in place.
+    """Return the sign s with W[l][2s-1] = s*i*W[l][2s] on row l's pinned site, or raise.
 
     Row self-orthogonality forces the pair (a, b) to obey a^2 + b^2 = 0.
-    Zeroing is exact, not approximate: once row l creates its mode, the same
-    pair can never act again in lower rows (fermionic nilpotency), so their
-    coefficients there are irrelevant.
+    W is only read: once row l creates its mode, the same pair can never act
+    again in lower rows (fermionic nilpotency), so their coefficients there
+    are irrelevant and the fold leaves them where they are.
     """
     a, b = W[l - 1, 2 * site - 2], W[l - 1, 2 * site - 1]
     err_plus, err_minus = abs(a - 1j * b), abs(a + 1j * b)
@@ -114,63 +115,50 @@ def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAU
             f"row pair ({a:.3e}, {b:.3e}) violates closure by "
             f"{min(err_plus, err_minus):.3e} (tolerance {eps_fold:.3e})"
         )
-    W[l:, 2 * site - 2:2 * site] = 0.0
     return 1 if err_plus <= err_minus else -1
-
-
-def _pattern_residual(W: np.ndarray, sites: np.ndarray) -> float:
-    """Largest magnitude outside each row's pinned-site columns."""
-    mask = np.ones(W.shape, dtype=bool)
-    for row, site in enumerate(sites.tolist()):
-        mask[row, 2 * site - 2:2 * site] = False
-    return float(np.abs(W[mask]).max(initial=0.0))
 
 
 def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:
     """Reduce the full stack, recording every site pair's block (zero angles included).
 
     One loop clears and closes every row in order, odd rows onto the leftmost
-    free site and even rows onto the rightmost; row 2N finds one free site
-    left and no pair to clear.  A row's pair k (1-based) gives the block
-    (k-1, plain, angles), or, for an even row cleared on the column-reversed
-    view, (2N-1-k, mirrored, -angles) on the stack.  The sign of a
-    right-pinned row is read on the unreversed columns, so an interior one
+    free site lo and even rows onto the rightmost hi; row 2N finds one free
+    site left and no pair to clear.  Row l is cleared inside the live block,
+    the rows l..2N on the columns of sites lo..hi, so a closed row's site
+    simply leaves it.  An odd row's pair k (1-based, within the block) gives
+    the block (lo-2+k, plain, angles); an even row is cleared on the block's
+    column-reversed view and gives (hi-1-k, mirrored, -angles).  The sign of
+    a right-pinned row is read on the unreversed columns, so an interior one
     closes -1.  rDiag stores the magnitude of each row's pinned weight: the
     rotations leave an interior row's weight real and positive, while row 2N
-    may keep a phase that no rotation removes.
+    may keep a phase that no rotation removes.  residual is the largest entry
+    any row keeps on its other free sites, read as that row closes.
     """
     N = stack.N
     W = np.array(stack.R, dtype=complex)
-    mirror = W[:, ::-1]
     blocks = []
     rDiag = np.zeros(2 * N)
     signs = np.zeros(2 * N, dtype=int)
     sites = np.zeros(2 * N, dtype=int)
+    residual = 0.0
     lo, hi = 1, 2 * N  # the free sites
 
     for l in range(1, 2 * N + 1):
-        if l % 2:
-            view, first, last, site = W, lo, hi, lo
-            lo += 1
-        else:
-            view, first, last, site = mirror, 2 * N + 1 - hi, 2 * N + 1 - lo, hi
-            hi -= 1
-        for k in range(last - 1, first - 1, -1):
-            angles = eliminate_pair(view, l, k)
-            blocks.append((k - 1, False, angles) if l % 2 else (2 * N - 1 - k, True, [-t for t in angles]))
-        rDiag[l - 1] = abs(view[l - 1, 2 * first - 1])
+        odd = l % 2 == 1
+        live = W[l - 1:, 2 * lo - 2:2 * hi]
+        view = live if odd else live[:, ::-1]
+        for k in range(hi - lo, 0, -1):
+            angles = eliminate_pair(view, 1, k)
+            blocks.append((lo - 2 + k, False, angles) if odd else (hi - 1 - k, True, [-t for t in angles]))
+        rDiag[l - 1] = abs(view[0, 1])
         if rDiag[l - 1] < eps_fold:
             raise ClosureViolation(f"row {l} weight {rDiag[l - 1]:.3e} below {eps_fold:.3e}")
+        residual = max(residual, float(np.abs(view[0, 2:]).max(initial=0.0)))
+        site = sites[l - 1] = lo if odd else hi
         signs[l - 1] = close_row(W, l, site, eps_fold)
-        sites[l - 1] = site
+        lo, hi = (lo + 1, hi) if odd else (lo, hi - 1)
 
     blocks = np.rec.fromrecords(blocks, dtype=BLOCK_DTYPE)
     for arr in (blocks, rDiag, signs, sites):
         arr.setflags(write=False)
-    return FoldResult(
-        blocks=blocks,
-        rDiag=rDiag,
-        signs=signs,
-        sites=sites,
-        residual=_pattern_residual(W, sites),
-    )
+    return FoldResult(blocks=blocks, rDiag=rDiag, signs=signs, sites=sites, residual=residual)

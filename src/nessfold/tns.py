@@ -254,7 +254,7 @@ def normalize_vacuum(state: TensorState) -> complex:
 
 def dense_coefficients(state: TensorState) -> np.ndarray:
     """Full 2^sites coefficient vector, big-endian (site 1 = most significant bit)."""
-    arr = state.tensors[0]
-    for t in state.tensors[1:]:
+    arr, *rest = state.tensors
+    for t in rest:
         arr = np.tensordot(arr, t, axes=([arr.ndim - 1], [0]))
     return np.asarray(arr).reshape(2 ** state.sites)

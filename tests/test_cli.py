@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nessfold
 from nessfold import cli
 from nessfold.cli import (
     BASE_COLUMNS,
@@ -255,6 +260,19 @@ def test_config_error_paths(capsys, tmp_path):
     bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
     code, out, err = run_cli(capsys, ["ness", "--config", str(bad)])
     assert code == EXIT_USAGE and out == "" and "numerical failure" not in err
+
+
+def test_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    cfg = tmp_path / "accented.json"
+    cfg.write_bytes('{"N": 3, "format": "csv\u00e9"}'.encode("utf-8"))
+    src = str(Path(nessfold.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "nessfold", "ness", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    # refused for its value, not as JSON the locale's codec cannot decode
+    assert done.returncode == EXIT_USAGE and done.stdout == ""
+    assert "format must be csv or json" in done.stderr and "not valid JSON" not in done.stderr
 
 
 # ---------------------------------------------------------------- output

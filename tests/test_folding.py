@@ -139,11 +139,13 @@ def test_interior_rows_close_with_sign_plus_one(n):
     onto the rightmost free site; read on the stack's own columns, it closes -1."""
     W = genuine_stack(n=n).R.copy()
     rows, lo, hi = 2 * n, 1, 2 * n
+    kept = []  # each row's largest entry on its other free sites, once its pairs are cleared
     for l in range(1, rows):
         mirrored = l % 2 == 0
         V, first, last = (W[:, ::-1], rows + 1 - hi, rows + 1 - lo) if mirrored else (W, lo, hi)
         for k in range(last - 1, first - 1, -1):
             eliminate_pair(V, l, k)
+        kept.append(np.abs(V[l - 1, 2 * first:2 * last]).max())
         assert V[l - 1, 2 * first - 2].imag >= 0 and V[l - 1, 2 * first - 1].real > 0
         assert abs(V[l - 1, 2 * first - 1].imag) < 1e-14
         assert close_row(V, l, first) == 1
@@ -152,6 +154,8 @@ def test_interior_rows_close_with_sign_plus_one(n):
     result = fold(genuine_stack(n=n))
     assert result.signs[:-1].tolist() == [1 if l % 2 else -1 for l in range(1, rows)]
     assert result.sites.tolist() == zigzag_sites(n)
+    # the residual is the largest leftover of any row as it closes, later rotations aside
+    assert result.residual == max(kept)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -167,20 +171,22 @@ def test_close_row_signs():
     Wp = np.zeros((2, 4), dtype=complex)
     Wp[0, 0] = 0.4j
     Wp[0, 1] = 0.4
-    Wp[1, 0] = 7.0  # must be zeroed
+    Wp[1, 0] = 7.0  # a lower row on the pinned site, left as it is
     Wm = Wp.copy()
+    before = Wp.copy()
     assert close_row(Wp, 1, 1) == 1
-    assert Wp[1, 0] == 0.0
+    np.testing.assert_array_equal(Wp, before)
 
     Wm[0, 0] = -0.4j
     assert close_row(Wm, 1, 1) == -1
 
-    # closure and zeroing act on the site given, not on the row's index
+    # closure acts on the site given, not on the row's index, and writes nothing
     Ws = np.zeros((2, 4), dtype=complex)
     Ws[0, 2:] = [-0.4j, 0.4]
     Ws[1] = 7.0
+    before = Ws.copy()
     assert close_row(Ws, 1, 2) == -1
-    np.testing.assert_array_equal(Ws[1], [7.0, 7.0, 0.0, 0.0])
+    np.testing.assert_array_equal(Ws, before)
 
 
 def test_close_row_rejects_non_isotropic_pair():
