@@ -208,14 +208,15 @@ class RunConfig:
         for s in _SETTINGS:
             setattr(self, s.name, s.default)
 
-    def _set(self, name: str, value) -> None:
-        s = _BY_NAME[name]
+    def _set(self, name: str, value, spelled: str | None = None) -> None:
+        """Cast and store one setting; errors name it as its input spelled it, by default name."""
+        s, spelled = _BY_NAME[name], spelled or name
         try:
             value = s.cast(value)
         except (TypeError, ValueError, OverflowError) as exc:  # a sweep too long to count overflows
-            raise _UsageError(f"bad value {value!r} for {name}: {exc}") from exc
+            raise _UsageError(f"bad value {value!r} for {spelled}: {exc}") from exc
         if s.choices and value not in s.choices:
-            raise _UsageError(f"{name} must be {' or '.join(s.choices)}, got {value!r}")
+            raise _UsageError(f"{spelled} must be {' or '.join(s.choices)}, got {value!r}")
         setattr(self, name, value)
 
     def load_file(self, path: str, command: str) -> None:
@@ -227,20 +228,21 @@ class RunConfig:
         if not isinstance(doc, dict):
             raise _UsageError(f"config {path} must hold a JSON object")
         for key, value in doc.items():
+            name, spelled = key, key
             if key in ("w", "mu") and isinstance(value, dict):  # a sweep object spells a range
-                key += "_range"
+                name, spelled = key + "_range", key + " sweep"
             elif key not in _BY_NAME or _BY_NAME[key].group == "grid":
                 raise _UsageError(f"unknown config key {key!r}")
-            s = _BY_NAME[key]
+            s = _BY_NAME[name]
             if s.group not in _COMMANDS[command][1]:
                 *rest, last = [c for c, (_, groups, _) in _COMMANDS.items() if s.group in groups]
                 takers = f"{', '.join(rest)} and {last} take" if rest else f"{last} takes"
-                raise _UsageError(f"{command} takes no {key}; only {takers} it")
+                raise _UsageError(f"{command} takes no {spelled}; only {takers} it")
             # the casts also read flag text, so a number spelled as a string stops here
             inner = value.values() if type(value) is dict else value if type(value) is list else ()
             if s.cast is not string and any(isinstance(v, str) for v in (value, *inner)):
-                raise _UsageError(f"bad value {value!r} for {key}: a number spelled as a string")
-            self._set(key, value)
+                raise _UsageError(f"bad value {value!r} for {spelled}: a number spelled as a string")
+            self._set(name, value, spelled)
 
     def apply_flags(self, args: argparse.Namespace) -> None:
         for name in _BY_NAME:

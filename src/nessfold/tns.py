@@ -17,6 +17,14 @@ entry (a, b) of a site's tensor is then fixed, p = parity(a) xor parity(b),
 so each site is stored as one (left bond, right bond) matrix and each parity
 sector of a bond is a plain slice of it.  Two-site updates factorize each
 sector on its own.
+
+Each update factorizes both sectors in one batched SVD, except where the
+maxChi cap can bind: there the kept singular values usually sit far above
+sqrt(eps) of the largest, and one batched eigensolve of the sectors' Gram
+matrices (the reduced-density-matrix route of DMRG) gives the same
+truncation for less work.  The Gram matrix squares the condition number, so
+a block that keeps a value below GRAM_FLOOR times its largest, or whose
+eigensolve fails, goes through the SVD instead.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ from .folding import _PAIR_STEPS, FoldResult
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
+# relative floor on every value the Gram route keeps: the Gram matrix squares the condition
+# number, so singular values below about sqrt(eps) times the largest are not resolved
+GRAM_FLOOR = 1e-6
 
 
 def _physical(M: np.ndarray, even_left: int, even_right: int) -> np.ndarray:
@@ -148,21 +159,92 @@ def _pair_gates(mirrored, thetas) -> np.ndarray:
     return g[:, pa ^ pb, pa ^ x, pa ^ q]
 
 
+def _kept(state: TensorState, s: np.ndarray) -> tuple:
+    """Vectors (k0, k1) each cut sector keeps, given its values sorted in descending order.
+
+    Each sector keeps its values above truncTol times the larger top one; when
+    the maxChi cap binds, or no value passes and one vector is kept anyway,
+    both sectors are ranked together, sector 0 first on ties.
+    """
+    k0, k1 = (s > state.truncTol * max(s[0, 0], s[1, 0])).sum(axis=1).tolist()
+    keep = max(k0 + k1, 1)
+    if state.maxChi > 0:
+        keep = min(keep, state.maxChi)
+    if keep != k0 + k1:
+        k0 = int(np.count_nonzero(np.argsort(-s.ravel(), kind="stable")[:keep] < s.shape[1]))
+        k1 = keep - k0
+    return k0, k1
+
+
+def _svd_split(state: TensorState, T: np.ndarray, center_left: bool) -> tuple:
+    """Truncated factors of both cut sectors T (2, a, c) from one batched SVD: the values s,
+    the kept counts (k0, k1), and each sector's kept left and right factors, the singular
+    values folded into the left ones with center_left and into the right ones otherwise."""
+    U, s, Vh = _robust_svd(T)
+    k0, k1 = _kept(state, s)
+    if center_left:
+        U *= s[:, None, :]
+    else:
+        Vh *= s[:, :, None]
+    return s, k0, k1, (U[0, :, :k0], U[1, :, :k1]), (Vh[0, :k0], Vh[1, :k1])
+
+
+def _gram_split(state: TensorState, T: np.ndarray, center_left: bool):
+    """_svd_split's factors from one batched eigensolve of the sectors' Gram matrices on the
+    smaller side, T T^H when a <= c and T^H T otherwise, or None where that cannot resolve
+    every kept value: the eigenvalues are the squared singular values and the eigenvectors the
+    singular vectors of that side.  The other side's factor is one product with T, restricted
+    to the kept vectors; it already carries the singular values, and is divided by them only
+    where they belong to the eigenvectors' side.
+    """
+    wide = T.shape[1] <= T.shape[2]
+    H = T.conj().swapaxes(1, 2)
+    try:
+        lam, vecs = np.linalg.eigh(T @ H if wide else H @ T)
+    except np.linalg.LinAlgError:
+        return None
+    s = np.sqrt(np.maximum(lam[:, ::-1], 0.0))  # eigh sorts ascending; roundoff can dip below 0
+    k0, k1 = _kept(state, s)
+    floor = GRAM_FLOOR * max(s[0, 0], s[1, 0])
+    if any(k and s[q, k - 1] <= floor for q, k in enumerate((k0, k1))):
+        return None
+    lefts, rights = [], []
+    for q, k in enumerate((k0, k1)):
+        V, sk = vecs[q, :, ::-1][:, :k], s[q, :k]
+        if wide:  # V holds left vectors: V^H T is the right factor times s
+            left, right = V, V.conj().T @ T[q]
+            if center_left:
+                left, right = left * sk, right / sk[:, None]
+        else:  # V holds right vectors: T V is the left factor times s
+            left, right = T[q] @ V, V.conj().T
+            if not center_left:
+                left, right = left / sk, right * sk[:, None]
+        lefts.append(left)
+        rights.append(right)
+    return s, k0, k1, lefts, rights
+
+
 def _update_pair(state: TensorState, j: int, gate: np.ndarray, center_left: bool = False) -> None:
     """Apply a parity-preserving two-site unitary, given as one block of _pair_gates, to sites
-    (j, j+1) in place and split the result by one batched SVD.
+    (j, j+1) in place and split the result by one batched factorization.
 
     The gate conserves parity, so the two-site block splits into one a x c
     matrix per parity of the cut; the gate mixes the two entrywise, with a
     2x2 mix for each pair of bond parities.  Both are factorized in one
-    batched SVD and truncated together: each sector keeps its singular values
-    above truncTol times the larger top one, and when the maxChi cap binds the
-    sectors are ranked together, sector 0 first on ties.  The singular values
-    go to site j+1, or to site j with center_left, and the other site keeps
-    the orthonormal factor, so the orthogonality center ends on that site.
+    batched call and truncated together (_kept).  The singular values go to
+    site j+1, or to site j with center_left, and the other site keeps the
+    orthonormal factor, so the orthogonality center ends on that site.
     Truncation against the local singular values is only optimal when the
     center sits on the pair; apply_inverse_sequence keeps that invariant,
     direct callers are responsible for their own gauge.
+
+    The factorization is one SVD, except where the maxChi cap can bind
+    (2 min(a, c) > maxChi): there it is the cheaper eigensolve of the
+    sectors' Gram matrices (_gram_split), the reduced-density-matrix route
+    of DMRG.  Squaring the condition number leaves values below about
+    sqrt(eps) times the largest unresolved, so that route is taken only when
+    every kept value stays above GRAM_FLOOR times the largest; otherwise,
+    and when the eigensolve fails, the same block goes through the SVD.
     """
     if not 0 <= j < state.sites - 1:
         raise ValueError(f"pair ({j + 1},{j + 2}) outside chain of {state.sites}")
@@ -176,28 +258,19 @@ def _update_pair(state: TensorState, j: int, gate: np.ndarray, center_left: bool
     mix = gate.repeat((even_a, a - even_a), axis=2).repeat((even_c, c - even_c), axis=3)
     mix *= M
     np.add(mix[0], mix[1], out=M[:, 0])
-    del mix  # twice the sectors' size: freed so that it does not add to the SVD's peak memory
-    U, s, Vh = _robust_svd(M[:, 0])
-    # each sector comes back sorted, so the values it keeps are a prefix
-    k0, k1 = (s > state.truncTol * max(s[0, 0], s[1, 0])).sum(axis=1).tolist()
-    keep = max(k0 + k1, 1)
-    if state.maxChi > 0:
-        keep = min(keep, state.maxChi)
-    if keep != k0 + k1:
-        # the cap or the floor of one vector binds: rank both sectors together, sector 0 first on ties
-        k0 = int(np.count_nonzero(np.argsort(-s.ravel(), kind="stable")[:keep] < s.shape[1]))
-        k1 = keep - k0
+    del mix  # twice the sectors' size: freed so that it does not add to the factorization's peak memory
+    split = None
+    if state.maxChi > 0 and 2 * min(a, c) > state.maxChi:
+        split = _gram_split(state, M[:, 0], center_left)
+    s, k0, k1, lefts, rights = split or _svd_split(state, M[:, 0], center_left)
+    keep = k0 + k1
     if keep < s.size:
         s0, s1 = s
         total = float(np.dot(s0, s0) + np.dot(s1, s1))
         if total > 0:
             state.discardedWeight += float(np.dot(s0[k0:], s0[k0:]) + np.dot(s1[k1:], s1[k1:])) / total
-    if center_left:
-        U *= s[:, None, :]
-    else:
-        Vh *= s[:, :, None]
-    state.matrices[j] = np.concatenate((U[0, :, :k0], U[1, :, :k1]), axis=1)
-    state.matrices[j + 1] = np.concatenate((Vh[0, :k0], Vh[1, :k1]))
+    state.matrices[j] = np.concatenate(lefts, axis=1)
+    state.matrices[j + 1] = np.concatenate(rights)
     state.even[j + 1] = k0
     state.maxBondSeen = max(state.maxBondSeen, keep)
 

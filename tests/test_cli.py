@@ -241,7 +241,20 @@ def test_ness_rejects_sweep_config(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"w": {"start": 0.0, "stop": 1.0}}))
     code, _, err = run_cli(capsys, ["ness", "--config", str(cfg)])
-    assert code == EXIT_USAGE and "phase-grid" in err
+    assert code == EXIT_USAGE
+    assert "ness takes no w sweep; only phase-grid takes it" in err
+
+
+@pytest.mark.parametrize("sweep, reason", [
+    ({"start": 0, "stop": 1, "stpe": 0.5}, "a sweep holds start, stop and an optional step"),
+    ({"start": "0", "stop": 1}, "a number spelled as a string"),
+], ids=["stray-key", "string-number"])
+def test_config_sweep_errors_name_the_sweep_as_configs_spell_it(capsys, tmp_path, sweep, reason):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"mu": sweep}))
+    code, _, err = run_cli(capsys, ["phase-grid", "--sizes", "2", "--config", str(cfg)])
+    assert code == EXIT_USAGE
+    assert f"bad value {sweep!r} for mu sweep: {reason}" in err
 
 
 def test_config_error_paths(capsys, tmp_path):

@@ -217,6 +217,6 @@ def test_config_keys_are_the_settings_a_subcommand_takes(tmp_path):
             with pytest.raises(_UsageError) as exc:
                 cfg.load_file(str(path), command)
             refused, takers = str(exc.value).split("; only ")
-            assert refused == f"{command} takes no {s.name}"
+            assert refused == f"{command} takes no {key if key == s.name else key + ' sweep'}"
             named = set(re.split(", | and ", takers.removesuffix(" takes it").removesuffix(" take it")))
             assert named == {c for c, g in COMMAND_GROUPS.items() if s.group in g}, takers

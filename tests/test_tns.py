@@ -447,3 +447,139 @@ def test_replay_refuses_records_outside_the_fold_layout(edit, message):
     with pytest.raises(ValueError, match=message):
         apply_inverse_sequence(state, fold_result(edit(records), 4))
     assert state.bondDims == [1] * 5
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the numpy.linalg.eigh calls made while the test runs."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def raise_from_eigh(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+
+
+def sector_state(rng, a, c, values, max_chi=16):
+    """Four sites whose pair (1, 2) has seeded a x c cut sectors with the given singular values,
+    the even ones at even positions of `values`, the odd ones at odd positions: sector q's block
+    is U_q diag(values[q::2]) V_q over its half of bond 2, for random isometries U_q and V_q."""
+    values = np.asarray(values, dtype=float)
+    mid = len(values)
+
+    def isometry(rows, cols):
+        return np.linalg.qr(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))[0]
+
+    L = np.hstack([isometry(a, mid // 2) for _ in range(2)])
+    R = np.vstack([values[q::2, None] * isometry(c, mid // 2).conj().T for q in range(2)])
+    matrices = [rng.normal(size=(1, a)) + 0j, L, R, rng.normal(size=(c, 1)) + 0j]
+    return TensorState(matrices=matrices, even=[1, a // 2, mid // 2, c // 2, 1], maxChi=max_chi)
+
+
+def copy_state(state, **changes):
+    return TensorState(**{**vars(state), "matrices": [M.copy() for M in state.matrices],
+                          "even": list(state.even), **changes})
+
+
+def svd_reference(state):
+    """Sector blocks of pair (1, 2) truncated by the maxChi cap from np.linalg.svd of each: the
+    kept count of sector 0, each sector's truncated block and the discarded weight."""
+    L, R, mid = state.matrices[1], state.matrices[2], state.even[2]
+    U, s, Vh = np.linalg.svd(np.stack((L[:, :mid] @ R[:mid], L[:, mid:] @ R[mid:])), full_matrices=False)
+    kept = np.argsort(-s.ravel(), kind="stable")[:state.maxChi]
+    ks = (int(np.count_nonzero(kept < s.shape[1])), int(np.count_nonzero(kept >= s.shape[1])))
+    blocks = [(U[q, :, :k] * s[q, :k]) @ Vh[q, :k] for q, k in enumerate(ks)]
+    weight = sum(float((s[q, k:] ** 2).sum()) for q, k in enumerate(ks)) / float((s ** 2).sum())
+    return ks[0], blocks, weight
+
+
+def assert_same_state(state, reference):
+    """Bonds, bookkeeping and site matrices equal bit for bit; the truncation settings may differ."""
+    assert state.even == reference.even
+    assert state.maxBondSeen == reference.maxBondSeen
+    assert state.discardedWeight == reference.discardedWeight
+    for M, expected in zip(state.matrices, reference.matrices):
+        np.testing.assert_array_equal(M, expected)
+
+
+@pytest.mark.parametrize("center_left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("a, c", [(12, 12), (20, 12), (12, 20)], ids=["square", "tall", "wide"])
+def test_at_cap_blocks_factor_through_the_gram_eigensolve(eigh_calls, a, c, center_left):
+    """Where the cap binds, one eigensolve of the Gram matrices on the smaller side truncates both
+    sectors as the SVD does: the same kept vectors per sector, product and discarded weight, with
+    the orthonormal factor on the site that does not take the singular values."""
+    rng = np.random.default_rng(a + c + center_left)
+    state = sector_state(rng, a, c, np.sort(10 ** rng.uniform(-3, 0, 24))[::-1])
+    k0, blocks, weight = svd_reference(state)
+    _update_pair(state, 1, two_site_gate(0.0), center_left=center_left)
+    assert eigh_calls == [(2, min(a, c), min(a, c))]
+    assert (state.even[2], state.maxBondSeen, state.bondDims[2]) == (k0, 16, 16)
+    L, R = state.matrices[1:3]
+    for q, (cols, expected) in enumerate(zip((slice(None, k0), slice(k0, None)), blocks)):
+        product = L[:, cols] @ R[cols]
+        assert np.linalg.norm(product - expected) <= 1e-10 * np.linalg.norm(expected), q
+    assert state.discardedWeight == pytest.approx(weight, rel=1e-10, abs=0)
+    left, right = state.tensors[1:3]
+    assert is_right_orthonormal(right) == center_left
+    assert is_left_orthonormal(left) != center_left
+
+
+def cut_between_16th_and_17th(values):
+    """A relative cutoff that keeps exactly the 16 largest values, so that an uncapped update
+    keeps what a cap of 16 does."""
+    ranked = np.sort(values)[::-1]
+    return float(np.sqrt(ranked[15] * ranked[16]) / ranked[0])
+
+
+@pytest.mark.parametrize("center_left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("case", ["floor", "eigh-fails"])
+def test_gram_route_falls_back_to_the_svd_bit_for_bit(monkeypatch, eigh_calls, case, center_left):
+    """A kept value at or below GRAM_FLOOR times the largest, which the Gram matrix cannot
+    resolve, or an eigensolve that fails sends the same block through the SVD path: the result
+    is that of an uncapped update cut at the same place."""
+    rng = np.random.default_rng(7)
+    decades = {"floor": 11.0, "eigh-fails": 3.0}[case]  # from the largest value to the smallest
+    values = 10 ** -np.linspace(0, decades, 24)
+    assert (values[15] <= tns.GRAM_FLOOR * values[0]) == (case == "floor")
+    state = sector_state(rng, 12, 12, values)
+    reference = copy_state(state, maxChi=0, truncTol=cut_between_16th_and_17th(values))
+    _update_pair(reference, 1, two_site_gate(0.0), center_left=center_left)
+    assert eigh_calls == []
+    if case == "eigh-fails":
+        raise_from_eigh(monkeypatch)
+    _update_pair(state, 1, two_site_gate(0.0), center_left=center_left)
+    assert len(eigh_calls) == (case == "floor")
+    assert_same_state(state, reference)
+
+
+@pytest.mark.parametrize("max_chi, calls", [(0, 0), (24, 0), (23, 1)],
+                         ids=["uncapped", "cannot-bind", "can-bind"])
+def test_gram_route_runs_only_where_the_cap_can_bind(eigh_calls, max_chi, calls):
+    """Two 12 x 12 sectors hold 24 values: a cap of 24 or none cannot bind, 23 can."""
+    state = sector_state(np.random.default_rng(2), 12, 12, 10 ** -np.linspace(0, 3, 24), max_chi=max_chi)
+    _update_pair(state, 1, two_site_gate(0.4))
+    assert len(eigh_calls) == calls
+
+
+@pytest.mark.parametrize("N, w, mu", [(8, 0.5, 2.0), (10, 1.5, 0.2)])
+def test_capped_solve_agrees_with_its_svd_only_replay(monkeypatch, eigh_calls, N, w, mu):
+    """A capped solve whose at-cap blocks go through the Gram eigensolve reads the same answer
+    as the same solve with every eigensolve failing over to the SVD."""
+    params, baths = KitaevParams(N=N, w=w, mu=mu, delta=1.0), EndBathParams(gamma21=1.0, gamma22=1.0)
+    gram = solve_end_bath(params, baths, max_chi=16)
+    assert eigh_calls
+    raise_from_eigh(monkeypatch)
+    svd = solve_end_bath(params, baths, max_chi=16)
+    assert gram.report.eec == pytest.approx(svd.report.eec, rel=1e-9, abs=0)
+    np.testing.assert_allclose(gram.report.occupancy, svd.report.occupancy, rtol=0, atol=1e-12)
+    assert gram.state.bondDims == svd.state.bondDims
+    assert gram.report.maxBond == svd.report.maxBond == 16
