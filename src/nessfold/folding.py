@@ -80,24 +80,42 @@ def eliminate_pair(W: np.ndarray, l: int, k: int) -> list:
     atan2(Re b, Re a) on the now real columns.  After the row's last pair,
     site k's column 2k-1 keeps a nonnegative imaginary part and column 2k a
     nonnegative real one, which is the gauge that closes the row with sign +1
-    on W's own column order.  The five angles come
-    from row l's four entries as scalars and reach every row as one 4x4
-    orthogonal product.  Returns the angles in _PAIR_STEPS order.
+    on W's own column order.  The five angles come from row l's four entries
+    as scalars, the steps of _PAIR_STEPS unrolled.  Their product, the pair's
+    4x4 orthogonal matrix, is written out in closed form: each entry is the
+    product that rotating the identity step by step forms, factor for factor
+    and in the same order, less its exact 0 and 1 factors, so the result is
+    bit for bit that of the step-by-step update.  It reaches every row of the
+    four columns in one in-place matmul.  Returns the angles in _PAIR_STEPS
+    order.
     """
-    c0 = 2 * k - 2
-    x = W[l - 1, c0:c0 + 4].tolist()
-    Q = [[float(i == j) for j in range(4)] for i in range(4)]
-    angles = []
-    for i, kind in _PAIR_STEPS:
-        a, b = x[i], x[i + 1]
-        theta = atan2(b.imag, a.imag) if kind == "U" else atan2(b.real, a.real)
-        c, s = cos(theta), sin(theta)
-        x[i], x[i + 1] = a * c + b * s, b * c - a * s
-        for q in Q:
-            q[i], q[i + 1] = q[i] * c + q[i + 1] * s, q[i + 1] * c - q[i] * s
-        angles.append(theta)
-    W[:, c0:c0 + 4] = W[:, c0:c0 + 4] @ np.array(Q)
-    return angles
+    cols = W[:, 2 * k - 2:2 * k + 2]
+    x0, x1, x2, x3 = cols[l - 1].tolist()
+    t1 = atan2(x3.imag, x2.imag)  # U on local columns (2, 3)
+    c1, s1 = cos(t1), sin(t1)
+    x2, x3 = x2 * c1 + x3 * s1, x3 * c1 - x2 * s1
+    t2 = atan2(x2.imag, x1.imag)  # U on (1, 2)
+    c2, s2 = cos(t2), sin(t2)
+    x1, x2 = x1 * c2 + x2 * s2, x2 * c2 - x1 * s2
+    t3 = atan2(x1.imag, x0.imag)  # U on (0, 1)
+    c3, s3 = cos(t3), sin(t3)
+    x1 = x1 * c3 - x0 * s3
+    t4 = atan2(x3.real, x2.real)  # V on (2, 3)
+    c4, s4 = cos(t4), sin(t4)
+    x2 = x2 * c4 + x3 * s4
+    t5 = atan2(x2.real, x1.real)  # V on (1, 2)
+    c5, s5 = cos(t5), sin(t5)
+    c1c2, s1c2, c1s2, s1s2, c2c3, s2c4 = c1 * c2, s1 * c2, c1 * s2, s1 * s2, c2 * c3, s2 * c4
+    c1s2c3, s1s2c3 = c1s2 * c3, s1s2 * c3
+    r2, r3 = c1c2 * c4 - s1 * s4, s1c2 * c4 + c1 * s4  # rows 2 and 3 of column 2 before step 5
+    # complex, so that matmul casts nothing; the cast of a real entry is exact
+    Q = np.array((c3, -s3 * c5, s3 * s5, 0.0,
+                  c2 * s3, c2c3 * c5 - s2c4 * s5, -s2c4 * c5 - c2c3 * s5, s2 * s4,
+                  c1s2 * s3, c1s2c3 * c5 + r2 * s5, r2 * c5 - c1s2c3 * s5, -s1 * c4 - c1c2 * s4,
+                  s1s2 * s3, s1s2c3 * c5 + r3 * s5, r3 * c5 - s1s2c3 * s5, c1 * c4 - s1c2 * s4),
+                 dtype=complex).reshape(4, 4)
+    np.matmul(cols, Q, out=cols)
+    return [t1, t2, t3, t4, t5]
 
 
 def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAULT) -> int:
@@ -136,7 +154,9 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
     """
     N = stack.N
     W = np.array(stack.R, dtype=complex)
-    blocks = []
+    blocks = np.zeros(N * (2 * N - 1), dtype=BLOCK_DTYPE)
+    angles = blocks["angles"]
+    b = 0  # the next block
     rDiag = np.zeros(2 * N)
     signs = np.zeros(2 * N, dtype=int)
     sites = np.zeros(2 * N, dtype=int)
@@ -147,9 +167,17 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
         odd = l % 2 == 1
         live = W[l - 1:, 2 * lo - 2:2 * hi]
         view = live if odd else live[:, ::-1]
+        first = b
         for k in range(hi - lo, 0, -1):
-            angles = eliminate_pair(view, 1, k)
-            blocks.append((lo - 2 + k, False, angles) if odd else (hi - 1 - k, True, [-t for t in angles]))
+            angles[b] = eliminate_pair(view, 1, k)
+            b += 1
+        row = blocks[first:b]
+        if odd:
+            row["pair"] = np.arange(hi - 2, lo - 2, -1)
+        else:
+            row["pair"] = np.arange(lo - 1, hi - 1)
+            row["mirrored"] = True
+            row["angles"] = -row["angles"]
         rDiag[l - 1] = abs(view[0, 1])
         if rDiag[l - 1] < eps_fold:
             raise ClosureViolation(f"row {l} weight {rDiag[l - 1]:.3e} below {eps_fold:.3e}")
@@ -158,7 +186,7 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
         signs[l - 1] = close_row(W, l, site, eps_fold)
         lo, hi = (lo + 1, hi) if odd else (lo, hi - 1)
 
-    blocks = np.rec.fromrecords(blocks, dtype=BLOCK_DTYPE)
+    blocks = blocks.view(np.recarray)
     for arr in (blocks, rDiag, signs, sites):
         arr.setflags(write=False)
     return FoldResult(blocks=blocks, rDiag=rDiag, signs=signs, sites=sites, residual=residual)

@@ -47,11 +47,14 @@ def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> Liouv
     Raw coefficients are collected as the expansion dictates: the unitary
     part places (1/2) A[2j-1][2k] at positions (4k, 4j-3) and (4j-2, 4k-1);
     each bath channel contributes six quadratic families with real or
-    imaginary prefactors.  The expansion's four other bath families, -B B^T
-    terms at (4j-r, 4k-r), are symmetric and are left out, since the
-    antisymmetrization L'[j][k] = (L[j][k] - L[k][j]) / 2 cancels them.  That
-    step is valid because the Majorana products anticommute, and it leaves a
-    zero diagonal.
+    imaginary prefactors.  The families are sums over channels of outer
+    products of the channels' odd and even B entries, so the channels' B
+    vectors are stacked as rows and each sum is one matrix product; the six
+    families are then added once (none when there is no channel).  The
+    expansion's four other bath families, -B B^T terms at (4j-r, 4k-r), are
+    symmetric and are left out, since the antisymmetrization
+    L'[j][k] = (L[j][k] - L[k][j]) / 2 cancels them.  That step is valid
+    because the Majorana products anticommute, and it leaves a zero diagonal.
     """
     N = H.N
     for ch in baths:
@@ -64,20 +67,20 @@ def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> Liouv
     raw[3::4, 0::4] += A_oe.T / 2.0   # (4k, 4j-3)
     raw[1::4, 2::4] += A_oe / 2.0     # (4j-2, 4k-1)
 
-    # Bath part: six families per channel, summed over all site pairs (j, k).
-    for ch in baths:
-        bo = ch.B[0::2]  # multiplies gamma_{2j-1}
-        be = ch.B[1::2]  # multiplies i gamma_{2j}
-        oo = np.outer(bo, bo)
-        oe = np.outer(bo, be)
-        eo = np.outer(be, bo)
-        ee = np.outer(be, be)
-        raw[0::4, 3::4] += 2j * oe        # (4j-3, 4k)
-        raw[1::4, 2::4] += 2j * oe        # (4j-2, 4k-1)
-        raw[1::4, 0::4] += 2j * oo        # (4j-2, 4k-3)
-        raw[3::4, 2::4] += 2j * ee        # (4j,   4k-1)
-        raw[1::4, 3::4] += 2.0 * oe       # (4j-2, 4k)
-        raw[2::4, 0::4] += 2.0 * eo       # (4j-1, 4k-3)
+    # Bath part: six families, each summed over channels and over all site pairs (j, k).
+    B = np.array([ch.B for ch in baths]).reshape(len(baths), 2 * N)
+    bo = B[:, 0::2]  # multiplies gamma_{2j-1}
+    be = B[:, 1::2]  # multiplies i gamma_{2j}
+    oo = bo.T @ bo
+    oe = bo.T @ be
+    eo = be.T @ bo
+    ee = be.T @ be
+    raw[0::4, 3::4] += 2j * oe        # (4j-3, 4k)
+    raw[1::4, 2::4] += 2j * oe        # (4j-2, 4k-1)
+    raw[1::4, 0::4] += 2j * oo        # (4j-2, 4k-3)
+    raw[3::4, 2::4] += 2j * ee        # (4j,   4k-1)
+    raw[1::4, 3::4] += 2.0 * oe       # (4j-2, 4k)
+    raw[2::4, 0::4] += 2.0 * eo       # (4j-1, 4k-3)
 
     Lmat = (raw - raw.T) / 2.0
     return LiouvillianCoeffs(N=N, Lmat=Lmat, Lscalar=scalar_eigenvalue(baths))

@@ -121,6 +121,10 @@ def _robust_svd(blocks: np.ndarray):
 
 
 _MIX_AXES = np.indices((2, 2, 2, 2))
+# a block's local columns in undo order, last step first, and which of them is the pair's
+# two-site gate (column 1) rather than a phase on one site
+_UNDO_COLUMNS = np.array([i for i, _ in _PAIR_STEPS[::-1]])
+_UNDO_TWO_SITE = (_UNDO_COLUMNS == 1)[:, None, None, None]
 # sign of theta in the phase on each left leg of the two parity blocks, for a phase on the
 # left site and on the right site, which reverses in the odd block: there the right leg is
 # the left one flipped
@@ -141,16 +145,14 @@ def _pair_gates(mirrored, thetas) -> np.ndarray:
     entry [pa^x, pa^q].  Returns G of shape (blocks, 2, 2, 2, 2) with G[b, q, x, pa, pb]
     that entry of the product undoing block b.
     """
-    columns = np.array([i for i, _ in _PAIR_STEPS[::-1]])
     half = -0.5 * np.asarray(thetas, dtype=float)[:, ::-1, None, None, None]
     c, s = np.cos(half), np.sin(half)
-    two = (columns == 1)[:, None, None, None]
-    right = (columns == 2) != np.asarray(mirrored)[:, None]
+    right = (_UNDO_COLUMNS == 2) != np.asarray(mirrored)[:, None]
     # each step is cos + i sin K, K the leg swap X(x)X for the pair's gate and the diagonal of
     # leg signs for a phase, applied as cos g + (i sin) K g with each product rounded on its own:
     # numpy's fused complex multiply rounds differently and moves small eec values by 1e-10
-    swap = np.where(two, 1j * s, 0)
-    phase = np.where(two, 0, 1j * s * _PHASE_SIGNS[right.astype(int)][..., None])
+    swap = np.where(_UNDO_TWO_SITE, 1j * s, 0)
+    phase = np.where(_UNDO_TWO_SITE, 0, 1j * s * _PHASE_SIGNS[right.astype(int)][..., None])
     g = np.zeros((len(right), 2, 2, 2), dtype=complex)
     g[..., [0, 1], [0, 1]] = 1.0
     for cos, sin_swap, sin_phase in zip(*(np.moveaxis(t, 1, 0) for t in (c, swap, phase))):

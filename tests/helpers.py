@@ -1,6 +1,7 @@
-"""Reference operations that only tests need: stack rotations, fold replay, dumped records
-regrouped into blocks, dense and record-by-record rotation gates, Majorana pair
-expectations, mode Majoranas, string expansion."""
+"""Reference operations that only tests need: stack rotations, the step-by-step site-pair
+elimination, fold replay, dumped records regrouped into blocks, the per-channel Liouvillian
+accumulation, dense and record-by-record rotation gates, Majorana pair expectations, mode
+Majoranas, string expansion."""
 
 import math
 
@@ -22,6 +23,27 @@ def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
     out[:, m - 2] = a * c + b * s
     out[:, m - 1] = b * c - a * s
     return out
+
+
+def eliminate_pair_by_steps(W: np.ndarray, l: int, k: int) -> list:
+    """folding.eliminate_pair built step by step, the reference its closed form is checked
+    against bit for bit: each step of _PAIR_STEPS takes its angle from row l's four entries,
+    updates them, and rotates the rows of a 4x4 identity held as nested lists; the built
+    matrix then reaches columns 2k-1..2k+2 of every row in one product."""
+    c0 = 2 * k - 2
+    x = W[l - 1, c0:c0 + 4].tolist()
+    Q = [[float(i == j) for j in range(4)] for i in range(4)]
+    angles = []
+    for i, kind in _PAIR_STEPS:
+        a, b = x[i], x[i + 1]
+        theta = math.atan2(b.imag, a.imag) if kind == "U" else math.atan2(b.real, a.real)
+        c, s = math.cos(theta), math.sin(theta)
+        x[i], x[i + 1] = a * c + b * s, b * c - a * s
+        for q in Q:
+            q[i], q[i + 1] = q[i] * c + q[i + 1] * s, q[i + 1] * c - q[i] * s
+        angles.append(theta)
+    W[:, c0:c0 + 4] = W[:, c0:c0 + 4] @ np.array(Q)
+    return angles
 
 
 def replay(R: np.ndarray, result) -> np.ndarray:
@@ -58,6 +80,27 @@ def blocks_from_records(records) -> np.recarray:
                              f"2j + 2 + {columns.tolist()} and 2j + 4 - {columns.tolist()}")
         blocks.append((pair, mirrored, thetas))
     return np.rec.fromrecords(blocks, dtype=BLOCK_DTYPE)
+
+
+def liouvillian_by_channel(H, baths) -> np.ndarray:
+    """Lmat of liouvillian.build_liouvillian with the bath families added channel by channel,
+    the reference for its one product per family: each channel's six outer products of its
+    odd and even B entries are added to the raw coefficients in turn."""
+    n = 4 * H.N
+    raw = np.zeros((n, n), dtype=complex)
+    A_oe = H.A[0::2, 1::2]
+    raw[3::4, 0::4] += A_oe.T / 2.0
+    raw[1::4, 2::4] += A_oe / 2.0
+    for ch in baths:
+        bo, be = ch.B[0::2], ch.B[1::2]
+        oo, oe, eo, ee = np.outer(bo, bo), np.outer(bo, be), np.outer(be, bo), np.outer(be, be)
+        raw[0::4, 3::4] += 2j * oe
+        raw[1::4, 2::4] += 2j * oe
+        raw[1::4, 0::4] += 2j * oo
+        raw[3::4, 2::4] += 2j * ee
+        raw[1::4, 3::4] += 2.0 * oe
+        raw[2::4, 0::4] += 2.0 * eo
+    return (raw - raw.T) / 2.0
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -3,20 +3,23 @@
 import numpy as np
 import pytest
 
+from nessfold import folding
 from nessfold.exceptions import ClosureViolation
 from nessfold.folding import FoldResult, close_row, eliminate_pair, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import TransferStack, build_stack, decompose, stable_projector
 
-from helpers import replay, rotate_columns
+from helpers import eliminate_pair_by_steps, replay, rotate_columns
 
 BP = EndBathParams(gamma11=0.3, gamma21=1.0, gamma12=0.6, gamma22=1.4)
+FIG1_BP = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)  # the Fig. 1 panels' rates
+GAIN_BP = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
 
 
-def genuine_stack(n=2, w=1.1, mu=0.8, delta=1.0):
+def genuine_stack(n=2, w=1.1, mu=0.8, delta=1.0, baths=BP):
     L = build_liouvillian(build_kitaev(KitaevParams(N=n, w=w, mu=mu, delta=delta)),
-                          end_baths(n, BP))
+                          end_baths(n, baths))
     return build_stack(stable_projector(decompose(L)), n)
 
 
@@ -165,6 +168,41 @@ def test_blocked_pair_update_matches_rotation_by_rotation(n):
     ref = fold_by_rotation(stack.R)
     assert [(m, kind) for m, _, kind in ref] == list(zip(rots.m.tolist(), rots.kind.tolist()))
     np.testing.assert_allclose(rots.theta, [theta for _, theta, _ in ref], rtol=0, atol=1e-14)
+
+
+def fold_by_steps(stack, monkeypatch):
+    """fold with every site pair eliminated by the step-by-step reference."""
+    with monkeypatch.context() as m:
+        m.setattr(folding, "eliminate_pair", eliminate_pair_by_steps)
+        return fold(stack)
+
+
+def assert_same_fold(result, ref):
+    for name in ("blocks", "rDiag", "signs", "sites"):
+        assert np.array_equal(getattr(result, name), getattr(ref, name)), name
+    assert result.residual == ref.residual
+
+
+@pytest.mark.parametrize("baths", [FIG1_BP, GAIN_BP], ids=["fig1-baths", "gain-only"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fold_kernel_matches_the_step_by_step_pair_bit_for_bit(n, baths, monkeypatch):
+    rng = np.random.default_rng(n)
+    stack = genuine_stack(n=n, w=rng.uniform(0.1, 2.0), mu=rng.uniform(0.1, 3.0), baths=baths)
+    assert_same_fold(fold(stack), fold_by_steps(stack, monkeypatch))
+
+
+def test_fold_kernel_keeps_the_signs_of_exact_zeros(monkeypatch):
+    """Exact zeros reach atan2 with their signs, where -0.0 turns a 0 or pi angle into -0 or
+    -pi: on a folded pattern whose zeros are all -0.0 the kernel still matches the reference."""
+    R = canonical_pattern(np.array([0.9, 0.3, 1.7, 0.5, 1.1, 0.7]), np.array([1, -1, 1, -1, 1, -1]))
+    R.real[R.real == 0] = -0.0
+    R.imag[R.imag == 0] = -0.0
+    stack = TransferStack(N=3, R=R)
+    result = fold(stack)
+    assert_same_fold(result, fold_by_steps(stack, monkeypatch))
+    # the signs are what decides: with every zero +0.0 most of those angles are 0, not -pi
+    unsigned = fold(TransferStack(N=3, R=R + 0.0))
+    assert (np.abs(result.blocks.angles) == np.pi).sum() > (np.abs(unsigned.blocks.angles) == np.pi).sum()
 
 
 def test_close_row_signs():

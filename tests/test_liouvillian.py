@@ -13,6 +13,8 @@ from nessfold.model import (
     single_site_bath,
 )
 
+from helpers import liouvillian_by_channel
+
 
 def test_single_channel_hand_value():
     """One annihilation channel at gamma=4 on a dead site pins every family placement."""
@@ -81,3 +83,23 @@ def test_coeffs_shape_validation():
         LiouvillianCoeffs(N=2, Lmat=np.zeros((4, 4)), Lscalar=0.0)
     with pytest.raises(ValueError):
         LiouvillianCoeffs(N=2, Lmat=np.zeros((8, 4)), Lscalar=0.0)
+
+
+def test_one_product_per_family_matches_the_per_channel_sum():
+    """Six channels: both kinds on each end site, one of them repeated, and one in the bulk."""
+    n = 4
+    H = build_kitaev(KitaevParams(N=n, w=1.3, mu=0.8, delta=0.6))
+    chans = [single_site_bath(n, 1, "annihilation", 1.3), single_site_bath(n, 1, "creation", 2.2),
+             single_site_bath(n, n, "annihilation", 3.4), single_site_bath(n, n, "creation", 4.1),
+             single_site_bath(n, 1, "creation", 2.2), single_site_bath(n, 2, "annihilation", 0.7)]
+    np.testing.assert_allclose(build_liouvillian(H, chans).Lmat, liouvillian_by_channel(H, chans),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_gain_only_end_channels_match_the_per_channel_sum_exactly(n):
+    """Two channels' terms add the same in either grouping, and from N = 2 on the two gain
+    channels share no entry at all, so the sums are exact; no channel at all adds nothing."""
+    H = build_kitaev(KitaevParams(N=n, w=0.5, mu=2.0, delta=1.0))
+    for chans in (end_baths(n, EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)), []):
+        assert np.array_equal(build_liouvillian(H, chans).Lmat, liouvillian_by_channel(H, chans))
