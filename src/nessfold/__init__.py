@@ -25,13 +25,7 @@ from .model import (
     end_baths,
     single_site_bath,
 )
-from .observables import (
-    ObservableReport,
-    end_to_end_correlation,
-    log_linear_fit,
-    occupancy_profile,
-    site_occupancy,
-)
+from .observables import ObservableReport, log_linear_fit
 from .pipeline import NessSolution, solve, solve_end_bath
 from .spectral import (
     ModeSpectrum,
@@ -68,16 +62,13 @@ __all__ = [
     "build_stack",
     "decompose",
     "end_baths",
-    "end_to_end_correlation",
     "fold",
     "log_linear_fit",
     "normalize_vacuum",
-    "occupancy_profile",
     "orthogonality_residual",
     "product_state",
     "scalar_eigenvalue",
     "single_site_bath",
-    "site_occupancy",
     "solve",
     "solve_end_bath",
     "stable_projector",

@@ -23,7 +23,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from typing import NamedTuple
 
@@ -343,11 +343,16 @@ def _plain(value):
 
 @contextmanager
 def _open_out(path: str):
-    if path in (None, "", "-"):
-        yield sys.stdout
-        return
-    with open(path, "w", newline="") as fh:
-        yield fh
+    """The output stream, stdout for no path or "-".  A reader that leaves early, as `| head`
+    does, ends the output quietly: what is still buffered, and the interpreter's final flush,
+    go to the null device, and the run exits as the rows already written say."""
+    with nullcontext(sys.stdout) if path in (None, "", "-") else open(path, "w", newline="") as stream:
+        try:
+            yield stream
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
 
 
 def _write_rows(cfg: RunConfig, columns, rows) -> int:
@@ -557,8 +562,8 @@ CHECKS = {
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    failures = 0
     with _open_out(cfg.out) as stream:
-        failures = 0
         for name, fn in CHECKS.items():
             t0 = time.perf_counter()
             try:
@@ -566,11 +571,11 @@ def cmd_validate(cfg: RunConfig) -> int:
             except NessfoldError as exc:
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
             dt = time.perf_counter() - t0
-            failures += 0 if ok else 1
             stream.write(f"{'PASS' if ok else 'FAIL'}  {name:<22} {detail}  [{dt:.1f}s]\n")
             stream.flush()
+            failures += 0 if ok else 1
         stream.write(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed\n")
-        return EXIT_OK if failures == 0 else EXIT_NUMERICAL
+    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------- parser

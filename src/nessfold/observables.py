@@ -34,61 +34,37 @@ class ObservableReport:
             raise ValueError(f"eec must be nonnegative, got {self.eec}")
 
 
-def _require_normalized(state: TensorState) -> None:
-    if state.z0 == 0:
-        raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
-
-
-def end_to_end_correlation(state: TensorState) -> float:
-    """2|z0 (c_A + c_B)| with c_A occupied at (2, 2N-1) and c_B at (1, 2N)."""
-    _require_normalized(state)
-    n2 = state.sites
-    if n2 < 4:
-        raise ValueError(f"end-to-end correlation needs at least 2 physical sites, got {n2} modes")
-    inner = [0] * n2
-    inner[1] = 1
-    inner[n2 - 2] = 1
-    outer = [0] * n2
-    outer[0] = 1
-    outer[n2 - 1] = 1
-    c_a = coefficient(state, inner)
-    c_b = coefficient(state, outer)
-    return float(2.0 * abs(state.z0 * (c_a + c_b)))
-
-
-def _imag_tolerance(state: TensorState) -> float:
-    # hermiticity leakage scales like the root of the discarded weight; the
-    # floor covers exact-tolerance runs where discards sit at roundoff
-    return max(IMAG_TOL, 10.0 * float(np.sqrt(max(state.discardedWeight, 0.0))))
-
-
-def site_occupancy(state: TensorState, j: int) -> float:
-    """(1 + Re[z0 c_j])/2 with c_j the coefficient occupied exactly at the pair (2j-1, 2j);
-    raises UnphysicalReadout on complex leakage or a value outside [0, 1]."""
-    _require_normalized(state)
-    n_sites = state.sites // 2
-    if not 1 <= j <= n_sites:
-        raise ValueError(f"site must lie in 1..{n_sites}, got {j}")
-    bits = [0] * state.sites
-    bits[2 * j - 2] = bits[2 * j - 1] = 1
-    val = state.z0 * coefficient(state, bits)
-    if abs(val.imag) > _imag_tolerance(state):
-        raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {val.imag:.3e}")
-    occ = float((1.0 + val.real) / 2.0)
-    if occ < -1e-8 or occ > 1 + 1e-8:
-        raise UnphysicalReadout(f"occupancy at site {j} is {occ!r}, outside [0,1]")
-    return occ
-
-
-def occupancy_profile(state: TensorState) -> np.ndarray:
-    n_sites = state.sites // 2
-    return np.array([site_occupancy(state, j) for j in range(1, n_sites + 1)])
+def _occupied(n2: int, *positions: int) -> list:
+    """Occupations of n2 modes with exactly the given 1-based positions occupied."""
+    return [int(k + 1 in positions) for k in range(n2)]
 
 
 def build_report(state: TensorState) -> ObservableReport:
-    n_sites = state.sites // 2
-    eec = end_to_end_correlation(state) if n_sites >= 2 else 0.0
-    return ObservableReport(eec=eec, occupancy=occupancy_profile(state), maxBond=int(state.maxBondSeen))
+    """Every observable of a vacuum-normalized state, each read as z0 times an amplitude:
+    eec = 2|z0 (c_A + c_B)| with c_A occupied at (2, 2N-1) and c_B at (1, 2N), 0.0 on a lone
+    site, and site j's occupancy (1 + Re[z0 c_j])/2 with c_j occupied at (2j-1, 2j).
+    UnphysicalReadout refuses an occupancy with complex leakage or outside [0, 1]."""
+    if state.z0 == 0:
+        raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
+    n2 = state.sites
+    eec = 0.0
+    if n2 >= 4:
+        c_a = coefficient(state, _occupied(n2, 2, n2 - 1))
+        c_b = coefficient(state, _occupied(n2, 1, n2))
+        eec = float(2.0 * abs(state.z0 * (c_a + c_b)))
+    # hermiticity leakage scales like the root of the discarded weight; the
+    # floor covers exact-tolerance runs where discards sit at roundoff
+    imag_tol = max(IMAG_TOL, 10.0 * float(np.sqrt(max(state.discardedWeight, 0.0))))
+    occupancy = []
+    for j in range(1, n2 // 2 + 1):
+        val = state.z0 * coefficient(state, _occupied(n2, 2 * j - 1, 2 * j))
+        if abs(val.imag) > imag_tol:
+            raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {val.imag:.3e}")
+        occ = float((1.0 + val.real) / 2.0)
+        if occ < -1e-8 or occ > 1 + 1e-8:
+            raise UnphysicalReadout(f"occupancy at site {j} is {occ!r}, outside [0,1]")
+        occupancy.append(occ)
+    return ObservableReport(eec=eec, occupancy=np.array(occupancy), maxBond=int(state.maxBondSeen))
 
 
 def log_linear_fit(x, y) -> tuple[float, float, float]:

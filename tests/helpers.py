@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from nessfold.folding import _PAIR_STEPS, BLOCK_DTYPE
-from nessfold.observables import _require_normalized
 from nessfold.oracle import _ordered_strings, mode_ladders
 from nessfold.tns import _pair_gates, _physical, _update_pair, coefficient
 
@@ -145,7 +144,8 @@ def apply_gate(state, m: int, theta: float) -> None:
 
 def majorana_pair_expectation(state, odd_idx: int, even_idx: int) -> complex:
     """z0-weighted coefficient of the pattern occupied exactly at the two positions."""
-    _require_normalized(state)
+    if state.z0 == 0:
+        raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
     n2 = state.sites
     if not (1 <= odd_idx <= n2 and 1 <= even_idx <= n2):
         raise ValueError(f"indices must lie in 1..{n2}, got ({odd_idx}, {even_idx})")

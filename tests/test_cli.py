@@ -1,6 +1,7 @@
 """Command-line runner: subcommands, formats, exit codes, determinism."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -303,6 +304,44 @@ def test_out_file(capsys, tmp_path):
 def test_out_unwritable_path(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["ness", "--out", str(tmp_path / "no" / "dir.csv")])
     assert code == EXIT_USAGE
+
+
+class _ReaderLeavesAfter(io.StringIO):
+    """A stdout whose reader leaves after `lines` lines, as `| head` does: later writes raise
+    BrokenPipeError.  fileno() is a file of the test's, for the run to point at the null device."""
+
+    def __init__(self, lines, fileno):
+        super().__init__()
+        self._lines, self._fileno = lines, fileno
+
+    def write(self, s):
+        if self.getvalue().count("\n") >= self._lines:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(s)
+
+    def fileno(self):
+        return self._fileno
+
+
+@pytest.mark.parametrize("argv, lines, want", [
+    (["sweep-size", "--sizes", "2,3,4,5,6", "--w", "0", "--mu", "4"], 1, EXIT_OK),
+    # at w=1, mu=0 the N=3 row is ok and N=4 and N=5 are non_unique: the row that did not
+    # get out does not count
+    (["sweep-size", "--sizes", "3,4,5", "--w", "1", "--mu", "0"], 2, EXIT_OK),
+    (["sweep-size", "--sizes", "3,4,5", "--w", "1", "--mu", "0", "--format", "json"], 2, EXIT_DEGENERATE),
+    # validate stops at the first check whose line does not get out
+    (["validate"], 1, EXIT_OK),
+], ids=["header", "ok-row", "degenerate-row", "validate"])
+def test_a_closed_stdout_ends_the_run_quietly(capsys, monkeypatch, tmp_path, argv, lines, want):
+    """A reader that leaves early is no usage error: the run stops, prints nothing on stderr,
+    and exits with the worst code over the rows already written."""
+    with open(tmp_path / "stdout", "w") as fh:
+        stdout = _ReaderLeavesAfter(lines, fh.fileno())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+    assert code == want
+    assert stdout.getvalue().count("\n") == lines
+    assert capsys.readouterr().err == ""
 
 
 def test_dump_fold(capsys, tmp_path):

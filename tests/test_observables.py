@@ -5,14 +5,7 @@ import pytest
 
 from nessfold.exceptions import UnphysicalReadout
 from nessfold.model import EndBathParams, KitaevParams
-from nessfold.observables import (
-    ObservableReport,
-    build_report,
-    end_to_end_correlation,
-    log_linear_fit,
-    occupancy_profile,
-    site_occupancy,
-)
+from nessfold.observables import ObservableReport, build_report, log_linear_fit
 from nessfold.pipeline import solve_end_bath
 from nessfold.tns import normalize_vacuum, product_state
 
@@ -48,13 +41,6 @@ def test_pair_expectation_parity_and_range_checks():
         majorana_pair_expectation(state, 1, 6)  # out of range
 
 
-def test_eec_needs_two_physical_sites():
-    state = product_state([0, 0])
-    normalize_vacuum(state)
-    with pytest.raises(ValueError):
-        end_to_end_correlation(state)
-
-
 def test_eec_reads_advertised_patterns():
     sol = solved_state(n=3)
     state = sol.state
@@ -68,15 +54,13 @@ def test_eec_reads_advertised_patterns():
 
 def test_occupancy_bounds_and_profile():
     sol = solved_state(n=3)
-    occ = occupancy_profile(sol.state)
+    occ = build_report(sol.state).occupancy
     assert occ.shape == (3,)
     assert np.all(occ >= -1e-8) and np.all(occ <= 1 + 1e-8)
     np.testing.assert_allclose(occ, sol.report.occupancy)
     # site j reads the Majorana pair (2j-1, 2j)
     pairs = [majorana_pair_expectation(sol.state, 2 * j - 1, 2 * j) for j in (1, 2, 3)]
     np.testing.assert_allclose(occ, [(1 + v.real) / 2 for v in pairs], rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        site_occupancy(sol.state, 4)
 
 
 def test_occupancy_rejects_complex_leakage():
@@ -84,15 +68,17 @@ def test_occupancy_rejects_complex_leakage():
     apply_gate(state, 3, 2 * np.arctan(1e-5))  # |00) + 1e-5j |11) after normalization
     normalize_vacuum(state)
     with pytest.raises(UnphysicalReadout, match="imaginary"):
-        site_occupancy(state, 1)
+        build_report(state)
     # truncated runs widen the tolerance with the discarded weight
     state.discardedWeight = 1e-10
-    assert site_occupancy(state, 1) == pytest.approx(0.5, abs=1e-4)
+    assert build_report(state).occupancy[0] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_report_validation():
     with pytest.raises(ValueError):
         ObservableReport(eec=-0.1, occupancy=np.array([0.5]), maxBond=1)
+    with pytest.raises(ValueError, match="normalized"):
+        build_report(product_state([0, 0]))
     # the lone site of test_single_site_occupancy_closed_form has z0 c_1 = 0.5; a vacuum scale
     # off by +-4 reads occupancy 1.5 or -0.5
     bp = EndBathParams(gamma11=1.0, gamma21=3.0)
@@ -101,7 +87,7 @@ def test_report_validation():
     for scale in (4.0, -4.0):
         state.z0 = scale * z0
         with pytest.raises(UnphysicalReadout, match="outside"):
-            site_occupancy(state, 1)
+            build_report(state)
 
 
 def test_capped_readout_outside_unit_range_is_refused():

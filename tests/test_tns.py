@@ -170,6 +170,52 @@ def test_update_pair_leaves_the_center_on_either_site(center_left):
     assert_parity_blocked(state, [0, 1, 0, 0])
 
 
+def canonical_deviation(state, center):
+    """Largest entry of G - 1 over the Gram matrices G of every site off the center: of its
+    columns within each parity sector of its right bond left of the center, and of its rows
+    within each sector of its left bond right of it."""
+    worst = 0.0
+    for j, M in enumerate(state.matrices):
+        if j == center:
+            continue
+        for q in (0, 1):
+            if j < center:
+                part = M[:, tns._sector(state.even[j + 1], q)]
+                gram = part.conj().T @ part
+            else:
+                part = M[tns._sector(state.even[j], q)]
+                gram = part @ part.conj().T
+            worst = max(worst, np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+    return worst
+
+
+@pytest.mark.parametrize("n, w, mu, bp", [
+    (2, 1.0, 1.0, EndBathParams(gamma21=1.0, gamma22=1.0)),
+    (3, 0.5, 2.0, EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3)),
+    (5, 0.3, 1.5, EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)),
+    (6, 1.0, 3.0, EndBathParams(gamma21=1.0, gamma22=1.0)),
+    (8, 0.5, 2.0, EndBathParams(gamma21=1.0, gamma22=1.0)),
+    (8, 0.2, 0.6, EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3)),
+])
+def test_replay_keeps_the_state_canonical_about_its_center(monkeypatch, n, w, mu, bp):
+    """The zigzag never walks the center: each update leaves its values on the site its pair
+    shares with the next block's, so after every update of a whole uncapped solve the state
+    is canonical about that site, and at the end about the right site of the last block
+    undone, the fold's first.  An update that leaves its values on the other site leaves a
+    site off the next center that is not an isometry."""
+    centers = []
+
+    def checked(state, j, gate, center_left=False):
+        _update_pair(state, j, gate, center_left=center_left)
+        centers.append(j if center_left else j + 1)
+        assert canonical_deviation(state, centers[-1]) <= 1e-12
+
+    monkeypatch.setattr(tns, "_update_pair", checked)
+    sol = solve_end_bath(KitaevParams(N=n, w=w, mu=mu, delta=1.0), bp)
+    assert len(centers) == n * (2 * n - 1)
+    assert centers[-1] == int(sol.foldResult.blocks.pair[0]) + 1
+
+
 def test_coefficient_matches_dense_vector():
     rng = np.random.default_rng(23)
     state = product_state([0, 0, 0], trunc_tol=0.0)
