@@ -15,7 +15,7 @@ from .exceptions import (
     VacuumVanishes,
 )
 from .folding import FoldResult, fold
-from .liouvillian import LiouvillianCoeffs, build_liouvillian, scalar_eigenvalue
+from .liouvillian import LiouvillianCoeffs, build_liouvillian
 from .model import (
     BathChannel,
     EndBathParams,
@@ -67,7 +67,6 @@ __all__ = [
     "normalize_vacuum",
     "orthogonality_residual",
     "product_state",
-    "scalar_eigenvalue",
     "single_site_bath",
     "solve",
     "solve_end_bath",

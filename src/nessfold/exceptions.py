@@ -11,7 +11,7 @@ class NonUniqueNess(NessfoldError):
 
 
 class SingularEigenbasis(NessfoldError):
-    """The mode eigenbasis is numerically singular (defective generator)."""
+    """The eigenvectors of the covariance drift X are numerically singular (defective generator)."""
 
 
 class ClosureViolation(NessfoldError):

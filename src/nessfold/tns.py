@@ -192,17 +192,16 @@ def _svd_split(state: TensorState, T: np.ndarray, center_left: bool) -> tuple:
 
 
 def _gram_split(state: TensorState, T: np.ndarray, center_left: bool):
-    """_svd_split's factors from one batched eigensolve of the sectors' Gram matrices on the
-    smaller side, T T^H when a <= c and T^H T otherwise, or None where that cannot resolve
-    every kept value: the eigenvalues are the squared singular values and the eigenvectors the
-    singular vectors of that side.  The other side's factor is one product with T, restricted
-    to the kept vectors; it already carries the singular values, and is divided by them only
-    where they belong to the eigenvectors' side.
+    """_svd_split's factors from one batched eigensolve of the sectors' Gram matrices, or None
+    where that cannot resolve every kept value.  The Gram matrix is taken on the side that keeps
+    the isometry: T^H T with center_left, whose eigenvectors V are the right singular vectors,
+    so the factors are T V and V^H; T T^H otherwise, whose eigenvectors are the left ones, so
+    the factors are V and V^H T.  Its eigenvalues are the squared singular values, and the
+    product with T already carries them.
     """
-    wide = T.shape[1] <= T.shape[2]
     H = T.conj().swapaxes(1, 2)
     try:
-        lam, vecs = np.linalg.eigh(T @ H if wide else H @ T)
+        lam, vecs = np.linalg.eigh(H @ T if center_left else T @ H)
     except np.linalg.LinAlgError:
         return None
     s = np.sqrt(np.maximum(lam[:, ::-1], 0.0))  # eigh sorts ascending; roundoff can dip below 0
@@ -212,17 +211,9 @@ def _gram_split(state: TensorState, T: np.ndarray, center_left: bool):
         return None
     lefts, rights = [], []
     for q, k in enumerate((k0, k1)):
-        V, sk = vecs[q, :, ::-1][:, :k], s[q, :k]
-        if wide:  # V holds left vectors: V^H T is the right factor times s
-            left, right = V, V.conj().T @ T[q]
-            if center_left:
-                left, right = left * sk, right / sk[:, None]
-        else:  # V holds right vectors: T V is the left factor times s
-            left, right = T[q] @ V, V.conj().T
-            if not center_left:
-                left, right = left / sk, right * sk[:, None]
-        lefts.append(left)
-        rights.append(right)
+        V = vecs[q, :, ::-1][:, :k]
+        lefts.append(T[q] @ V if center_left else V)
+        rights.append(V.conj().T if center_left else V.conj().T @ T[q])
     return s, k0, k1, lefts, rights
 
 

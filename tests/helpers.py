@@ -1,7 +1,7 @@
 """Reference operations that only tests need: stack rotations, the step-by-step site-pair
-elimination, fold replay, dumped records regrouped into blocks, the per-channel Liouvillian
-accumulation, dense and record-by-record rotation gates, Majorana pair expectations, mode
-Majoranas, string expansion."""
+elimination, fold replay, dumped records regrouped into blocks, the 4N second-space
+generator with its eigendecomposition, projector and stack, dense and record-by-record rotation
+gates, Majorana pair expectations, mode Majoranas, string expansion."""
 
 import math
 
@@ -82,12 +82,17 @@ def blocks_from_records(records) -> np.recarray:
 
 
 def liouvillian_by_channel(H, baths) -> np.ndarray:
-    """Lmat of liouvillian.build_liouvillian with the bath families added channel by channel,
-    the reference for its one product per family: each channel's six outer products of its
-    odd and even B entries are added to the raw coefficients in turn."""
+    """Lmat of the second-space generator L~ = sum_jk Lmat[j][k] g~_j g~_k + Lscalar/2 over the
+    4N doubled Majoranas, antisymmetric with a zero diagonal: the 4N reference that
+    liouvillian's covariance drift and source are checked against.  The unitary part places
+    (1/2) A[2j-1][2k] at (4k, 4j-3) and (4j-2, 4k-1); each channel adds six families, outer
+    products of its odd and even B entries, to the raw coefficients in turn.  The expansion's
+    four other bath families, -B B^T terms at (4j-r, 4k-r), are symmetric and are left out,
+    since the antisymmetrization (L[j][k] - L[k][j]) / 2, valid because the Majorana products
+    anticommute, cancels them."""
     n = 4 * H.N
     raw = np.zeros((n, n), dtype=complex)
-    A_oe = H.A[0::2, 1::2]
+    A_oe = H.A[0::2, 1::2]  # A_oe[j, k] = A[2j-1][2k] in 1-based Majorana indexing
     raw[3::4, 0::4] += A_oe.T / 2.0
     raw[1::4, 2::4] += A_oe / 2.0
     for ch in baths:
@@ -100,6 +105,44 @@ def liouvillian_by_channel(H, baths) -> np.ndarray:
         raw[1::4, 3::4] += 2.0 * oe
         raw[2::4, 0::4] += 2.0 * eo
     return (raw - raw.T) / 2.0
+
+
+def scalar_eigenvalue(baths) -> float:
+    """Lscalar, the eigenvalue of the totally occupied second-space state: -4 sum_n sum_j B_j^(n)^2."""
+    return -4.0 * sum(float(np.dot(ch.B, ch.B)) for ch in baths)
+
+
+def reference_spectrum(Lmat: np.ndarray) -> tuple:
+    """(z, Z, Z^-1) of the full eigendecomposition of the mode matrix -4 Lmat, sorted by
+    (Re z descending, Im z ascending) so that the stable modes come first."""
+    z, Z = np.linalg.eig(-4.0 * Lmat)
+    order = np.lexsort((z.imag, -z.real))
+    Z = Z[:, order]
+    return z[order], Z, np.linalg.inv(Z)
+
+
+def reference_projector(Lmat: np.ndarray) -> np.ndarray:
+    """Spectral projector of -4 Lmat onto its stable half, Z[:, :2N] Z^-1[:2N, :]."""
+    _, Z, Zinv = reference_spectrum(Lmat)
+    n = len(Z) // 2
+    return Z[:, :n] @ Zinv[:n, :]
+
+
+def reference_stack(H, baths) -> np.ndarray:
+    """The 2N x 4N stack read off the 4N projector S: rows (S[2j-1] + i S[2j]) / 2, 1-based."""
+    S = reference_projector(liouvillian_by_channel(H, baths))
+    return (S[0::2] + 1j * S[1::2]) / 2.0
+
+
+def pair_basis(N: int) -> np.ndarray:
+    """Columns (e_{2m} - i e_{2m+1}) / sqrt(2), then (e_{2m} + i e_{2m+1}) / sqrt(2), m = 0..2N-1
+    (0-based), over the 4N second-space Majoranas."""
+    T = np.zeros((4 * N, 4 * N), dtype=complex)
+    m = np.arange(2 * N)
+    T[2 * m, m] = T[2 * m, 2 * N + m] = 1.0 / math.sqrt(2.0)
+    T[2 * m + 1, m] = -1j / math.sqrt(2.0)
+    T[2 * m + 1, 2 * N + m] = 1j / math.sqrt(2.0)
+    return T
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

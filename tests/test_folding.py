@@ -8,7 +8,7 @@ from nessfold.exceptions import ClosureViolation
 from nessfold.folding import FoldResult, close_row, eliminate_pair, fold
 from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from nessfold.spectral import TransferStack, build_stack, decompose, stable_projector
+from nessfold.spectral import TransferStack, build_stack, decompose, orthogonality_residual, stable_projector
 
 from helpers import eliminate_pair_by_steps, replay, rotate_columns
 
@@ -337,3 +337,14 @@ def test_fold_result_is_frozen():
     with pytest.raises(ValueError):
         result.rotations.theta[0] = 5.0
     assert isinstance(result, FoldResult)
+
+
+@pytest.mark.parametrize("n, w, mu", [(64, 0.5, 2.2), (96, 0.5, 2.27), (128, 0.5, 2.2)])
+def test_large_stacks_close(n, w, mu):
+    """The stack read off the covariance is isotropic by construction, so the fold closes every
+    row at N = 64-128, where roundoff in a stack from a 4N eigenbasis crossed the absolute
+    closure tolerance.  Fold only: a replay at this N on the volume-law line (0.5, 2) needs a
+    bond far beyond memory."""
+    stack = genuine_stack(n, w, mu, baths=GAIN_BP)
+    assert orthogonality_residual(stack) <= 1e-14
+    assert fold(stack).residual <= 1e-14

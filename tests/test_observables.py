@@ -91,9 +91,9 @@ def test_report_validation():
 
 
 def test_capped_readout_outside_unit_range_is_refused():
-    # a chi=2 cap leaves this state with occupancies up to 1.14
+    # a chi=2 cap leaves this state with an occupancy of 1.08
     with pytest.raises(UnphysicalReadout):
-        solve_end_bath(KitaevParams(N=6, w=1.0, mu=3.0, delta=1.0),
+        solve_end_bath(KitaevParams(N=6, w=1.5, mu=3.0, delta=1.0),
                        EndBathParams(gamma21=1.0, gamma22=1.0), max_chi=2)
 
 

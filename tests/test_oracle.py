@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nessfold.exceptions import NonUniqueNess
-from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths, single_site_bath
 from nessfold.oracle import (
     DenseFirstSpaceNess,
@@ -25,7 +24,7 @@ from nessfold.oracle import (
 from nessfold.pipeline import solve_end_bath
 from nessfold.tns import dense_coefficients
 
-from helpers import mode_majoranas, second_space_from_strings
+from helpers import liouvillian_by_channel, mode_majoranas, scalar_eigenvalue, second_space_from_strings
 
 BP = EndBathParams(gamma11=0.8, gamma21=1.7, gamma12=0.4, gamma22=2.1)
 
@@ -96,7 +95,7 @@ def test_generator_is_quadratic_form_in_mode_majoranas():
     params = KitaevParams(N=2, w=1.3, mu=0.9, delta=1.1)
     H = build_kitaev(params)
     chans = end_baths(2, BP)
-    L = build_liouvillian(H, chans)
+    Lmat = liouvillian_by_channel(H, chans)
     Lop = second_space_liouvillian(H, chans).toarray()
 
     gams = [g.toarray() for g in mode_majoranas(4)]
@@ -104,9 +103,9 @@ def test_generator_is_quadratic_form_in_mode_majoranas():
     quad = np.zeros((dim, dim), dtype=complex)
     for j in range(8):
         for k in range(8):
-            if L.Lmat[j, k] != 0.0:
-                quad += L.Lmat[j, k] * gams[j] @ gams[k]
-    quad += 0.5 * L.Lscalar * np.eye(dim)
+            if Lmat[j, k] != 0.0:
+                quad += Lmat[j, k] * gams[j] @ gams[k]
+    quad += 0.5 * scalar_eigenvalue(chans) * np.eye(dim)
     assert np.abs(Lop - quad).max() < 1e-12
 
 
@@ -114,12 +113,12 @@ def test_occupied_state_eigenvalue():
     params = KitaevParams(N=3, w=0.9, mu=1.2, delta=0.7)
     H = build_kitaev(params)
     chans = end_baths(3, BP)
-    L = build_liouvillian(H, chans)
+    Lscalar = scalar_eigenvalue(chans)
     Lop = second_space_liouvillian(H, chans)
     e = np.zeros(Lop.shape[0])
     e[-1] = 1.0
-    np.testing.assert_allclose(Lop @ e, L.Lscalar * e, atol=1e-12)
-    assert L.Lscalar < 0
+    np.testing.assert_allclose(Lop @ e, Lscalar * e, atol=1e-12)
+    assert Lscalar < 0
 
 
 def test_first_space_single_site_matches_analytic():

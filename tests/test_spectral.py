@@ -1,8 +1,9 @@
-"""Mode decomposition, stable projector, and transfer stack assembly."""
+"""Mode decomposition, stable projector, and transfer stack assembly, against the 4N reference."""
 
 import numpy as np
 import pytest
 
+from nessfold.cli import _FIG1_BATHS, _FIG1_PARAMS
 from nessfold.exceptions import NonUniqueNess, SingularEigenbasis
 from nessfold.liouvillian import LiouvillianCoeffs, build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
@@ -14,12 +15,17 @@ from nessfold.spectral import (
     stable_projector,
 )
 
+from helpers import liouvillian_by_channel, pair_basis, reference_projector, reference_spectrum, reference_stack
+
 BP = EndBathParams(gamma11=0.4, gamma21=1.0, gamma12=0.7, gamma22=1.3)
 
 
 def coeffs(n=3, w=1.2, mu=0.9, delta=1.0, bp=BP):
-    return build_liouvillian(build_kitaev(KitaevParams(N=n, w=w, mu=mu, delta=delta)),
-                             end_baths(n, bp))
+    return build_liouvillian(*chain(n, w, mu, delta, bp))
+
+
+def chain(n=3, w=1.2, mu=0.9, delta=1.0, bp=BP):
+    return build_kitaev(KitaevParams(N=n, w=w, mu=mu, delta=delta)), end_baths(n, bp)
 
 
 def test_eigenvalue_ordering_is_deterministic():
@@ -39,22 +45,48 @@ def test_plus_set_size_and_positivity():
 
 
 def test_spectrum_reconstructs_generator():
-    L = coeffs(n=2)
-    spec = decompose(L)
-    M = -4.0 * L.Lmat
-    np.testing.assert_allclose(spec.Z @ np.diag(spec.z) @ spec.Zinv, M, atol=1e-10)
+    Lmat = liouvillian_by_channel(*chain(n=2))
+    z, Z, Zinv = reference_spectrum(Lmat)
+    np.testing.assert_allclose(Z @ np.diag(z) @ Zinv, -4.0 * Lmat, atol=1e-10)
+
+
+def test_rates_are_the_reference_spectrum():
+    """+-eig(X) is the 4N mode matrix's spectrum as a multiset, with the stable half first."""
+    H, chans = chain(n=4)
+    z = decompose(build_liouvillian(H, chans)).z
+    ref = reference_spectrum(liouvillian_by_channel(H, chans))[0]
+    assert np.abs(z[:, None] - ref[None, :]).min(axis=1).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(ref[:, None] - z[None, :]).min(axis=1).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_covariance_solves_the_lyapunov_equation():
+    L = coeffs(n=4)
+    G = decompose(L).gamma
+    assert np.array_equal(G, -G.T)
+    assert np.abs(L.X @ G + G @ L.X.T + L.Y).max() <= 1e-13 * np.abs(L.Y).max()
 
 
 def test_projector_properties():
-    L = coeffs(n=3)
-    spec = decompose(L)
-    S = stable_projector(spec)
+    Lmat = liouvillian_by_channel(*chain(n=3))
+    _, Z, _ = reference_spectrum(Lmat)
+    S = reference_projector(Lmat)
     assert np.abs(S @ S - S).max() < 1e-12
-    assert np.trace(S).real == pytest.approx(2 * L.N, abs=1e-10)
+    assert np.trace(S).real == pytest.approx(6, abs=1e-10)
     # S acts as identity on the stable eigenvectors and kills the others
-    plus, minus = spec.Z[:, : 2 * L.N], spec.Z[:, 2 * L.N:]
+    plus, minus = Z[:, :6], Z[:, 6:]
     np.testing.assert_allclose(S @ plus, plus, atol=1e-12)
     assert np.abs(S @ minus).max() < 1e-12
+
+
+def test_projector_block_is_the_reference_projector_in_the_pair_basis():
+    """The reference projector reads [[I, -Q], [0, 0]] in the pair basis."""
+    H, chans = chain(n=3)
+    Q = stable_projector(decompose(build_liouvillian(H, chans)))
+    T = pair_basis(3)
+    blocks = np.linalg.solve(T, reference_projector(liouvillian_by_channel(H, chans)) @ T)
+    expected = np.block([[np.eye(6), -Q], [np.zeros((6, 12))]])
+    assert np.abs(blocks - expected).max() <= 1e-12
+    assert np.array_equal(Q, -Q.T)
 
 
 def test_degenerate_point_raises():
@@ -74,23 +106,37 @@ def test_threshold_is_relative():
 
 def test_singular_eigenbasis_guard():
     K = 1e10
-    M = np.array([
-        [1.0, K, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, K],
-        [0.0, 0.0, 0.0, -1.0],
-    ])
-    fake = LiouvillianCoeffs(N=1, Lmat=-M / 4.0, Lscalar=-1.0)
+    X = np.array([[-1.0, K], [0.0, -1.0]])
+    fake = LiouvillianCoeffs(N=1, X=X, Y=np.zeros((2, 2)))
     with pytest.raises(SingularEigenbasis):
         decompose(fake)
 
 
 def test_build_stack_rows():
-    L = coeffs(n=2)
-    S = stable_projector(decompose(L))
-    stack = build_stack(S, 2)
+    Q = stable_projector(decompose(coeffs(n=2)))
+    stack = build_stack(Q, 2)
     assert stack.R.shape == (4, 8)
-    np.testing.assert_allclose(stack.R[1], (S[2] + 1j * S[3]) / 2.0)
+    np.testing.assert_array_equal(stack.R[1, 0::2], (np.eye(4)[1] - Q[1]) / 2.0)
+    np.testing.assert_array_equal(stack.R[1, 1::2], 0.5j * (np.eye(4)[1] + Q[1]))
+
+
+def seeded_point(n, seed):
+    """A chain of n sites with (w, mu) and the four end rates drawn from seed."""
+    w, mu, *rates = np.random.default_rng(seed).uniform([-2, -3, 0.2, 0.2, 0.2, 0.2], [2, 3, 3, 3, 3, 3])
+    return KitaevParams(N=n, w=w, mu=mu, delta=1.0), EndBathParams(*rates)
+
+
+FIG1_GRID = [(params, _FIG1_BATHS) for params in _FIG1_PARAMS]
+SEEDS = [(1, 0), (2, 1), (4, 2), (6, 3), (8, 4), (12, 5), (16, 6), (16, 7)]
+
+
+@pytest.mark.parametrize("params, bp", FIG1_GRID + [seeded_point(n, seed) for n, seed in SEEDS],
+                         ids=[f"fig1-{i}" for i in range(len(FIG1_GRID))] + [f"n{n}-seed{seed}" for n, seed in SEEDS])
+def test_stack_matches_the_4n_reference(params, bp):
+    """The stack read off the covariance is the 4N eigendecomposition's, entry by entry."""
+    H, chans = build_kitaev(params), end_baths(params.N, bp)
+    stack = build_stack(stable_projector(decompose(build_liouvillian(H, chans))), params.N)
+    assert np.abs(stack.R - reference_stack(H, chans)).max() <= 1e-11
 
 
 def test_build_stack_shape_validation():
@@ -103,7 +149,7 @@ def test_build_stack_shape_validation():
 def test_orthogonality_residual_on_genuine_stack():
     L = coeffs(n=3)
     stack = build_stack(stable_projector(decompose(L)), 3)
-    assert orthogonality_residual(stack) < 1e-12
+    assert orthogonality_residual(stack) < 1e-15
 
 
 def test_orthogonality_residual_counts_diagonal():

@@ -189,20 +189,32 @@ def canonical_deviation(state, center):
     return worst
 
 
-@pytest.mark.parametrize("n, w, mu, bp", [
-    (2, 1.0, 1.0, EndBathParams(gamma21=1.0, gamma22=1.0)),
-    (3, 0.5, 2.0, EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3)),
-    (5, 0.3, 1.5, EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)),
-    (6, 1.0, 3.0, EndBathParams(gamma21=1.0, gamma22=1.0)),
-    (8, 0.5, 2.0, EndBathParams(gamma21=1.0, gamma22=1.0)),
-    (8, 0.2, 0.6, EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3)),
-])
-def test_replay_keeps_the_state_canonical_about_its_center(monkeypatch, n, w, mu, bp):
+GAIN_ONLY = EndBathParams(gamma21=1.0, gamma22=1.0)
+
+
+CANONICAL_CASES = [
+    (2, 1.0, 1.0, GAIN_ONLY, 0),
+    (3, 0.5, 2.0, EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3), 0),
+    (5, 0.3, 1.5, EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1), 0),
+    (6, 1.0, 3.0, GAIN_ONLY, 0),
+    (8, 0.5, 2.0, GAIN_ONLY, 0),
+    (8, 0.2, 0.6, EndBathParams(gamma11=0.2, gamma21=1.0, gamma12=0.5, gamma22=1.3), 0),
+    (8, 0.5, 2.0, GAIN_ONLY, 16),
+    (12, 0.5, 2.0, GAIN_ONLY, 24),
+    (10, 1.5, 0.2, GAIN_ONLY, 16),
+]
+
+
+@pytest.mark.parametrize("n, w, mu, bp, max_chi", CANONICAL_CASES,
+                         ids=[f"{n}-{w}-{mu}-bp{i}" + (f"-chi{chi}" if chi else "")
+                              for i, (n, w, mu, _, chi) in enumerate(CANONICAL_CASES)])
+def test_replay_keeps_the_state_canonical_about_its_center(monkeypatch, n, w, mu, bp, max_chi):
     """The zigzag never walks the center: each update leaves its values on the site its pair
-    shares with the next block's, so after every update of a whole uncapped solve the state
-    is canonical about that site, and at the end about the right site of the last block
-    undone, the fold's first.  An update that leaves its values on the other site leaves a
-    site off the next center that is not an isometry."""
+    shares with the next block's, so after every update of a whole solve the state is
+    canonical about that site, and at the end about the right site of the last block undone,
+    the fold's first.  An update that leaves its values on the other site leaves a site off
+    the next center that is not an isometry.  Capped solves send their at-cap blocks through
+    the Gram eigensolve, whose isometry must be as orthonormal as the SVD's."""
     centers = []
 
     def checked(state, j, gate, center_left=False):
@@ -211,7 +223,7 @@ def test_replay_keeps_the_state_canonical_about_its_center(monkeypatch, n, w, mu
         assert canonical_deviation(state, centers[-1]) <= 1e-12
 
     monkeypatch.setattr(tns, "_update_pair", checked)
-    sol = solve_end_bath(KitaevParams(N=n, w=w, mu=mu, delta=1.0), bp)
+    sol = solve_end_bath(KitaevParams(N=n, w=w, mu=mu, delta=1.0), bp, max_chi=max_chi)
     assert len(centers) == n * (2 * n - 1)
     assert centers[-1] == int(sol.foldResult.blocks.pair[0]) + 1
 
@@ -560,14 +572,16 @@ def assert_same_state(state, reference):
 @pytest.mark.parametrize("center_left", [True, False], ids=["left", "right"])
 @pytest.mark.parametrize("a, c", [(12, 12), (20, 12), (12, 20)], ids=["square", "tall", "wide"])
 def test_at_cap_blocks_factor_through_the_gram_eigensolve(eigh_calls, a, c, center_left):
-    """Where the cap binds, one eigensolve of the Gram matrices on the smaller side truncates both
-    sectors as the SVD does: the same kept vectors per sector, product and discarded weight, with
-    the orthonormal factor on the site that does not take the singular values."""
+    """Where the cap binds, one eigensolve of the Gram matrices on the side that keeps the isometry,
+    the right site's c columns with center_left and the left site's a rows otherwise, truncates
+    both sectors as the SVD does: the same kept vectors per sector, product and discarded weight,
+    with the orthonormal factor on the site that does not take the singular values."""
     rng = np.random.default_rng(a + c + center_left)
     state = sector_state(rng, a, c, np.sort(10 ** rng.uniform(-3, 0, 24))[::-1])
     k0, blocks, weight = svd_reference(state)
     _update_pair(state, 1, two_site_gate(0.0), center_left=center_left)
-    assert eigh_calls == [(2, min(a, c), min(a, c))]
+    side = c if center_left else a
+    assert eigh_calls == [(2, side, side)]
     assert (state.even[2], state.maxBondSeen, state.bondDims[2]) == (k0, 16, 16)
     L, R = state.matrices[1:3]
     for q, (cols, expected) in enumerate(zip((slice(None, k0), slice(k0, None)), blocks)):
