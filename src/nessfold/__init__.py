@@ -15,7 +15,6 @@ from .exceptions import (
     VacuumVanishes,
 )
 from .folding import FoldResult, fold
-from .liouvillian import LiouvillianCoeffs, build_liouvillian
 from .model import (
     BathChannel,
     EndBathParams,
@@ -28,8 +27,10 @@ from .model import (
 from .observables import ObservableReport, log_linear_fit
 from .pipeline import NessSolution, solve, solve_end_bath
 from .spectral import (
+    LiouvillianCoeffs,
     ModeSpectrum,
     TransferStack,
+    build_liouvillian,
     build_stack,
     decompose,
     orthogonality_residual,

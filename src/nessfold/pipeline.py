@@ -1,18 +1,21 @@
 """End-to-end driver: physical parameters in, normalized tensor state out.
 
-Chains the construction stages in order (Hamiltonian, quadratic generator,
-mode decomposition, stack folding, gate replay, observables) and surfaces
-each stage's typed failure unchanged so callers can map it to a status.
+Chains the construction stages in order (Hamiltonian, the covariance front
+end of `spectral`: drift and source, mode decomposition and transfer stack;
+stack folding, gate replay, observables) and surfaces each stage's typed
+failure unchanged so callers can map it to a status.
 
 A solve runs with numpy's OpenBLAS pinned to one thread: the replay's SVDs
 act on blocks of a few hundred rows at most, where waking and syncing BLAS
-threads costs more than the work they share.
+threads costs more than the work they share.  The replay's scipy gesvd
+fallback runs on scipy's own OpenBLAS, which it pins the same way.
 """
 
 from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import math
 import numbers
 import threading
@@ -23,12 +26,12 @@ import numpy as np
 
 from .exceptions import UnphysicalReadout
 from .folding import EPS_FOLD_DEFAULT, FoldResult, fold
-from .liouvillian import build_liouvillian
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from .observables import ObservableReport, build_report
 from .spectral import (
     EPS_Z_DEFAULT,
     ModeSpectrum,
+    build_liouvillian,
     build_stack,
     decompose,
     orthogonality_residual,
@@ -37,14 +40,15 @@ from .spectral import (
 from .tns import TRUNC_TOL_DEFAULT, TensorState, apply_inverse_sequence, normalize_vacuum, product_state
 
 
-def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS numpy.linalg links, or None.
+def _openblas_threads(path=None):
+    """(get, set) thread-count functions of the OpenBLAS the extension at path links
+    (numpy.linalg's by default), or None.
 
     None on other BLAS builds (MKL, Accelerate) or when the extension cannot be
     loaded; pinning then does nothing.
     """
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        lib = ctypes.CDLL(path or np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
     for prefix in ("scipy_openblas", "openblas"):
@@ -58,29 +62,36 @@ def _openblas_threads():
     return None
 
 
+@functools.cache
+def scipy_blas_threads():
+    """(get, set) of the OpenBLAS scipy.linalg links, which wheels ship apart from numpy's,
+    or None.  Loads scipy, so only the tensor layer's gesvd fallback asks for it."""
+    from scipy.linalg import _flapack
+
+    return _openblas_threads(_flapack.__file__)
+
+
 _BLAS_THREADS = _openblas_threads()
-# OpenBLAS's thread count is process-wide: the first solve to enter saves it, the last to leave restores it
+# OpenBLAS's thread count is process-wide: the first block to pin a library saves its count,
+# the last block to leave restores every count saved
 _pin_lock = threading.Lock()
 _pin_depth = 0
-_pin_saved = 0
+_pin_saved = []  # (handle, count found), in the order pinned
 
 
 @contextmanager
-def one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the count found.
+def one_blas_thread(*extra):
+    """Run the block with numpy's OpenBLAS, and each extra (get, set) pair that is not None,
+    on one thread, then restore the counts found.
 
-    Nested and concurrent blocks leave the count as the outermost one found it.
+    Nested and concurrent blocks leave each count as the first block to pin it found it.
     """
-    global _pin_depth, _pin_saved
-    blas = _BLAS_THREADS
-    if blas is None:
-        yield
-        return
-    get, put = blas
+    global _pin_depth
     with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = get()
-            put(1)
+        for blas in (_BLAS_THREADS, *extra):
+            if blas is not None and blas not in [h for h, _ in _pin_saved]:
+                _pin_saved.append((blas, blas[0]()))
+                blas[1](1)
         _pin_depth += 1
     try:
         yield
@@ -88,7 +99,10 @@ def one_blas_thread():
         with _pin_lock:
             _pin_depth -= 1
             if _pin_depth == 0:
-                put(_pin_saved)
+                # last pinned first, so two handles on one library end at the count first found
+                for (_, put), count in reversed(_pin_saved):
+                    put(count)
+                _pin_saved.clear()
 
 
 def check_settings(trunc_tol, max_chi, eps_z, eps_fold) -> None:

@@ -1,13 +1,24 @@
-"""Mode spectrum of the generator, stable projector, and transfer stack.
+"""Covariance front end: drift and source, mode split, stable projector and transfer stack.
 
-Second-space Majorana modes evolve linearly under a 4N x 4N mode matrix
-whose pair-basis blocks are D(-X)D^-1, -Y and D X D^-1 (see `liouvillian`).
-Its rates are +-eig(X), and the stationary state is assembled from the
-branch with positive real parts.  In the pair basis the projector onto that
-branch is [[I, -Q], [0, 0]], and its one nontrivial block is fixed by the
-stationary covariance Gamma, the solution of X Gamma + Gamma X^T = -Y:
-Q = D (i Gamma P) D^-1 with P = diag(1, -1, 1, -1, ...).  The 2N x 4N stack
-matrix R is read off Q, so no 4N matrix is built or decomposed.
+With H = (1/2) sum A[r][c] g_r (i g_c) and each bath channel written as
+L = sum_j l_j g_j, where l is the channel's B vector with its even entries
+(1-based) times i, the covariance Gamma_jk = i <g_j g_k> (j != k) of the
+factor-2 Lindblad dynamics obeys
+
+    dGamma/dt = X Gamma + Gamma X^T + Y,   X = (A - A^T) - 4 Re M,   Y = 8 Im M,
+
+with M = sum over channels of l l^H (third quantization: Prosen, NJP 10,
+043026, 2008).  These two real 2N x 2N matrices fix the generator on the
+doubled (second-space) set of 4N Majorana modes.  In the pair basis
+(e_{2m} -/+ i e_{2m+1}) / sqrt(2), with D = diag(1, -i, 1, -i, ...) and
+P = diag(1, -1, 1, -1, ...), its mode matrix is block upper triangular, with
+diagonal blocks D(-X)D^-1 and D X D^-1 and off-diagonal block -Y.  So its
+rates are +-eig(X), and the stationary state is assembled from the branch
+with positive real parts.  The projector onto that branch is
+[[I, -Q], [0, 0]] in the pair basis; its one nontrivial block is fixed by
+the stationary covariance Gamma, the solution of X Gamma + Gamma X^T = -Y,
+as Q = D (i Gamma P) D^-1.  The 2N x 4N stack matrix R is read off Q, so no
+4N matrix is built or decomposed.
 """
 
 from __future__ import annotations
@@ -17,9 +28,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonUniqueNess, SingularEigenbasis
-from .liouvillian import LiouvillianCoeffs
+from .model import BathChannel, MajoranaHamiltonian
 
 EPS_Z_DEFAULT = 1e-8
+
+
+@dataclass(frozen=True)
+class LiouvillianCoeffs:
+    """The covariance drift X and source Y, real 2N x 2N; Y is antisymmetric."""
+
+    N: int
+    X: np.ndarray
+    Y: np.ndarray
+
+    def __post_init__(self):
+        n = 2 * self.N
+        for name in ("X", "Y"):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.shape != (n, n):
+                raise ValueError(f"{name} must be {n}x{n}, got {a.shape}")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -45,28 +74,39 @@ class TransferStack:
         object.__setattr__(self, "R", R)
 
 
+def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> LiouvillianCoeffs:
+    """X and Y of the covariance dynamics; the channels' l vectors are stacked as rows, so M
+    is one matrix product (zero when there is no channel)."""
+    N = H.N
+    for ch in baths:
+        if ch.N != N:
+            raise ValueError(f"bath channel is for N={ch.N}, Hamiltonian has N={N}")
+    l = np.array([ch.B for ch in baths], dtype=complex).reshape(len(baths), 2 * N)
+    l[:, 1::2] *= 1j
+    M = l.T @ l.conj()
+    return LiouvillianCoeffs(N=N, X=(H.A - H.A.T) - 4.0 * M.real, Y=8.0 * M.imag)
+
+
 def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectrum:
     """Mode rates and stationary covariance from one real eigendecomposition X = W diag(lam) W^-1.
 
     The rates z = +-lam are sorted by (Re z descending, Im z ascending), so
     the stable set, the modes with Re z above eps_z scaled by the largest
-    |Re z|, comes first.  Raises NonUniqueNess when the stable set does not
-    have size 2N or any real part sits inside the threshold band, and
-    SingularEigenbasis when W is ill conditioned (condition number above
-    1/eps_z).  The Lyapunov equation is then diagonal in W's basis:
-    Gamma = W G W^T with G_jk = -(W^-1 Y W^-T)_jk / (lam_j + lam_k).
+    |Re z|, comes first.  Raises NonUniqueNess when any real part sits inside
+    that threshold band (otherwise one of each pair +-lam is stable, so the
+    stable set has size 2N), and SingularEigenbasis when W is ill conditioned
+    (condition number above 1/eps_z).  The Lyapunov equation is then diagonal
+    in W's basis: Gamma = W G W^T with G_jk = -(W^-1 Y W^-T)_jk / (lam_j + lam_k).
     """
     lam, W = np.linalg.eig(L.X)
     z = np.concatenate((-lam, lam))
     z = z[np.lexsort((z.imag, -z.real))]
 
-    scale = float(np.abs(z.real).max(initial=0.0))
-    thr = eps_z * scale
-    plus = np.flatnonzero(z.real > thr)
-    if len(plus) != 2 * L.N or np.any(np.abs(z.real) <= thr):
-        n_dead = int(np.sum(np.abs(z.real) <= thr))
+    thr = eps_z * float(np.abs(z.real).max(initial=0.0))
+    n_dead = int(np.sum(np.abs(z.real) <= thr))
+    if n_dead:
         raise NonUniqueNess(
-            f"stationary state may be non-unique: {len(plus)} stable modes "
+            f"stationary state may be non-unique: {int(np.sum(z.real > thr))} stable modes "
             f"(expected {2 * L.N}), {n_dead} eigenvalues with |Re z| <= {thr:.3e}"
         )
 
@@ -82,12 +122,11 @@ def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectru
 
 
 def stable_projector(spec: ModeSpectrum) -> np.ndarray:
-    """Q = D (i Gamma P) D^-1, antisymmetrized: the stable projector is [[I, -Q], [0, 0]] in the pair basis."""
+    """Q = D (i Gamma P) D^-1, antisymmetric as Gamma is: the stable projector's nontrivial block."""
     n = len(spec.gamma)
     d = np.tile([1.0, -1j], n // 2)
     p = np.tile([1.0, -1.0], n // 2)
-    Q = d[:, None] * (1j * spec.gamma * p) / d
-    return (Q - Q.T) / 2.0
+    return d[:, None] * (1j * spec.gamma * p) / d
 
 
 def build_stack(Q: np.ndarray, N: int) -> TransferStack:

@@ -112,11 +112,15 @@ def _robust_svd(blocks: np.ndarray):
     try:
         return np.linalg.svd(blocks, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but reliable.
-        # scipy is imported here so that a solve that never falls back never loads it.
+        # gesdd occasionally fails to converge; gesvd is slower but reliable.  It runs on
+        # scipy's OpenBLAS, pinned to one thread like numpy's.  scipy and the pin are imported
+        # here: a solve that never falls back never loads scipy, and pipeline imports this module.
         import scipy.linalg as sla
 
-        parts = [sla.svd(b, full_matrices=False, lapack_driver="gesvd") for b in blocks]
+        from .pipeline import one_blas_thread, scipy_blas_threads
+
+        with one_blas_thread(scipy_blas_threads()):
+            parts = [sla.svd(b, full_matrices=False, lapack_driver="gesvd") for b in blocks]
         return tuple(np.stack(x) for x in zip(*parts))
 
 

@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 from nessfold.cli import CHECKS
 from nessfold.exceptions import ClosureViolation, NonUniqueNess, SingularEigenbasis
 from nessfold.folding import fold
-from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import second_space_liouvillian
 from nessfold.pipeline import solve_end_bath
-from nessfold.spectral import build_stack, decompose, orthogonality_residual, stable_projector
+from nessfold.spectral import build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
 from nessfold.tns import dense_coefficients
 
 from helpers import liouvillian_by_channel, reference_projector, replay, rotation_gate, scalar_eigenvalue

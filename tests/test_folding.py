@@ -6,9 +6,8 @@ import pytest
 from nessfold import folding
 from nessfold.exceptions import ClosureViolation
 from nessfold.folding import FoldResult, close_row, eliminate_pair, fold
-from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from nessfold.spectral import TransferStack, build_stack, decompose, orthogonality_residual, stable_projector
+from nessfold.spectral import TransferStack, build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
 
 from helpers import eliminate_pair_by_steps, replay, rotate_columns
 

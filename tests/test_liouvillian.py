@@ -4,7 +4,6 @@ antisymmetry, scalar bookkeeping, and the pair-basis blocks that tie the two tog
 import numpy as np
 import pytest
 
-from nessfold.liouvillian import LiouvillianCoeffs, build_liouvillian
 from nessfold.model import (
     BathChannel,
     EndBathParams,
@@ -14,6 +13,7 @@ from nessfold.model import (
     end_baths,
     single_site_bath,
 )
+from nessfold.spectral import LiouvillianCoeffs, build_liouvillian
 
 from helpers import liouvillian_by_channel, pair_basis, scalar_eigenvalue
 

@@ -1,10 +1,12 @@
 """One BLAS thread per solve, and no scipy on the solve path.
 
 `nessfold.pipeline.solve` pins numpy's OpenBLAS to one thread while it runs and
-restores the count it found. Cases that read the count skip when numpy does not
-link an OpenBLAS whose get/set functions the pipeline could find.
+restores the count it found; the replay's scipy gesvd fallback pins scipy's own
+OpenBLAS too. Cases that read a count skip when the library does not link an
+OpenBLAS with get/set functions.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -36,6 +38,23 @@ def blas():
     put(found)
 
 
+@pytest.fixture
+def scipy_blas():
+    """(get, set) of the thread count of scipy.linalg's own OpenBLAS, restored after the test."""
+    from scipy.linalg import _flapack
+
+    lib = ctypes.CDLL(_flapack.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads", None)
+    if get is None or put is None:
+        pytest.skip("scipy.linalg does not link an OpenBLAS with get/set_num_threads")
+    get.restype, get.argtypes = ctypes.c_int, []
+    put.restype, put.argtypes = None, [ctypes.c_int]
+    found = get()
+    yield get, put
+    put(found)
+
+
 @pytest.mark.parametrize("before", [1, 2])
 def test_solve_runs_on_one_thread_and_restores_the_count(blas, monkeypatch, before):
     get, put = blas
@@ -49,6 +68,30 @@ def test_solve_runs_on_one_thread_and_restores_the_count(blas, monkeypatch, befo
     monkeypatch.setattr(pipeline, "fold", recording)
     solve_end_bath(POINT, BATHS)
     assert seen == [1]
+    assert get() == before
+
+
+@pytest.mark.parametrize("before", [1, 2])
+def test_gesvd_fallback_runs_on_one_scipy_thread(scipy_blas, monkeypatch, before):
+    """numpy's pin does not reach scipy's library, which the replay's fallback runs on."""
+    import scipy.linalg
+
+    get, put = scipy_blas
+    put(before)
+    svd, gesvd, seen = np.linalg.svd, scipy.linalg.svd, []
+
+    def failing_once(*args, **kwargs):
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return gesvd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_once)
+    monkeypatch.setattr(scipy.linalg, "svd", recording)
+    solve_end_bath(POINT, BATHS)
+    assert seen and set(seen) == {1}
     assert get() == before
 
 

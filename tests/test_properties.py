@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from nessfold.exceptions import NessfoldError
 from nessfold.folding import fold
-from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import dense_second_space_ness, error_metric
 from nessfold.pipeline import solve_end_bath
-from nessfold.spectral import TransferStack, decompose
+from nessfold.spectral import TransferStack, build_liouvillian, decompose
 from nessfold.tns import dense_coefficients, product_state
 
 from helpers import apply_gate, liouvillian_by_channel, reference_projector, replay, rotate_columns, scalar_eigenvalue

@@ -5,10 +5,11 @@ import pytest
 
 from nessfold.cli import _FIG1_BATHS, _FIG1_PARAMS
 from nessfold.exceptions import NonUniqueNess, SingularEigenbasis
-from nessfold.liouvillian import LiouvillianCoeffs, build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import (
+    LiouvillianCoeffs,
     TransferStack,
+    build_liouvillian,
     build_stack,
     decompose,
     orthogonality_residual,
@@ -90,9 +91,13 @@ def test_projector_block_is_the_reference_projector_in_the_pair_basis():
 
 
 def test_degenerate_point_raises():
-    with pytest.raises(NonUniqueNess):
-        decompose(coeffs(n=4, w=1.0, mu=0.0,
-                         bp=EndBathParams(gamma21=1.0, gamma22=1.0)))
+    """At w = delta, mu = 0 with gain-only end baths, both counts read off the rates +-eig(X)."""
+    bp = EndBathParams(gamma21=1.0, gamma22=1.0)
+    for n, counts in ((4, "6 stable modes (expected 8), 4 eigenvalues"),
+                      (8, "6 stable modes (expected 16), 20 eigenvalues")):
+        with pytest.raises(NonUniqueNess) as err:
+            decompose(coeffs(n=n, w=1.0, mu=0.0, bp=bp))
+        assert str(err.value) == f"stationary state may be non-unique: {counts} with |Re z| <= 1.000e-08"
 
 
 def test_threshold_is_relative():
@@ -133,9 +138,12 @@ SEEDS = [(1, 0), (2, 1), (4, 2), (6, 3), (8, 4), (12, 5), (16, 6), (16, 7)]
 @pytest.mark.parametrize("params, bp", FIG1_GRID + [seeded_point(n, seed) for n, seed in SEEDS],
                          ids=[f"fig1-{i}" for i in range(len(FIG1_GRID))] + [f"n{n}-seed{seed}" for n, seed in SEEDS])
 def test_stack_matches_the_4n_reference(params, bp):
-    """The stack read off the covariance is the 4N eigendecomposition's, entry by entry."""
+    """The stack read off the covariance is the 4N eigendecomposition's, entry by entry, and its
+    projector block is exactly antisymmetric."""
     H, chans = build_kitaev(params), end_baths(params.N, bp)
-    stack = build_stack(stable_projector(decompose(build_liouvillian(H, chans))), params.N)
+    Q = stable_projector(decompose(build_liouvillian(H, chans)))
+    assert np.array_equal(Q, -Q.T)
+    stack = build_stack(Q, params.N)
     assert np.abs(stack.R - reference_stack(H, chans)).max() <= 1e-11
 
 

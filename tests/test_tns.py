@@ -9,10 +9,9 @@ import scipy.linalg
 from nessfold import tns
 from nessfold.exceptions import VacuumVanishes
 from nessfold.folding import _PAIR_STEPS, FoldResult, fold
-from nessfold.liouvillian import build_liouvillian
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.pipeline import solve_end_bath
-from nessfold.spectral import build_stack, decompose, stable_projector
+from nessfold.spectral import build_liouvillian, build_stack, decompose, stable_projector
 from nessfold.tns import (
     TensorState,
     _pair_gates,
