@@ -294,8 +294,8 @@ def _solve_task(task: dict) -> dict:
             _dump_fold(sol, task["dump_fold"])
     except NessfoldError as exc:
         row["status"] = _STATUS_OF[type(exc)]  # a KeyError here is a failure type with no row
-        # a refused readout still carries the finished fold and replay
-        sol = getattr(exc, "solution", None)
+        # a vanishing vacuum or a refused readout still carries the finished fold and replay
+        sol = exc.solution
     if sol is not None:
         row["maxBond"] = int(sol.state.maxBondSeen)
         row["foldResidual"] = sol.foldResult.residual
@@ -424,7 +424,7 @@ def _with_fits(rows, per_point: int):
     for series in zip(*[iter(rows)] * per_point):  # consecutive blocks of per_point rows
         slope, residual = _series_fit(series)
         for r in series:
-            r.update(fitSlope=slope, fitResidual=residual, boundaryMu=2.0 * r["w"])
+            r.update(fitSlope=slope, fitResidual=residual, boundaryMu=2.0 * abs(r["w"]))
         yield from series
 
 

@@ -3,7 +3,14 @@ turns each type into its own row status."""
 
 
 class NessfoldError(Exception):
-    """Base class for solver failures."""
+    """Base class for solver failures.
+
+    A VacuumVanishes or UnphysicalReadout raised by `pipeline.solve` carries the solve's
+    `NessSolution` with no report as `solution`: the fold and the replay finished, so their
+    diagnostics stay readable.  Every other failure carries None.
+    """
+
+    solution = None
 
 
 class NonUniqueNess(NessfoldError):
@@ -24,10 +31,4 @@ class VacuumVanishes(NessfoldError):
 
 
 class UnphysicalReadout(NessfoldError, ValueError):
-    """A readout is unphysical: an occupancy has complex leakage or lies outside [0, 1].
-
-    Raised by `pipeline.solve`, it carries the solve's `NessSolution` with no report as
-    `solution`: the fold and the replay finished, so their diagnostics stay readable.
-    """
-
-    solution = None
+    """A readout is unphysical: an occupancy has complex leakage or lies outside [0, 1]."""

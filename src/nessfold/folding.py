@@ -59,13 +59,21 @@ class FoldResult:
         return bits
 
     @property
+    def roles(self) -> np.ndarray:
+        """Where each block's steps act, shape (blocks, 5) in application order, built on each
+        access: 0 a phase on the pair's left site, 1 the rotation mixing the pair's two sites,
+        2 a phase on its right site.  A step on local column i has role i, or 2-i when its block
+        is mirrored."""
+        columns = np.array([i for i, _ in _PAIR_STEPS])
+        return np.where(self.blocks.mirrored[:, None], 2 - columns, columns)
+
+    @property
     def rotations(self) -> np.recarray:
         """Read-only (m, theta, kind) records, one per rotation of (gamma~_{m-1}, gamma~_m) by theta,
-        built on each access: a step on local column i of a block on pair j has m = 2j+2+i, or
-        2j+4-i when mirrored."""
-        columns, kinds = (np.array(t) for t in zip(*_PAIR_STEPS))
+        built on each access: a step of role r in a block on pair j has m = 2j+2+r."""
+        kinds = np.array([kind for _, kind in _PAIR_STEPS])
         b = self.blocks
-        m = 2 * b.pair[:, None] + np.where(b.mirrored[:, None], 4 - columns, 2 + columns)
+        m = 2 * b.pair[:, None] + 2 + self.roles
         records = np.rec.fromarrays([m.ravel(), b.angles.ravel(), np.tile(kinds, len(b))],
                                     names="m,theta,kind")
         records.setflags(write=False)

@@ -5,26 +5,19 @@ end of `spectral`: drift and source, mode decomposition and transfer stack;
 stack folding, gate replay, observables) and surfaces each stage's typed
 failure unchanged so callers can map it to a status.
 
-A solve runs with numpy's OpenBLAS pinned to one thread: the replay's SVDs
-act on blocks of a few hundred rows at most, where waking and syncing BLAS
-threads costs more than the work they share.  The replay's scipy gesvd
-fallback runs on scipy's own OpenBLAS, which it pins the same way.
+A solve runs with numpy's OpenBLAS pinned to one thread (`tns.one_blas_thread`):
+the replay's SVDs act on blocks of a few hundred rows at most, where waking and
+syncing BLAS threads costs more than the work they share.
 """
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
 import math
 import numbers
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
-from .exceptions import UnphysicalReadout
+from .exceptions import UnphysicalReadout, VacuumVanishes
 from .folding import EPS_FOLD_DEFAULT, FoldResult, fold
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from .observables import ObservableReport, build_report
@@ -37,72 +30,14 @@ from .spectral import (
     orthogonality_residual,
     stable_projector,
 )
-from .tns import TRUNC_TOL_DEFAULT, TensorState, apply_inverse_sequence, normalize_vacuum, product_state
-
-
-def _openblas_threads(path=None):
-    """(get, set) thread-count functions of the OpenBLAS the extension at path links
-    (numpy.linalg's by default), or None.
-
-    None on other BLAS builds (MKL, Accelerate) or when the extension cannot be
-    loaded; pinning then does nothing.
-    """
-    try:
-        lib = ctypes.CDLL(path or np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
-
-
-@functools.cache
-def scipy_blas_threads():
-    """(get, set) of the OpenBLAS scipy.linalg links, which wheels ship apart from numpy's,
-    or None.  Loads scipy, so only the tensor layer's gesvd fallback asks for it."""
-    from scipy.linalg import _flapack
-
-    return _openblas_threads(_flapack.__file__)
-
-
-_BLAS_THREADS = _openblas_threads()
-# OpenBLAS's thread count is process-wide: the first block to pin a library saves its count,
-# the last block to leave restores every count saved
-_pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_saved = []  # (handle, count found), in the order pinned
-
-
-@contextmanager
-def one_blas_thread(*extra):
-    """Run the block with numpy's OpenBLAS, and each extra (get, set) pair that is not None,
-    on one thread, then restore the counts found.
-
-    Nested and concurrent blocks leave each count as the first block to pin it found it.
-    """
-    global _pin_depth
-    with _pin_lock:
-        for blas in (_BLAS_THREADS, *extra):
-            if blas is not None and blas not in [h for h, _ in _pin_saved]:
-                _pin_saved.append((blas, blas[0]()))
-                blas[1](1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                # last pinned first, so two handles on one library end at the count first found
-                for (_, put), count in reversed(_pin_saved):
-                    put(count)
-                _pin_saved.clear()
+from .tns import (
+    TRUNC_TOL_DEFAULT,
+    TensorState,
+    apply_inverse_sequence,
+    normalize_vacuum,
+    one_blas_thread,
+    product_state,
+)
 
 
 def check_settings(trunc_tol, max_chi, eps_z, eps_fold) -> None:
@@ -121,7 +56,7 @@ def check_settings(trunc_tol, max_chi, eps_z, eps_fold) -> None:
 class NessSolution:
     """Modes, fold, normalized state and readout of one solve; the stage functions give the rest.
 
-    `report` is None only on the solution an UnphysicalReadout carries."""
+    `report` is None only on the solution a VacuumVanishes or UnphysicalReadout carries."""
 
     spectrum: ModeSpectrum
     foldResult: FoldResult
@@ -152,12 +87,12 @@ def solve(
 
         state = product_state(fold_result.bits, trunc_tol=trunc_tol, max_chi=max_chi)
         apply_inverse_sequence(state, fold_result)
-        normalize_vacuum(state)
         sol = NessSolution(spectrum=spectrum, foldResult=fold_result, state=state, report=None,
                            orthoResidual=ortho)
         try:
+            normalize_vacuum(state)
             report = build_report(state)
-        except UnphysicalReadout as exc:
+        except (VacuumVanishes, UnphysicalReadout) as exc:
             exc.solution = sol
             raise
     return dataclasses.replace(sol, report=report)

@@ -25,16 +25,24 @@ matrices (the reduced-density-matrix route of DMRG) gives the same
 truncation for less work.  The Gram matrix squares the condition number, so
 a block that keeps a value below GRAM_FLOOR times its largest, or whose
 eigensolve fails, goes through the SVD instead.
+
+These factorizations act on blocks of a few hundred rows at most, where
+waking and syncing BLAS threads costs more than the work they share, so
+one_blas_thread pins numpy's OpenBLAS to one thread around a solve; the
+scipy gesvd fallback pins scipy's own OpenBLAS the same way.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import VacuumVanishes
-from .folding import _PAIR_STEPS, FoldResult
+from .folding import FoldResult
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
@@ -89,6 +97,62 @@ class TensorState:
         return out
 
 
+def _openblas_threads(path=None):
+    """(get, set) thread-count functions of the OpenBLAS the extension at path links
+    (numpy.linalg's by default), or None.
+
+    None on other BLAS builds (MKL, Accelerate) or when the extension cannot be
+    loaded; pinning then does nothing.
+    """
+    try:
+        lib = ctypes.CDLL(path or np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+_BLAS_THREADS = _openblas_threads()
+# OpenBLAS's thread count is process-wide: the first block to pin a library saves its count,
+# the last block to leave restores every count saved
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = []  # (handle, count found), in the order pinned
+
+
+@contextmanager
+def one_blas_thread(*extra):
+    """Run the block with numpy's OpenBLAS, and each extra (get, set) pair that is not None,
+    on one thread, then restore the counts found.
+
+    Nested and concurrent blocks leave each count as the first block to pin it found it.
+    """
+    global _pin_depth
+    with _pin_lock:
+        for blas in (_BLAS_THREADS, *extra):
+            if blas is not None and blas not in [h for h, _ in _pin_saved]:
+                _pin_saved.append((blas, blas[0]()))
+                blas[1](1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                # last pinned first, so two handles on one library end at the count first found
+                for (_, put), count in reversed(_pin_saved):
+                    put(count)
+                _pin_saved.clear()
+
+
 def _occupations(bits) -> list:
     bits = list(bits)
     for b in bits:
@@ -113,51 +177,46 @@ def _robust_svd(blocks: np.ndarray):
         return np.linalg.svd(blocks, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but reliable.  It runs on
-        # scipy's OpenBLAS, pinned to one thread like numpy's.  scipy and the pin are imported
-        # here: a solve that never falls back never loads scipy, and pipeline imports this module.
+        # scipy's OpenBLAS, which wheels ship apart from numpy's, pinned to one thread like
+        # numpy's.  scipy is imported here: a solve that never falls back never loads it.
         import scipy.linalg as sla
 
-        from .pipeline import one_blas_thread, scipy_blas_threads
-
-        with one_blas_thread(scipy_blas_threads()):
+        with one_blas_thread(_openblas_threads(sla._flapack.__file__)):
             parts = [sla.svd(b, full_matrices=False, lapack_driver="gesvd") for b in blocks]
         return tuple(np.stack(x) for x in zip(*parts))
 
 
 _MIX_AXES = np.indices((2, 2, 2, 2))
-# a block's local columns in undo order, last step first, and which of them is the pair's
-# two-site gate (column 1) rather than a phase on one site
-_UNDO_COLUMNS = np.array([i for i, _ in _PAIR_STEPS[::-1]])
-_UNDO_TWO_SITE = (_UNDO_COLUMNS == 1)[:, None, None, None]
-# sign of theta in the phase on each left leg of the two parity blocks, for a phase on the
-# left site and on the right site, which reverses in the odd block: there the right leg is
-# the left one flipped
-_PHASE_SIGNS = np.array([[[1.0, -1.0], [1.0, -1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+# sign of theta in the phase on each left leg of the two parity blocks, by step role: a phase
+# on the left site, none for the pair's gate, and a phase on the right site, which reverses in
+# the odd block: there the right leg is the left one flipped
+_PHASE_SIGNS = np.array([[[1.0, -1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, -1.0], [-1.0, 1.0]]])
 
 
-def _pair_gates(mirrored, thetas) -> np.ndarray:
-    """Cut-sector mixes undoing the fold's site-pair blocks, one per entry of mirrored and row
-    of thetas: a block's _PAIR_STEPS at those angles, undone last first at negated angles.
+def _pair_gates(roles, thetas) -> np.ndarray:
+    """Cut-sector mixes undoing the fold's site-pair blocks, one per row of roles and of thetas
+    (FoldResult.roles and the blocks' angles): a block's steps, undone last first at negated
+    angles.
 
-    Step (column i, theta) is exp(theta/2 * gamma~_a gamma~_b) on the Majoranas (a, b) =
-    (i+1, i+2) of the pair's four, or (3-i, 4-i) when mirrored: at column 1 the pair's gate
-    cos + i sin X(x)X, else the phase diag(e^{i theta/2}, e^{-i theta/2}) on the right site
-    when (column == 2) != mirrored and on the left one otherwise.  The product is built as
-    two 2x2 parity blocks, on (|00>, |11>) and on (|01>, |10>), each indexed by the left leg.
-    On a two-site amplitude with left bond parity pa and right bond parity pb, cut sector q
-    holds the legs (pa^q, pb^q), so parity block pa^pb maps sector q to sector x with its
-    entry [pa^x, pa^q].  Returns G of shape (blocks, 2, 2, 2, 2) with G[b, q, x, pa, pb]
-    that entry of the product undoing block b.
+    Step (role r, theta) is exp(theta/2 * gamma~_a gamma~_b) on the Majoranas (a, b) =
+    (r+1, r+2) of the pair's four: at role 1 the pair's gate cos + i sin X(x)X, else the
+    phase diag(e^{i theta/2}, e^{-i theta/2}) on the left site (role 0) or on the right one
+    (role 2).  The product is built as two 2x2 parity blocks, on (|00>, |11>) and on
+    (|01>, |10>), each indexed by the left leg.  On a two-site amplitude with left bond parity
+    pa and right bond parity pb, cut sector q holds the legs (pa^q, pb^q), so parity block
+    pa^pb maps sector q to sector x with its entry [pa^x, pa^q].  Returns G of shape
+    (blocks, 2, 2, 2, 2) with G[b, q, x, pa, pb] that entry of the product undoing block b.
     """
     half = -0.5 * np.asarray(thetas, dtype=float)[:, ::-1, None, None, None]
     c, s = np.cos(half), np.sin(half)
-    right = (_UNDO_COLUMNS == 2) != np.asarray(mirrored)[:, None]
+    undo = np.asarray(roles)[:, ::-1]
+    two_site = (undo == 1)[..., None, None, None]
     # each step is cos + i sin K, K the leg swap X(x)X for the pair's gate and the diagonal of
     # leg signs for a phase, applied as cos g + (i sin) K g with each product rounded on its own:
     # numpy's fused complex multiply rounds differently and moves small eec values by 1e-10
-    swap = np.where(_UNDO_TWO_SITE, 1j * s, 0)
-    phase = np.where(_UNDO_TWO_SITE, 0, 1j * s * _PHASE_SIGNS[right.astype(int)][..., None])
-    g = np.zeros((len(right), 2, 2, 2), dtype=complex)
+    swap = np.where(two_site, 1j * s, 0)
+    phase = np.where(two_site, 0, 1j * s * _PHASE_SIGNS[undo][..., None])
+    g = np.zeros((len(undo), 2, 2, 2), dtype=complex)
     g[..., [0, 1], [0, 1]] = 1.0
     for cos, sin_swap, sin_phase in zip(*(np.moveaxis(t, 1, 0) for t in (c, swap, phase))):
         g = cos * g + sin_phase * g + sin_swap * g[:, :, ::-1]
@@ -293,7 +352,7 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     if np.any(np.abs(moves) > 1):
         raise ValueError("a block skips past the orthogonality center; the fold's rows never do")
     center_left = np.append(moves < 0, False).tolist()
-    for j, gate, left in zip(pairs.tolist(), _pair_gates(blocks.mirrored, blocks.angles), center_left):
+    for j, gate, left in zip(pairs.tolist(), _pair_gates(result.roles[::-1], blocks.angles), center_left):
         _update_pair(state, j, gate, center_left=left)
 
 

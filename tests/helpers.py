@@ -160,10 +160,8 @@ def rotation_gate(m: int, theta: float) -> np.ndarray:
 
 def two_site_gate(theta: float) -> np.ndarray:
     """Sector mix of exp(theta/2 * gamma~_{2j+2} gamma~_{2j+3}) on a site pair (j, j+1): the
-    undo of a block whose one nonzero angle, -theta, is a step on local column 1."""
-    angles = [0.0] * len(_PAIR_STEPS)
-    angles[[i for i, _ in _PAIR_STEPS].index(1)] = -theta
-    return _pair_gates([False], [angles])[0]
+    undo of a block whose one step, at angle -theta, has role 1, the rotation mixing the pair."""
+    return _pair_gates([[1]], [[-theta]])[0]
 
 
 def apply_gate(state, m: int, theta: float) -> None:

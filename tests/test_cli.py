@@ -187,9 +187,21 @@ def test_phase_grid_blocks_and_fit(capsys):
     assert [p["w"] for p in parsed] == ["0.0"] * 3 + ["0.5"] * 3
     assert [p["N"] for p in parsed] == ["4", "6", "8"] * 2
     for p in parsed:
-        assert float(p["boundaryMu"]) == pytest.approx(2.0 * float(p["w"]))
+        assert float(p["boundaryMu"]) == pytest.approx(2.0 * abs(float(p["w"])))
         assert float(p["fitSlope"]) < 0  # even-N correlation decays on both lines
         assert p["fitResidual"] != ""
+
+
+def test_phase_grid_boundary_is_positive_for_negative_w(capsys):
+    """The closed chain's gap closes at |mu| = 2|w|, and the sign of w does not move the answer."""
+    grid = ["phase-grid", "--sizes", "2,3", "--mu-range", "1:1:1", "--format", "json"]
+    docs = {}
+    for w in ("-1", "1"):
+        code, out, _ = run_cli(capsys, [*grid, f"--w-range={w}:{w}:1"])
+        assert code == EXIT_OK
+        docs[w] = [json.loads(line) for line in out.splitlines()]
+    assert [d["boundaryMu"] for d in docs["-1"]] == [2.0, 2.0]
+    assert [d["eec"] for d in docs["-1"]] == pytest.approx([d["eec"] for d in docs["1"]], rel=1e-12)
 
 
 def test_phase_grid_fit_blank_when_correlation_vanishes(capsys):
@@ -425,6 +437,18 @@ def test_failed_readout_row_keeps_the_fold_and_replay_diagnostics(capsys):
     assert doc["status"] == "unphysical_readout"
     assert doc["eec"] is None and doc["occupancy"] is None
     assert doc["maxBond"] == 2
+    assert 0 <= doc["foldResidual"] < 1e-10 and 0 <= doc["orthoResidual"] < 1e-10
+
+
+def test_vanished_vacuum_row_keeps_the_fold_and_replay_diagnostics(capsys):
+    """A chi=1 cap leaves N=4 with a zero vacuum amplitude after a finished fold and replay."""
+    code, out, err = run_cli(capsys, ["ness", "--N", "4", "--max-chi", "1", "--format", "json"])
+    assert code == EXIT_NUMERICAL
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["status"] == "vacuum_vanishes"
+    assert doc["eec"] is None
+    assert doc["maxBond"] == 1
     assert 0 <= doc["foldResidual"] < 1e-10 and 0 <= doc["orthoResidual"] < 1e-10
 
 

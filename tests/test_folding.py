@@ -256,6 +256,18 @@ def test_fold_counts_and_weights():
             assert sorted(row.pair.tolist()) == list(range(free[0] - 1, free[-1] - 1))
 
 
+def test_roles_place_each_step_on_its_pair():
+    """A plain block's steps act on the pair's right site, across the pair, on its left site,
+    then right and across again; a mirrored block's read the same columns from the far end,
+    so left and right swap.  Each record's m is 2j + 2 + role."""
+    result = fold(genuine_stack(n=3))
+    assert result.roles.shape == (len(result.blocks), 5)
+    for mirrored, roles in zip(result.blocks.mirrored.tolist(), result.roles.tolist()):
+        assert roles == ([0, 1, 2, 0, 1] if mirrored else [2, 1, 0, 2, 1])
+    m = result.rotations.m.reshape(result.roles.shape)
+    assert (m == 2 * result.blocks.pair[:, None] + 2 + result.roles).all()
+
+
 def test_fold_replay_reproduces_pattern():
     stack = genuine_stack(n=2)
     result = fold(stack)

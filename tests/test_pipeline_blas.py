@@ -1,9 +1,9 @@
 """One BLAS thread per solve, and no scipy on the solve path.
 
 `nessfold.pipeline.solve` pins numpy's OpenBLAS to one thread while it runs and
-restores the count it found; the replay's scipy gesvd fallback pins scipy's own
-OpenBLAS too. Cases that read a count skip when the library does not link an
-OpenBLAS with get/set functions.
+restores the count it found, through `nessfold.tns.one_blas_thread`; the
+replay's scipy gesvd fallback pins scipy's own OpenBLAS too. Cases that read a
+count skip when the library does not link an OpenBLAS with get/set functions.
 """
 
 import ctypes
@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 import nessfold
-from nessfold import pipeline
+from nessfold import pipeline, tns
 from nessfold.exceptions import NonUniqueNess
 from nessfold.model import EndBathParams, KitaevParams
-from nessfold.pipeline import one_blas_thread, solve_end_bath
+from nessfold.pipeline import solve_end_bath
+from nessfold.tns import one_blas_thread
 
 BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
 POINT = KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0)
@@ -30,9 +31,9 @@ POINT = KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0)
 @pytest.fixture
 def blas():
     """(get, set) of numpy's OpenBLAS thread count, restored after the test."""
-    if pipeline._BLAS_THREADS is None:
+    if tns._BLAS_THREADS is None:
         pytest.skip("numpy.linalg does not link an OpenBLAS with get/set_num_threads")
-    get, put = pipeline._BLAS_THREADS
+    get, put = tns._BLAS_THREADS
     found = get()
     yield get, put
     put(found)
@@ -140,13 +141,13 @@ def test_concurrent_pins_restore_the_outer_count(blas):
     assert not any(t.is_alive() for t in threads)
     assert len(inside_counts) == 800
     assert set(inside_counts) == {1}
-    assert pipeline._pin_depth == 0
+    assert tns._pin_depth == 0
     assert get() == 2
 
 
 def test_solve_without_an_openblas_handle(monkeypatch):
     pinned = solve_end_bath(POINT, BATHS).report
-    monkeypatch.setattr(pipeline, "_BLAS_THREADS", None)
+    monkeypatch.setattr(tns, "_BLAS_THREADS", None)
     unpinned = solve_end_bath(POINT, BATHS).report
     np.testing.assert_allclose(unpinned.eec, pinned.eec, rtol=1e-12)
     np.testing.assert_allclose(unpinned.occupancy, pinned.occupancy, rtol=0, atol=1e-13)
@@ -156,13 +157,13 @@ def test_no_openblas_handle_without_the_extension(monkeypatch):
     def refuse(path):
         raise OSError(f"cannot load {path}")
 
-    monkeypatch.setattr(pipeline.ctypes, "CDLL", refuse)
-    assert pipeline._openblas_threads() is None
+    monkeypatch.setattr(tns.ctypes, "CDLL", refuse)
+    assert tns._openblas_threads() is None
 
 
 def test_no_openblas_handle_without_a_get_set_pair(monkeypatch):
-    monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda path: object())
-    assert pipeline._openblas_threads() is None
+    monkeypatch.setattr(tns.ctypes, "CDLL", lambda path: object())
+    assert tns._openblas_threads() is None
 
 
 _SOLVES = {

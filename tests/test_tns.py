@@ -326,7 +326,7 @@ def test_pair_gates_match_dense_block_products(mirrored):
     pairs = rng.integers(0, 5, size=8)
     ms = np.array([[2 * j + 4 - i if mirrored else 2 * j + 2 + i for i in steps] for j in pairs])
     thetas = rng.uniform(-np.pi, np.pi, ms.shape) * (rng.random(ms.shape) > 0.2)
-    gates = _pair_gates([mirrored] * len(pairs), thetas)
+    gates = _pair_gates(ms - 2 * pairs[:, None] - 2, thetas)  # each step's role, read off its m
     assert gates.shape == (len(pairs), 2, 2, 2, 2)
     for j, row, angles, gate in zip(pairs.tolist(), ms.tolist(), thetas.tolist(), gates):
         dense = np.eye(4, dtype=complex)
