@@ -119,13 +119,24 @@ def string(value) -> str:
 
 
 def integer_list(value) -> list:
+    """A list of integers, from a config list or comma-separated flag text; empty is refused."""
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p]
+        if not value:
+            raise ValueError("sizes list is empty")
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
     return [integer(v) for v in value]
 
 
 def sweep(value) -> list:
-    """A sweep object {start, stop, step=1} as its inclusive grid; any other key is refused."""
+    """A sweep object {start, stop, step=1}, or start:stop:step flag text, as its inclusive
+    grid; any other key is refused."""
+    if isinstance(value, str):
+        parts = value.split(":")
+        if len(parts) != 3:
+            raise ValueError("range must look like start:stop:step")
+        value = dict(zip(("start", "stop", "step"), parts))
     if not {"start", "stop"} <= set(value) <= {"start", "stop", "step"}:
         raise ValueError("a sweep holds start, stop and an optional step, and nothing else")
     start, stop, step = (number(value.get(key, 1.0)) for key in ("start", "stop", "step"))
@@ -137,29 +148,12 @@ def sweep(value) -> list:
     return [round(start + k * step, 12) for k in range(n)]
 
 
-def _parse_range(text: str) -> dict:
-    """start:stop:step as a sweep object; the sweep cast checks the bounds."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("range must look like start:stop:step")
-    return dict(zip(("start", "stop", "step"), parts))
-
-
-def _parse_sizes(text: str) -> list:
-    """Comma-separated sizes as a list; integer_list checks the entries."""
-    sizes = [p for p in text.split(",") if p]
-    if not sizes:
-        raise argparse.ArgumentTypeError("sizes list is empty")
-    return sizes
-
-
 class _Setting(NamedTuple):
     name: str  # config-file key, argparse dest and RunConfig attribute; flag --name-with-dashes
-    cast: object  # applied to config values and to flag values alike
+    cast: object  # RunConfig._set applies it to config values and to flag text alike
     default: object
     group: str  # which subcommands take the flag and the config key, see _COMMANDS
     help: str  # flag help; the default is appended by _flag_help
-    parse: object = None  # argparse type, where the flag is spelled unlike the config value
     choices: tuple = None
 
 
@@ -180,13 +174,11 @@ _SETTINGS = (
     _Setting("max_chi", integer, 0, "solver", "bond dimension cap, 0 = unlimited"),
     _Setting("eps_z", number, EPS_Z_DEFAULT, "solver", "relative dead-mode threshold"),
     _Setting("eps_fold", number, EPS_FOLD_DEFAULT, "solver", "closure tolerance"),
-    _Setting("sizes", integer_list, (), "sizes", "comma-separated chain lengths",
-             parse=_parse_sizes),
+    _Setting("sizes", integer_list, (), "sizes", "comma-separated chain lengths"),
     _Setting("dump_fold", string, None, "dump", "write rotation/diagnostic JSON to this path"),
     # a config spells these as a w or mu sweep object, see RunConfig.load_file
-    _Setting("w_range", sweep, None, "grid", "hopping sweep start:stop:step", parse=_parse_range),
-    _Setting("mu_range", sweep, None, "grid", "potential sweep start:stop:step",
-             parse=_parse_range),
+    _Setting("w_range", sweep, None, "grid", "hopping sweep start:stop:step"),
+    _Setting("mu_range", sweep, None, "grid", "potential sweep start:stop:step"),
 )
 _BY_NAME = {s.name: s for s in _SETTINGS}
 _TASK_KEYS = tuple(s.name for s in _SETTINGS if s.group in ("point", "solver"))
@@ -245,10 +237,15 @@ class RunConfig:
             self._set(name, value, spelled)
 
     def apply_flags(self, args: argparse.Namespace) -> None:
+        """Cast and store each flag given; a bad value is refused as argparse refuses an
+        unknown flag, with the subcommand's usage and the flag as typed."""
         for name in _BY_NAME:
             value = getattr(args, name, None)
             if value is not None:
-                self._set(name, value)
+                try:
+                    self._set(name, value, "--" + name.replace("_", "-"))
+                except _UsageError as exc:
+                    args.subparser.error(str(exc))
 
     def validate_common(self, command: str) -> None:
         if self.jobs < 1:
@@ -280,18 +277,10 @@ def _solve_task(task: dict) -> dict:
     row = {key: task[key] for key in _POINT_COLUMNS}
     row.update(eec="", occupancy="", maxBond="", foldResidual="", orthoResidual="",
                status=STATUS_OK)
+    params = KitaevParams(**{key: task[key] for key in _POINT_COLUMNS[:4]})
+    bath_params = EndBathParams(**{key: task[key] for key in _POINT_COLUMNS[4:]})
     try:
-        params = KitaevParams(N=task["N"], w=task["w"], mu=task["mu"], delta=task["delta"])
-        bath_params = EndBathParams(
-            gamma11=task["gamma11"], gamma21=task["gamma21"],
-            gamma12=task["gamma12"], gamma22=task["gamma22"],
-        )
         sol = solve_end_bath(params, bath_params, **{k: task[k] for k in _SOLVER_KEYS})
-        row["eec"] = sol.report.eec if params.N >= 2 else ""
-        if task["with_occupancy"]:
-            row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
-        if task["dump_fold"]:
-            _dump_fold(sol, task["dump_fold"])
     except NessfoldError as exc:
         row["status"] = _STATUS_OF[type(exc)]  # a KeyError here is a failure type with no row
         # a vanishing vacuum or a refused readout still carries the finished fold and replay
@@ -300,6 +289,12 @@ def _solve_task(task: dict) -> dict:
         row["maxBond"] = int(sol.state.maxBondSeen)
         row["foldResidual"] = sol.foldResult.residual
         row["orthoResidual"] = sol.orthoResidual
+        if sol.report is not None:
+            row["eec"] = sol.report.eec if params.N >= 2 else ""
+            if task["with_occupancy"]:
+                row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
+        if task["dump_fold"]:
+            _dump_fold(sol, task["dump_fold"])
     row["runtimeSeconds"] = time.perf_counter() - t0
     return row
 
@@ -516,34 +511,34 @@ def _check_cross_oracle() -> tuple:
 def _check_decay_profile() -> tuple:
     from .oracle import dense_second_space_ness, occupancy_from_vec
 
-    def eec(n):
-        return solve_end_bath(KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0), _INJECT_BATHS).report.eec
-
-    odd_max = max(0.0, *(eec(n) for n in (3, 5, 7)))
-    evens = [eec(n) for n in (4, 6, 8, 10)]
+    points = {n: KitaevParams(N=n, w=0.0, mu=4.0, delta=1.0) for n in range(3, 11)}
+    reports = {n: solve_end_bath(params, _INJECT_BATHS).report for n, params in points.items()}
+    odd_max = max(0.0, *(reports[n].eec for n in (3, 5, 7)))
+    evens = [reports[n].eec for n in (4, 6, 8, 10)]
     decreasing = all(a > b for a, b in zip(evens, evens[1:]))
     _, _, residual = log_linear_fit([4, 6, 8, 10], evens)
 
-    params5 = KitaevParams(N=5, w=0.0, mu=4.0, delta=1.0)
-    sol5 = solve_end_bath(params5, _INJECT_BATHS)
-    ref = dense_second_space_ness(build_kitaev(params5), end_baths(5, _INJECT_BATHS)).vec
-    occ_err = max(abs(sol5.report.occupancy[j - 1] - occupancy_from_vec(ref, 5, j))
-                  for j in (1, 5))
-    occ_min = min(sol5.report.occupancy[0], sol5.report.occupancy[4])
+    occupancy = reports[5].occupancy
+    ref = dense_second_space_ness(build_kitaev(points[5]), end_baths(5, _INJECT_BATHS)).vec
+    occ_err = max(abs(occupancy[j - 1] - occupancy_from_vec(ref, 5, j)) for j in (1, 5))
+    occ_min = min(occupancy[0], occupancy[4])
     ok = (odd_max <= 1e-10 and decreasing and residual <= 0.10
           and occ_err <= 1e-8 and occ_min > 0.99)
     return ok, (f"odd max {odd_max:.3e}, even decreasing {decreasing}, "
                 f"fit residual {residual:.3f}, end occupancy err {occ_err:.3e}")
 
 
-def _check_degeneracy(sizes=(4, 8)) -> tuple:
-    for n in sizes:
+_DEGENERATE_SIZES = (4, 8)
+
+
+def _check_degeneracy() -> tuple:
+    for n in _DEGENERATE_SIZES:
         try:
             solve_end_bath(KitaevParams(N=n, w=1.0, mu=0.0, delta=1.0), _INJECT_BATHS)
             return False, f"N={n} at w=1, mu=0 did not report a degeneracy"
         except NonUniqueNess:
             continue
-    return True, f"w=1, mu=0 flagged non-unique at {' and '.join(f'N={n}' for n in sizes)}"
+    return True, f"w=1, mu=0 flagged non-unique at {' and '.join(f'N={n}' for n in _DEGENERATE_SIZES)}"
 
 
 def _check_dense_equivalence() -> tuple:
@@ -610,8 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--config", help="JSON config file; flags override its keys")
             for s in _SETTINGS:
                 if s.group == group:
-                    p.add_argument("--" + s.name.replace("_", "-"), type=s.parse or s.cast,
-                                   choices=s.choices, help=_flag_help(s))
+                    p.add_argument("--" + s.name.replace("_", "-"), choices=s.choices,
+                                   help=_flag_help(s))
     return parser
 
 

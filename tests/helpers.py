@@ -1,15 +1,28 @@
 """Reference operations that only tests need: stack rotations, the step-by-step site-pair
 elimination, fold replay, dumped records regrouped into blocks, the 4N second-space
 generator with its eigendecomposition, projector and stack, dense and record-by-record rotation
-gates, Majorana pair expectations, mode Majoranas, string expansion."""
+gates, Majorana pair expectations, mode Majoranas, string expansion, and a CLI run that reads
+a usage refusal's exit code."""
 
 import math
 
 import numpy as np
 
+from nessfold.cli import main
 from nessfold.folding import _PAIR_STEPS, BLOCK_DTYPE
 from nessfold.oracle import _ordered_strings, mode_ladders
 from nessfold.tns import _pair_gates, _physical, _update_pair, coefficient
+
+
+def run_cli(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one CLI run; a usage refusal, which argparse raises as
+    SystemExit, gives its code like any other exit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from nessfold import cli
 from nessfold.cli import CHECKS
 from nessfold.exceptions import ClosureViolation, NonUniqueNess, SingularEigenbasis
 from nessfold.folding import fold
@@ -31,9 +32,9 @@ FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
 
 
-def run_check(name, budget_s=None, **kwargs):
+def run_check(name, budget_s=None):
     t0 = time.perf_counter()
-    ok, detail = CHECKS[name](**kwargs)
+    ok, detail = CHECKS[name]()
     elapsed = time.perf_counter() - t0
     assert ok, detail
     if budget_s is not None:
@@ -64,9 +65,10 @@ def test_criterion_4_decay_profile():
 
 
 @pytest.mark.parametrize("n", [4, 8])
-def test_criterion_5_degeneracy_detected(n):
+def test_criterion_5_degeneracy_detected(monkeypatch, n):
     """w=1, mu=0 has undamped modes; the solver must refuse, not return something."""
-    run_check("degeneracy_detection", sizes=(n,))
+    monkeypatch.setattr(cli, "_DEGENERATE_SIZES", (n,))
+    run_check("degeneracy_detection")
 
 
 # ---------------------------------------------------------------- 6

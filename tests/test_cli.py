@@ -32,13 +32,7 @@ from nessfold.cli import (
 from nessfold import exceptions
 from nessfold.exceptions import NessfoldError, SingularEigenbasis, VacuumVanishes
 
-from helpers import blocks_from_records
-
-
-def run_cli(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from helpers import blocks_from_records, run_cli
 
 
 def parse_csv(text):

@@ -13,23 +13,14 @@ import pytest
 
 from nessfold import cli
 from nessfold.cli import (_SETTINGS, EXIT_DEGENERATE, EXIT_NUMERICAL, EXIT_USAGE, RunConfig,
-                          _UsageError, build_parser, main)
-from nessfold.exceptions import ClosureViolation
+                          _UsageError, build_parser)
+from nessfold.exceptions import ClosureViolation, NonUniqueNess, UnphysicalReadout, VacuumVanishes
 from nessfold.folding import FoldResult
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import solve_end_bath
 from nessfold.tns import apply_inverse_sequence, dense_coefficients, normalize_vacuum, product_state
 
-from helpers import blocks_from_records
-
-
-def run_cli(capsys, argv):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refuses a flag value before main runs its own checks
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from helpers import blocks_from_records, run_cli
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -111,6 +102,25 @@ def test_unknown_flag_is_refused_with_the_subcommand_usage(capsys, argv):
     assert f"nessfold {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ness", "--N", "x"], "--N"),
+    (["ness", "--N", "2.5"], "--N"),
+    (["ness", "--w=-inf"], "--w"),
+    (["sweep-size", "--sizes", ","], "--sizes"),
+    (["sweep-size", "--sizes", "2,1e9999"], "--sizes"),
+    (["phase-grid", "--sizes", "2", "--w-range", "0:1"], "--w-range"),
+    (["phase-grid", "--sizes", "2", "--w-range", "2:1:1"], "--w-range"),
+    (["phase-grid", "--sizes", "2", "--w-range", "0:1:0"], "--w-range"),
+])
+def test_bad_flag_value_is_refused_with_the_subcommand_usage(capsys, argv, flag):
+    """One cast reads every flag, so every bad value is refused as an unknown flag is: the
+    subcommand's usage, then the flag as typed and the reason."""
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"usage: nessfold {argv[0]} [-h]")
+    assert f"nessfold {argv[0]}: error: bad value " in err and f" for {flag}: " in err
+
+
 def test_validate_reports_a_raising_check_and_exits_three(capsys, monkeypatch):
     def broken():
         raise ClosureViolation("synthetic")
@@ -176,6 +186,30 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
                                sol.state.z0 * dense_coefficients(sol.state), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("N, w, mu, max_chi, refusal, want", [
+    (4, 1.0, 1.0, 1, VacuumVanishes, EXIT_NUMERICAL),
+    (6, 1.5, 3.0, 2, UnphysicalReadout, EXIT_NUMERICAL),
+    (4, 1.0, 0.0, 0, NonUniqueNess, EXIT_DEGENERATE),
+], ids=["vacuum_vanishes", "unphysical_readout", "non_unique"])
+def test_dump_fold_holds_every_finished_fold(capsys, tmp_path, N, w, mu, max_chi, refusal, want):
+    """A row refused at vacuum normalization or at readout dumps the fold it finished, the
+    blocks its refusal carries; a point refused before the fold dumps nothing."""
+    target = tmp_path / "fold.json"
+    code, _, _ = run_cli(capsys, ["ness", "--N", str(N), "--w", str(w), "--mu", str(mu),
+                                  "--max-chi", str(max_chi), "--dump-fold", str(target)])
+    assert code == want
+    with pytest.raises(refusal) as exc:
+        solve_end_bath(KitaevParams(N=N, w=w, mu=mu, delta=1.0),
+                       EndBathParams(gamma21=1.0, gamma22=1.0), max_chi=max_chi)
+    sol = exc.value.solution
+    if sol is None:
+        assert not target.exists()
+        return
+    records = [(r["m"], r["theta"], r["kind"]) for r in json.loads(target.read_text())["rotations"]]
+    assert "".join(kind for _, _, kind in records) == "UUUVV" * (N * (2 * N - 1))
+    np.testing.assert_array_equal(blocks_from_records(records), sol.foldResult.blocks)
+
+
 # the settings groups each subcommand reads, and so takes as flags and as config keys
 COMMAND_GROUPS = {
     "ness": {"point", "out", "format", "solver", "dump"},
@@ -199,9 +233,31 @@ def test_parser_flags_come_from_the_settings_table():
             assert options[name] == ["--" + name.replace("_", "-")], (command, name)
 
 
-# a value each setting's cast accepts, where its default is no such value
-_CONFIG_VALUES = {"sizes": [2, 3], "dump_fold": "fold.json",
-                  "w_range": {"start": 0, "stop": 1}, "mu_range": {"start": 0, "stop": 1}}
+# per setting, flag text and a config value that spell the same value, which is not its default
+_FLAG_AND_CONFIG = {
+    "N": ("3", 3), "w": ("0.5", 0.5), "mu": ("2", 2), "delta": ("0.5", 0.5),
+    "gamma11": ("0.25", 0.25), "gamma21": ("2", 2.0), "gamma12": ("0.25", 0.25),
+    "gamma22": ("3", 3), "out": ("rows.csv", "rows.csv"), "format": ("json", "json"),
+    "jobs": ("2", 2), "trunc_tol": ("1e-10", 1e-10), "max_chi": ("8", 8),
+    "eps_z": ("1e-9", 1e-9), "eps_fold": ("1e-6", 1e-6), "sizes": ("2,3", [2, 3]),
+    "dump_fold": ("fold.json", "fold.json"),
+    "w_range": ("0:1:0.5", {"start": 0, "stop": 1, "step": 0.5}),
+    "mu_range": ("1:2:1", {"start": 1, "stop": 2}),
+}
+
+
+def test_flag_and_config_give_the_same_setting(tmp_path):
+    """RunConfig._set casts flag text and config values alike."""
+    assert set(_FLAG_AND_CONFIG) == {s.name for s in _SETTINGS}
+    path = tmp_path / "run.json"
+    for s in _SETTINGS:
+        text, value = _FLAG_AND_CONFIG[s.name]
+        command = next(c for c, groups in COMMAND_GROUPS.items() if s.group in groups)
+        from_flag, from_config = RunConfig(), RunConfig()
+        from_flag.apply_flags(build_parser().parse_args([command, "--" + s.name.replace("_", "-"), text]))
+        path.write_text(json.dumps({s.name.removesuffix("_range"): value}))
+        from_config.load_file(str(path), command)
+        assert getattr(from_flag, s.name) == getattr(from_config, s.name) != s.default, s.name
 
 
 def test_config_keys_are_the_settings_a_subcommand_takes(tmp_path):
@@ -209,7 +265,7 @@ def test_config_keys_are_the_settings_a_subcommand_takes(tmp_path):
     for command, groups in COMMAND_GROUPS.items():
         for s in _SETTINGS:
             key = s.name.removesuffix("_range")  # a config spells a range as a w or mu sweep object
-            path.write_text(json.dumps({key: _CONFIG_VALUES.get(s.name, s.default)}))
+            path.write_text(json.dumps({key: _FLAG_AND_CONFIG[s.name][1]}))
             cfg = RunConfig()
             if s.group in groups:
                 cfg.load_file(str(path), command)
