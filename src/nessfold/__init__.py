@@ -24,8 +24,7 @@ from .model import (
     end_baths,
     single_site_bath,
 )
-from .observables import ObservableReport, log_linear_fit
-from .pipeline import NessSolution, solve, solve_end_bath
+from .pipeline import NessSolution, log_linear_fit, solve, solve_end_bath
 from .spectral import (
     LiouvillianCoeffs,
     ModeSpectrum,
@@ -36,7 +35,7 @@ from .spectral import (
     orthogonality_residual,
     stable_projector,
 )
-from .tns import TensorState, normalize_vacuum, product_state
+from .tns import ObservableReport, TensorState, normalize_vacuum, product_state
 
 __version__ = "0.1.0"
 

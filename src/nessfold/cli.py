@@ -39,8 +39,7 @@ from .exceptions import (
 )
 from .folding import EPS_FOLD_DEFAULT
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from .observables import log_linear_fit
-from .pipeline import check_settings, solve_end_bath
+from .pipeline import check_settings, log_linear_fit, solve_end_bath
 from .spectral import EPS_Z_DEFAULT
 from .tns import TRUNC_TOL_DEFAULT, dense_coefficients
 
@@ -238,7 +237,12 @@ class RunConfig:
 
     def apply_flags(self, args: argparse.Namespace) -> None:
         """Cast and store each flag given; a bad value is refused as argparse refuses an
-        unknown flag, with the subcommand's usage and the flag as typed."""
+        unknown flag, with the subcommand's usage and the flag as typed.  A --w or --mu
+        flag sets its axis to that one value, so it is refused beside the axis's range flag
+        and replaces a config sweep."""
+        for axis in ("w", "mu"):
+            if getattr(args, axis, None) is not None and getattr(args, axis + "_range", None) is not None:
+                args.subparser.error(f"--{axis} and --{axis}-range both set the {axis} axis; give one")
         for name in _BY_NAME:
             value = getattr(args, name, None)
             if value is not None:
@@ -246,12 +250,19 @@ class RunConfig:
                     self._set(name, value, "--" + name.replace("_", "-"))
                 except _UsageError as exc:
                     args.subparser.error(str(exc))
+                if name in ("w", "mu"):
+                    setattr(self, name + "_range", None)
 
     def validate_common(self, command: str) -> None:
         if self.jobs < 1:
             raise _UsageError("jobs must be >= 1")
         if "sizes" in _COMMANDS[command][1] and not self.sizes:
             raise _UsageError(f"{command} needs a nonempty sizes list")
+        # the rows and the fold dump would overwrite each other; a hard link resolves apart
+        out, dump = self.out, self.dump_fold
+        if dump and out not in (None, "", "-") and (os.path.realpath(out) == os.path.realpath(dump) or (
+                os.path.exists(out) and os.path.exists(dump) and os.path.samefile(out, dump))):
+            raise _UsageError(f"--out {out} and --dump-fold {dump} name one file")
         # the library's own checks decide what a valid point and solver setting are, before any output
         try:
             check_settings(self.trunc_tol, self.max_chi, self.eps_z, self.eps_fold)

@@ -17,10 +17,11 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import UnphysicalReadout, VacuumVanishes
 from .folding import EPS_FOLD_DEFAULT, FoldResult, fold
 from .model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from .observables import ObservableReport, build_report
 from .spectral import (
     EPS_Z_DEFAULT,
     ModeSpectrum,
@@ -32,8 +33,10 @@ from .spectral import (
 )
 from .tns import (
     TRUNC_TOL_DEFAULT,
+    ObservableReport,
     TensorState,
     apply_inverse_sequence,
+    build_report,
     normalize_vacuum,
     one_blas_thread,
     product_state,
@@ -109,3 +112,25 @@ def solve_end_bath(
     """Convenience wrapper for the standard two-end bath layout."""
     channels = end_baths(params.N, bath_params)
     return solve(params, channels, trunc_tol=trunc_tol, max_chi=max_chi, eps_z=eps_z, eps_fold=eps_fold)
+
+
+def log_linear_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares fit of log(y) vs x; returns (slope, intercept, residual).
+
+    The residual is sqrt(1 - R^2): the fraction of standard deviation the
+    linear model leaves unexplained, 0 for a perfect exponential decay.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size or x.size < 3:
+        raise ValueError("need at least 3 matching points")
+    if (y <= 0).any():
+        raise ValueError("log fit needs strictly positive values")
+    ly = np.log(y)
+    slope, intercept = np.polyfit(x, ly, 1)
+    pred = slope * x + intercept
+    ss_res = float(((ly - pred) ** 2).sum())
+    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    # a flat series is fit exactly; polyfit's roundoff slope leaves ss_res a few ulps above 0
+    residual = float(np.sqrt(ss_res / ss_tot)) if ss_tot else 0.0
+    return float(slope), float(intercept), residual

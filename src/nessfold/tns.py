@@ -30,6 +30,11 @@ These factorizations act on blocks of a few hundred rows at most, where
 waking and syncing BLAS threads costs more than the work they share, so
 one_blas_thread pins numpy's OpenBLAS to one thread around a solve; the
 scipy gesvd fallback pins scipy's own OpenBLAS the same way.
+
+Observables are ratios of basis coefficients against the vacuum one, so
+the trace factors dropped during construction cancel identically.  A pair
+of occupied second-space sites (i, j) selects the expectation of the
+ordered Majorana pair gamma_i * (i gamma_j) in the physical state.
 """
 
 from __future__ import annotations
@@ -41,11 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import VacuumVanishes
+from .exceptions import UnphysicalReadout, VacuumVanishes
 from .folding import FoldResult
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
+IMAG_TOL = 1e-10
 # relative floor on every value the Gram route keeps: the Gram matrix squares the condition
 # number, so singular values below about sqrt(eps) times the largest are not resolved
 GRAM_FLOOR = 1e-6
@@ -379,6 +385,55 @@ def normalize_vacuum(state: TensorState) -> complex:
         raise VacuumVanishes(f"vacuum amplitude {abs(c0):.3e} below {VACUUM_EPS:.3e}")
     state.z0 = 1.0 / c0
     return state.z0
+
+
+@dataclass(frozen=True)
+class ObservableReport:
+    """Observables of one solved parameter point."""
+
+    eec: float
+    occupancy: np.ndarray
+    maxBond: int
+
+    def __post_init__(self):
+        occ = np.asarray(self.occupancy, dtype=float).copy()
+        occ.setflags(write=False)
+        object.__setattr__(self, "occupancy", occ)
+        if self.eec < 0:
+            raise ValueError(f"eec must be nonnegative, got {self.eec}")
+
+
+def _occupied(n2: int, *positions: int) -> list:
+    """Occupations of n2 modes with exactly the given 1-based positions occupied."""
+    return [int(k + 1 in positions) for k in range(n2)]
+
+
+def build_report(state: TensorState) -> ObservableReport:
+    """Every observable of a vacuum-normalized state, each read as z0 times an amplitude:
+    eec = 2|z0 (c_A + c_B)| with c_A occupied at (2, 2N-1) and c_B at (1, 2N), 0.0 on a lone
+    site, and site j's occupancy (1 + Re[z0 c_j])/2 with c_j occupied at (2j-1, 2j).
+    UnphysicalReadout refuses an occupancy with complex leakage or outside [0, 1]."""
+    if state.z0 == 0:
+        raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
+    n2 = state.sites
+    eec = 0.0
+    if n2 >= 4:
+        c_a = coefficient(state, _occupied(n2, 2, n2 - 1))
+        c_b = coefficient(state, _occupied(n2, 1, n2))
+        eec = float(2.0 * abs(state.z0 * (c_a + c_b)))
+    # hermiticity leakage scales like the root of the discarded weight; the
+    # floor covers exact-tolerance runs where discards sit at roundoff
+    imag_tol = max(IMAG_TOL, 10.0 * float(np.sqrt(max(state.discardedWeight, 0.0))))
+    occupancy = []
+    for j in range(1, n2 // 2 + 1):
+        val = state.z0 * coefficient(state, _occupied(n2, 2 * j - 1, 2 * j))
+        if abs(val.imag) > imag_tol:
+            raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {val.imag:.3e}")
+        occ = float((1.0 + val.real) / 2.0)
+        if occ < -1e-8 or occ > 1 + 1e-8:
+            raise UnphysicalReadout(f"occupancy at site {j} is {occ!r}, outside [0,1]")
+        occupancy.append(occ)
+    return ObservableReport(eec=eec, occupancy=np.array(occupancy), maxBond=int(state.maxBondSeen))
 
 
 def dense_coefficients(state: TensorState) -> np.ndarray:

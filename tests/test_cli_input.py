@@ -210,6 +210,67 @@ def test_dump_fold_holds_every_finished_fold(capsys, tmp_path, N, w, mu, max_chi
     np.testing.assert_array_equal(blocks_from_records(records), sol.foldResult.blocks)
 
 
+@pytest.mark.parametrize("spelling, existing", [
+    (spelling, existing) for spelling in ("same", "absolute", "dotted", "symlink")
+    for existing in (False, True)] + [("hardlink", True)])  # a hard link needs a file to link
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_out_and_dump_fold_naming_one_file_are_refused(capsys, monkeypatch, tmp_path, spelling,
+                                                       existing, source):
+    """The rows and the fold dump would overwrite each other in one file, so two paths that
+    resolve to one file are refused before any output, and the file is left as found."""
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "same.txt"
+    if existing:
+        target.write_bytes(b"kept\n")
+    other = {"same": "same.txt", "absolute": str(target), "dotted": "./sub/../same.txt",
+             "symlink": "link.txt", "hardlink": "hard.txt"}[spelling]
+    (tmp_path / "sub").mkdir()
+    if spelling == "symlink":
+        os.symlink("same.txt", "link.txt")
+    if spelling == "hardlink":
+        os.link("same.txt", "hard.txt")
+    argv = ["ness", "--N", "2"]
+    if source == "flags":
+        argv += ["--out", "same.txt", "--dump-fold", other]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({"out": "same.txt", "dump_fold": other}))
+        argv += ["--config", "run.json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"nessfold: error: --out same.txt and --dump-fold {other} name one file\n" == err
+    if existing:
+        assert target.read_bytes() == b"kept\n"
+    else:
+        assert not target.exists()
+
+
+def test_out_on_stdout_never_collides_with_the_dump(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, ["ness", "--N", "2", "--out", "-", "--dump-fold", "-"])
+    assert code == 0
+    assert out.startswith("N,w,mu,")
+    assert json.loads((tmp_path / "-").read_text())["bondDims"]
+
+
+@pytest.mark.parametrize("axis", ["w", "mu"])
+def test_an_axis_flag_beside_its_range_flag_is_refused(capsys, axis):
+    code, out, err = run_cli(capsys, ["phase-grid", "--sizes", "2", f"--{axis}", "3",
+                                      f"--{axis}-range", "0:1:1"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: nessfold phase-grid [-h]")
+    assert f"nessfold phase-grid: error: --{axis} and --{axis}-range both set the {axis} axis" in err
+
+
+@pytest.mark.parametrize("axis", ["w", "mu"])
+def test_an_axis_flag_replaces_the_config_sweep_of_its_axis(capsys, tmp_path, axis):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({axis: {"start": 0, "stop": 1}}))
+    code, out, _ = run_cli(capsys, ["phase-grid", "--sizes", "2", "--config", str(path),
+                                    f"--{axis}", "3", "--format", "json"])
+    assert code == 0
+    assert [json.loads(line)[axis] for line in out.splitlines()] == [3.0]
+
+
 # the settings groups each subcommand reads, and so takes as flags and as config keys
 COMMAND_GROUPS = {
     "ness": {"point", "out", "format", "solver", "dump"},

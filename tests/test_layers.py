@@ -13,7 +13,7 @@ import pytest
 
 import nessfold
 
-LAYERS = ("exceptions", "model", "spectral", "folding", "tns", "observables", "pipeline", "oracle", "cli")
+LAYERS = ("exceptions", "model", "spectral", "folding", "tns", "pipeline", "oracle", "cli")
 PACKAGE = Path(nessfold.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
 

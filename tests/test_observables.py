@@ -5,9 +5,8 @@ import pytest
 
 from nessfold.exceptions import UnphysicalReadout
 from nessfold.model import EndBathParams, KitaevParams
-from nessfold.observables import ObservableReport, build_report, log_linear_fit
-from nessfold.pipeline import solve_end_bath
-from nessfold.tns import normalize_vacuum, product_state
+from nessfold.pipeline import log_linear_fit, solve_end_bath
+from nessfold.tns import ObservableReport, build_report, normalize_vacuum, product_state
 
 from helpers import apply_gate, majorana_pair_expectation
 
