@@ -151,37 +151,40 @@ class _Setting(NamedTuple):
     name: str  # config-file key, argparse dest and RunConfig attribute; flag --name-with-dashes
     cast: object  # RunConfig._set applies it to config values and to flag text alike
     default: object
-    group: str  # which subcommands take the flag and the config key, see _COMMANDS
+    commands: tuple  # the subcommands that take the flag and the config key, in _COMMANDS order
     help: str  # flag help; the default is appended by _flag_help
     choices: tuple = None
 
 
-# One row per setting.  The point and solver groups are also the keys of a solve task.
+# The subcommands in _COMMANDS order, and those that solve: every one but validate.
+_ALL = ("ness", "occupancy", "sweep-size", "phase-grid", "validate", "bench")
+_SOLVES = tuple(c for c in _ALL if c != "validate")
+
+# One row per setting, in the order of each subcommand's flags.
 _SETTINGS = (
-    _Setting("N", integer, 2, "point", "chain length"),
-    _Setting("w", number, 1.0, "point", "hopping intensity"),
-    _Setting("mu", number, 1.0, "point", "chemical potential"),
-    _Setting("delta", number, 1.0, "point", "pairing intensity"),
-    _Setting("gamma11", number, 0.0, "point", "left annihilation rate"),
-    _Setting("gamma21", number, 1.0, "point", "left creation rate"),
-    _Setting("gamma12", number, 0.0, "point", "right annihilation rate"),
-    _Setting("gamma22", number, 1.0, "point", "right creation rate"),
-    _Setting("out", string, "-", "out", "output path"),
-    _Setting("format", string, "csv", "format", "output format", choices=("csv", "json")),
-    _Setting("jobs", integer, 1, "jobs", "concurrent parameter points"),
-    _Setting("trunc_tol", number, TRUNC_TOL_DEFAULT, "solver", "relative singular-value cutoff"),
-    _Setting("max_chi", integer, 0, "solver", "bond dimension cap, 0 = unlimited"),
-    _Setting("eps_z", number, EPS_Z_DEFAULT, "solver", "relative dead-mode threshold"),
-    _Setting("eps_fold", number, EPS_FOLD_DEFAULT, "solver", "closure tolerance"),
-    _Setting("sizes", integer_list, (), "sizes", "comma-separated chain lengths"),
-    _Setting("dump_fold", string, None, "dump", "write rotation/diagnostic JSON to this path"),
+    _Setting("N", integer, 2, ("ness", "occupancy"), "chain length"),
+    _Setting("w", number, 1.0, _SOLVES, "hopping intensity"),
+    _Setting("mu", number, 1.0, _SOLVES, "chemical potential"),
+    _Setting("delta", number, 1.0, _SOLVES, "pairing intensity"),
+    _Setting("gamma11", number, 0.0, _SOLVES, "left annihilation rate"),
+    _Setting("gamma21", number, 1.0, _SOLVES, "left creation rate"),
+    _Setting("gamma12", number, 0.0, _SOLVES, "right annihilation rate"),
+    _Setting("gamma22", number, 1.0, _SOLVES, "right creation rate"),
+    _Setting("out", string, "-", _ALL, "output path"),
+    _Setting("format", string, "csv", _SOLVES, "output format", choices=("csv", "json")),
+    _Setting("jobs", integer, 1, ("sweep-size", "phase-grid"), "concurrent parameter points"),
+    _Setting("trunc_tol", number, TRUNC_TOL_DEFAULT, _SOLVES, "relative singular-value cutoff"),
+    _Setting("max_chi", integer, 0, _SOLVES, "bond dimension cap, 0 = unlimited"),
+    _Setting("eps_z", number, EPS_Z_DEFAULT, _SOLVES, "relative dead-mode threshold"),
+    _Setting("eps_fold", number, EPS_FOLD_DEFAULT, _SOLVES, "closure tolerance"),
+    _Setting("sizes", integer_list, (), ("sweep-size", "phase-grid", "bench"), "comma-separated chain lengths"),
+    _Setting("dump_fold", string, None, ("ness", "occupancy"), "write rotation/diagnostic JSON to this path"),
     # a config spells these as a w or mu sweep object, see RunConfig.load_file
-    _Setting("w_range", sweep, None, "grid", "hopping sweep start:stop:step"),
-    _Setting("mu_range", sweep, None, "grid", "potential sweep start:stop:step"),
+    _Setting("w_range", sweep, None, ("phase-grid",), "hopping sweep start:stop:step"),
+    _Setting("mu_range", sweep, None, ("phase-grid",), "potential sweep start:stop:step"),
 )
 _BY_NAME = {s.name: s for s in _SETTINGS}
-_TASK_KEYS = tuple(s.name for s in _SETTINGS if s.group in ("point", "solver"))
-_SOLVER_KEYS = tuple(s.name for s in _SETTINGS if s.group == "solver")  # solve_end_bath keywords
+_SOLVER_KEYS = ("trunc_tol", "max_chi", "eps_z", "eps_fold")  # solve_end_bath keywords
 
 
 def _flag_help(s: _Setting) -> str:
@@ -190,6 +193,15 @@ def _flag_help(s: _Setting) -> str:
         return s.help
     shown = s.default if isinstance(s.default, str) else f"{s.default:g}".replace("e-0", "e-")
     return f"{s.help} (default {'stdout' if shown == '-' else shown})"
+
+
+def _probe_writable(path: str) -> None:
+    """Open path for writing as the dump will, and leave it as found; OSError if it cannot be."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 class RunConfig:
@@ -222,11 +234,11 @@ class RunConfig:
             name, spelled = key, key
             if key in ("w", "mu") and isinstance(value, dict):  # a sweep object spells a range
                 name, spelled = key + "_range", key + " sweep"
-            elif key not in _BY_NAME or _BY_NAME[key].group == "grid":
+            elif key not in _BY_NAME or key.endswith("_range"):
                 raise _UsageError(f"unknown config key {key!r}")
             s = _BY_NAME[name]
-            if s.group not in _COMMANDS[command][1]:
-                *rest, last = [c for c, (_, groups, _) in _COMMANDS.items() if s.group in groups]
+            if command not in s.commands:
+                *rest, last = s.commands
                 takers = f"{', '.join(rest)} and {last} take" if rest else f"{last} takes"
                 raise _UsageError(f"{command} takes no {spelled}; only {takers} it")
             # the casts also read flag text, so a number spelled as a string stops here
@@ -256,29 +268,34 @@ class RunConfig:
     def validate_common(self, command: str) -> None:
         if self.jobs < 1:
             raise _UsageError("jobs must be >= 1")
-        if "sizes" in _COMMANDS[command][1] and not self.sizes:
+        if command in _BY_NAME["sizes"].commands and not self.sizes:
             raise _UsageError(f"{command} needs a nonempty sizes list")
-        # the rows and the fold dump would overwrite each other; a hard link resolves apart
-        out, dump = self.out, self.dump_fold
-        if dump and out not in (None, "", "-") and (os.path.realpath(out) == os.path.realpath(dump) or (
-                os.path.exists(out) and os.path.exists(dump) and os.path.samefile(out, dump))):
+        # the rows and the fold dump would overwrite each other on stdout or in one file (a hard link)
+        out, dump = self.out or "-", self.dump_fold
+        if dump and (out == dump == "-" or "-" not in (out, dump) and (
+                os.path.realpath(out) == os.path.realpath(dump) or (os.path.exists(out)
+                and os.path.exists(dump) and os.path.samefile(out, dump)))):
             raise _UsageError(f"--out {out} and --dump-fold {dump} name one file")
         # the library's own checks decide what a valid point and solver setting are, before any output
         try:
             check_settings(self.trunc_tol, self.max_chi, self.eps_z, self.eps_fold)
-            for n in (self.N, *self.sizes):
+            for n in self.sizes or [self.N]:
                 KitaevParams(N=n, w=self.w, mu=self.mu, delta=self.delta)
             EndBathParams(gamma11=self.gamma11, gamma21=self.gamma21,
                           gamma12=self.gamma12, gamma22=self.gamma22)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
+        if command in ("sweep-size", "phase-grid") and min(self.sizes) < 2:
+            raise _UsageError("correlation sweeps need sizes >= 2")
+        if dump and dump != "-":
+            _probe_writable(dump)  # a bad path fails before the header and the solve
 
 
 # ---------------------------------------------------------------- workers
 
 
 def _task_from_config(cfg: RunConfig, **overrides) -> dict:
-    task = {name: getattr(cfg, name) for name in _TASK_KEYS}
+    task = {name: getattr(cfg, name) for name in _POINT_COLUMNS + list(_SOLVER_KEYS)}
     return {**task, "with_occupancy": False, "dump_fold": None, **overrides}
 
 
@@ -332,9 +349,8 @@ def _dump_fold(sol, path: str) -> None:
         "modes": {"real": [float(v) for v in sol.spectrum.z.real],
                   "imag": [float(v) for v in sol.spectrum.z.imag]},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    with _open_out(path) as stream:  # "-" is stdout, as for --out
+        print(json.dumps(doc, indent=1), file=stream, flush=True)
 
 
 # ---------------------------------------------------------------- output
@@ -388,30 +404,13 @@ def _write_rows(cfg: RunConfig, columns, rows) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def _probe_writable(path: str) -> None:
-    """Open path for writing as the dump will, and leave it as found; OSError if it cannot be."""
-    existed = os.path.exists(path)
-    with open(path, "a"):
-        pass
-    if not existed:
-        os.remove(path)
-
-
 def cmd_point(cfg: RunConfig, command: str) -> int:
     """`ness` and `occupancy`: one parameter point, one row; occupancy adds the site profile."""
-    if cfg.dump_fold:
-        _probe_writable(cfg.dump_fold)  # a bad path fails before the header and the solve
     task = _task_from_config(cfg, with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
     return _write_rows(cfg, BASE_COLUMNS, map(_solve_task, [task]))
 
 
-def _require_sizes(cfg: RunConfig) -> None:
-    if min(cfg.sizes) < 2:
-        raise _UsageError("correlation sweeps need sizes >= 2")
-
-
 def cmd_sweep_size(cfg: RunConfig) -> int:
-    _require_sizes(cfg)
     tasks = [_task_from_config(cfg, N=n) for n in cfg.sizes]
     return _write_rows(cfg, BASE_COLUMNS, _map_tasks(tasks, cfg.jobs))
 
@@ -435,7 +434,6 @@ def _with_fits(rows, per_point: int):
 
 
 def cmd_phase_grid(cfg: RunConfig) -> int:
-    _require_sizes(cfg)
     tasks = [_task_from_config(cfg, N=n, w=w, mu=mu) for w in cfg.w_range or [cfg.w]
              for mu in cfg.mu_range or [cfg.mu] for n in cfg.sizes]
     rows = _with_fits(_map_tasks(tasks, cfg.jobs), len(cfg.sizes))
@@ -587,19 +585,14 @@ def cmd_validate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- parser
 
 
-# Per subcommand: its help, the _SETTINGS groups it takes as flags and config keys, its function.
-_POINT_OUT = ("point", "out", "format")
-_SIZE_SWEEP = _POINT_OUT + ("jobs", "solver", "sizes")
+# Per subcommand, in _ALL order: its help and its function.
 _COMMANDS = {
-    "ness": ("solve one parameter point", _POINT_OUT + ("solver", "dump"),
-             partial(cmd_point, command="ness")),
-    "occupancy": ("solve one point and report the site profile", _POINT_OUT + ("solver", "dump"),
-                  partial(cmd_point, command="occupancy")),
-    "sweep-size": ("correlation vs chain length", _SIZE_SWEEP, cmd_sweep_size),
-    "phase-grid": ("size sweeps over a (w, mu) grid", _SIZE_SWEEP + ("grid",), cmd_phase_grid),
-    "validate": ("run the oracle cross-check suite", ("out",), cmd_validate),
-    "bench": ("median runtime per chain length (3 runs each)", _POINT_OUT + ("solver", "sizes"),
-              cmd_bench),
+    "ness": ("solve one parameter point", partial(cmd_point, command="ness")),
+    "occupancy": ("solve one point and report the site profile", partial(cmd_point, command="occupancy")),
+    "sweep-size": ("correlation vs chain length", cmd_sweep_size),
+    "phase-grid": ("size sweeps over a (w, mu) grid", cmd_phase_grid),
+    "validate": ("run the oracle cross-check suite", cmd_validate),
+    "bench": ("median runtime per chain length (3 runs each)", cmd_bench),
 }
 
 
@@ -608,16 +601,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Stationary states of dissipative quadratic chains "
                                  "by next-neighbor rotation folding.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, groups, _) in _COMMANDS.items():
+    for command, (summary, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.set_defaults(subparser=p)  # main refuses a flag this subcommand lacks with its own usage
-        for group in groups:
-            if group == "out":  # --config heads the output flags, where --help has always shown it
+        for s in (s for s in _SETTINGS if command in s.commands):
+            if s.name == "out":  # --config heads the output flags, where --help has always shown it
                 p.add_argument("--config", help="JSON config file; flags override its keys")
-            for s in _SETTINGS:
-                if s.group == group:
-                    p.add_argument("--" + s.name.replace("_", "-"), choices=s.choices,
-                                   help=_flag_help(s))
+            p.add_argument("--" + s.name.replace("_", "-"), choices=s.choices, help=_flag_help(s))
     return parser
 
 
@@ -632,7 +622,7 @@ def main(argv=None) -> int:
             cfg.load_file(args.config, args.command)
         cfg.apply_flags(args)
         cfg.validate_common(args.command)
-        return _COMMANDS[args.command][2](cfg)
+        return _COMMANDS[args.command][1](cfg)
     except (_UsageError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

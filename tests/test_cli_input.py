@@ -80,6 +80,10 @@ from helpers import blocks_from_records, run_cli
     # a range flag needs all three of its parts, and a choice setting takes only its choices
     (["phase-grid", "--sizes", "2", "--w-range", "0:1"], None),
     (["ness"], {"format": "xml"}),
+    # the sweeps read their chain lengths from sizes, so they take no N
+    (["sweep-size", "--sizes", "2"], {"N": 3}),
+    (["phase-grid", "--sizes", "2"], {"N": 3}),
+    (["bench", "--sizes", "2"], {"N": 3}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -94,7 +98,9 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config)
     assert not {"None", "False"} & set(os.listdir(tmp_path))
 
 
-@pytest.mark.parametrize("argv", [["validate", "--max-chi", "8"], ["ness", "--jobs", "2"]])
+@pytest.mark.parametrize("argv", [["validate", "--max-chi", "8"], ["ness", "--jobs", "2"],
+                                  ["sweep-size", "--N", "3"], ["phase-grid", "--N", "3"],
+                                  ["bench", "--N", "3"]])
 def test_unknown_flag_is_refused_with_the_subcommand_usage(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (EXIT_USAGE, "")
@@ -244,12 +250,23 @@ def test_out_and_dump_fold_naming_one_file_are_refused(capsys, monkeypatch, tmp_
         assert not target.exists()
 
 
-def test_out_on_stdout_never_collides_with_the_dump(capsys, monkeypatch, tmp_path):
+def test_dump_fold_dash_is_stdout(capsys, monkeypatch, tmp_path):
+    """--dump-fold - prints the fold on stdout, as --out - prints the rows."""
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run_cli(capsys, ["ness", "--N", "2", "--out", "-", "--dump-fold", "-"])
+    code, out, _ = run_cli(capsys, ["ness", "--N", "2", "--out", "rows.csv", "--dump-fold", "-"])
     assert code == 0
-    assert out.startswith("N,w,mu,")
-    assert json.loads((tmp_path / "-").read_text())["bondDims"]
+    assert json.loads(out)["bondDims"]
+    assert (tmp_path / "rows.csv").read_text().startswith("N,w,mu,")
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+@pytest.mark.parametrize("argv", [["--dump-fold", "-"], ["--out", "-", "--dump-fold", "-"]])
+def test_rows_and_dump_both_on_stdout_are_refused(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, ["ness", "--N", "2", *argv])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "nessfold: error: --out - and --dump-fold - name one file\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("axis", ["w", "mu"])
@@ -271,27 +288,43 @@ def test_an_axis_flag_replaces_the_config_sweep_of_its_axis(capsys, tmp_path, ax
     assert [json.loads(line)[axis] for line in out.splitlines()] == [3.0]
 
 
-# the settings groups each subcommand reads, and so takes as flags and as config keys
-COMMAND_GROUPS = {
-    "ness": {"point", "out", "format", "solver", "dump"},
-    "occupancy": {"point", "out", "format", "solver", "dump"},
-    "sweep-size": {"point", "out", "format", "jobs", "solver", "sizes"},
-    "phase-grid": {"point", "out", "format", "jobs", "solver", "sizes", "grid"},
-    "validate": {"out"},
-    "bench": {"point", "out", "format", "solver", "sizes"},
+# the settings each subcommand reads, and so takes as flags and as config keys, in parser order
+_POINT = ["w", "mu", "delta", "gamma11", "gamma21", "gamma12", "gamma22"]
+_SOLVER = ["trunc_tol", "max_chi", "eps_z", "eps_fold"]
+COMMAND_SETTINGS = {
+    "ness": ["N", *_POINT, "out", "format", *_SOLVER, "dump_fold"],
+    "occupancy": ["N", *_POINT, "out", "format", *_SOLVER, "dump_fold"],
+    "sweep-size": [*_POINT, "out", "format", "jobs", *_SOLVER, "sizes"],
+    "phase-grid": [*_POINT, "out", "format", "jobs", *_SOLVER, "sizes", "w_range", "mu_range"],
+    "validate": ["out"],
+    "bench": [*_POINT, "out", "format", *_SOLVER, "sizes"],
 }
 
 
+def _subparsers():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_parser_flags_come_from_the_settings_table():
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    assert set(subparsers.choices) == set(COMMAND_GROUPS)
-    for command, sub in subparsers.choices.items():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(COMMAND_SETTINGS)
+    for command, sub in subparsers.items():
         options = {a.dest: a.option_strings for a in sub._actions if a.dest != "help"}
-        settings = {s.name for s in _SETTINGS if s.group in COMMAND_GROUPS[command]}
+        settings = set(COMMAND_SETTINGS[command])
         assert set(options) == settings | {"config"}, command
         for name in settings:
             assert options[name] == ["--" + name.replace("_", "-")], (command, name)
+
+
+def test_help_lists_the_flags_in_the_parsers_order():
+    """--help shows each subcommand's flags in this order; --config comes just before --out."""
+    for command, sub in _subparsers().items():
+        flags = [option for a in sub._actions for option in a.option_strings]
+        settings = COMMAND_SETTINGS[command]
+        at = settings.index("out")
+        want = [*settings[:at], "config", *settings[at:]]
+        assert flags == ["-h", "--help"] + ["--" + name.replace("_", "-") for name in want], command
 
 
 # per setting, flag text and a config value that spell the same value, which is not its default
@@ -313,7 +346,7 @@ def test_flag_and_config_give_the_same_setting(tmp_path):
     path = tmp_path / "run.json"
     for s in _SETTINGS:
         text, value = _FLAG_AND_CONFIG[s.name]
-        command = next(c for c, groups in COMMAND_GROUPS.items() if s.group in groups)
+        command = next(c for c, settings in COMMAND_SETTINGS.items() if s.name in settings)
         from_flag, from_config = RunConfig(), RunConfig()
         from_flag.apply_flags(build_parser().parse_args([command, "--" + s.name.replace("_", "-"), text]))
         path.write_text(json.dumps({s.name.removesuffix("_range"): value}))
@@ -323,17 +356,18 @@ def test_flag_and_config_give_the_same_setting(tmp_path):
 
 def test_config_keys_are_the_settings_a_subcommand_takes(tmp_path):
     path = tmp_path / "run.json"
-    for command, groups in COMMAND_GROUPS.items():
+    for command, settings in COMMAND_SETTINGS.items():
         for s in _SETTINGS:
             key = s.name.removesuffix("_range")  # a config spells a range as a w or mu sweep object
             path.write_text(json.dumps({key: _FLAG_AND_CONFIG[s.name][1]}))
             cfg = RunConfig()
-            if s.group in groups:
+            if s.name in settings:
                 cfg.load_file(str(path), command)
                 continue
             with pytest.raises(_UsageError) as exc:
                 cfg.load_file(str(path), command)
             refused, takers = str(exc.value).split("; only ")
             assert refused == f"{command} takes no {key if key == s.name else key + ' sweep'}"
-            named = set(re.split(", | and ", takers.removesuffix(" takes it").removesuffix(" take it")))
-            assert named == {c for c, g in COMMAND_GROUPS.items() if s.group in g}, takers
+            named = re.split(", | and ", takers.removesuffix(" takes it").removesuffix(" take it"))
+            # named in the subcommands' order
+            assert named == [c for c, taken in COMMAND_SETTINGS.items() if s.name in taken], takers
