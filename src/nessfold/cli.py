@@ -50,6 +50,9 @@ EXIT_NUMERICAL = 3
 
 STATUS_OK = "ok"
 
+# The most solves one run may list; a longer sweep or grid is refused before it is built.
+MAX_SOLVES = 10**6
+
 # One row per row status: the solver failure that gives it and its exit code.
 # Exit codes rank numerical > degenerate > ok.
 _FAILURES = (
@@ -118,14 +121,17 @@ def string(value) -> str:
 
 
 def integer_list(value) -> list:
-    """A list of integers, from a config list or comma-separated flag text; empty is refused."""
+    """A list of distinct integers, from a config list or comma-separated flag text."""
     if isinstance(value, str):
         value = [p for p in value.split(",") if p]
         if not value:
             raise ValueError("sizes list is empty")
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return [integer(v) for v in value]
+    value = [integer(v) for v in value]
+    if len(set(value)) < len(value):  # a size series fits one point per chain length
+        raise ValueError("a chain length is listed twice")
+    return value
 
 
 def sweep(value) -> list:
@@ -141,10 +147,12 @@ def sweep(value) -> list:
     start, stop, step = (number(value.get(key, 1.0)) for key in ("start", "stop", "step"))
     if step <= 0:
         raise ValueError("sweep step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if n < 1:
+    span = (stop - start) / step + 1e-9  # counted as a float, so an endless sweep is never listed
+    if span < 0:
         raise ValueError("sweep stop lies before start")
-    return [round(start + k * step, 12) for k in range(n)]
+    if span >= MAX_SOLVES:
+        raise ValueError(f"sweep holds more than {MAX_SOLVES} values")
+    return [round(start + k * step, 12) for k in range(math.floor(span) + 1)]
 
 
 class _Setting(NamedTuple):
@@ -216,7 +224,7 @@ class RunConfig:
         s, spelled = _BY_NAME[name], spelled or name
         try:
             value = s.cast(value)
-        except (TypeError, ValueError, OverflowError) as exc:  # a sweep too long to count overflows
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge config integer overflows
             raise _UsageError(f"bad value {value!r} for {spelled}: {exc}") from exc
         if s.choices and value not in s.choices:
             raise _UsageError(f"{spelled} must be {' or '.join(s.choices)}, got {value!r}")
@@ -270,6 +278,9 @@ class RunConfig:
             raise _UsageError("jobs must be >= 1")
         if command in _BY_NAME["sizes"].commands and not self.sizes:
             raise _UsageError(f"{command} needs a nonempty sizes list")
+        solves = len(self.sizes or [self.N]) * len(self.w_range or [self.w]) * len(self.mu_range or [self.mu])
+        if solves > MAX_SOLVES:
+            raise _UsageError(f"the run lists {solves} solves; at most {MAX_SOLVES} are allowed")
         # the rows and the fold dump would overwrite each other on stdout or in one file (a hard link)
         out, dump = self.out or "-", self.dump_fold
         if dump and (out == dump == "-" or "-" not in (out, dump) and (
@@ -303,8 +314,7 @@ def _solve_task(task: dict) -> dict:
     """Run one parameter point; must stay module-level and picklable."""
     t0 = time.perf_counter()
     row = {key: task[key] for key in _POINT_COLUMNS}
-    row.update(eec="", occupancy="", maxBond="", foldResidual="", orthoResidual="",
-               status=STATUS_OK)
+    row["status"] = STATUS_OK
     params = KitaevParams(**{key: task[key] for key in _POINT_COLUMNS[:4]})
     bath_params = EndBathParams(**{key: task[key] for key in _POINT_COLUMNS[4:]})
     try:
@@ -317,10 +327,10 @@ def _solve_task(task: dict) -> dict:
         row["maxBond"] = int(sol.state.maxBondSeen)
         row["foldResidual"] = sol.foldResult.residual
         row["orthoResidual"] = sol.orthoResidual
-        if sol.report is not None:
-            row["eec"] = sol.report.eec if params.N >= 2 else ""
-            if task["with_occupancy"]:
-                row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
+        if sol.report is not None and params.N >= 2:
+            row["eec"] = sol.report.eec
+        if sol.report is not None and task["with_occupancy"]:
+            row["occupancy"] = ";".join(repr(float(v)) for v in sol.report.occupancy)
         if task["dump_fold"]:
             _dump_fold(sol, task["dump_fold"])
     row["runtimeSeconds"] = time.perf_counter() - t0
@@ -356,13 +366,6 @@ def _dump_fold(sol, path: str) -> None:
 # ---------------------------------------------------------------- output
 
 
-def _plain(value):
-    """None for a blank cell, a Python number for a numpy scalar."""
-    if value == "" or value is None:
-        return None
-    return value.item() if isinstance(value, np.generic) else value
-
-
 @contextmanager
 def _open_out(path: str):
     """The output stream, stdout for no path or "-".  A reader that leaves early, as `| head`
@@ -378,8 +381,8 @@ def _open_out(path: str):
 
 
 def _write_rows(cfg: RunConfig, columns, rows) -> int:
-    """Stream rows to cfg.out as CSV or JSON lines in column order, and return the worst
-    exit code over their statuses; see _FAILURES for the ranking.
+    """Stream rows to cfg.out as CSV or JSON lines in column order, a column a row lacks
+    blank, and return the worst exit code over their statuses; see _FAILURES for the ranking.
 
     rows may be lazy: a bad --out fails, and the CSV header goes out, before any solve.
     """
@@ -390,10 +393,9 @@ def _write_rows(cfg: RunConfig, columns, rows) -> int:
             writer.writerow(columns)
             stream.flush()
         for row in rows:
-            values = [_plain(row.get(c, "")) for c in columns]
+            values = [row.get(c) for c in columns]
             if cfg.format == "csv":
-                writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else str(v)
-                                 for v in values])
+                writer.writerow(values)
             else:
                 stream.write(json.dumps(dict(zip(columns, values))) + "\n")
             stream.flush()
@@ -417,9 +419,9 @@ def cmd_sweep_size(cfg: RunConfig) -> int:
 
 def _series_fit(rows) -> tuple:
     points = [(row["N"], row["eec"]) for row in rows
-              if row["status"] == STATUS_OK and row["eec"] != "" and row["eec"] > 1e-13]
+              if row["status"] == STATUS_OK and row["eec"] > 1e-13]
     if len(points) < 3:
-        return "", ""
+        return None, None
     slope, _, residual = log_linear_fit(*zip(*points))
     return slope, residual
 
@@ -449,16 +451,13 @@ def _bench_rows(cfg: RunConfig):
         runs = [_solve_task(task) for _ in range(3)]
         row = {key: task[key] for key in _POINT_COLUMNS}
         row.update(runsSeconds=";".join(repr(float(r["runtimeSeconds"])) for r in runs),
-                   status=max((r["status"] for r in runs), key=_STATUS_EXIT.get),
-                   medianSeconds="", logLogSlope="")
+                   status=max((r["status"] for r in runs), key=_STATUS_EXIT.get))
         if row["status"] == STATUS_OK:
             row["medianSeconds"] = statistics.median(r["runtimeSeconds"] for r in runs)
         rows.append(row)
-    timed = np.array([(row["N"], row["medianSeconds"]) for row in rows
-                      if row["status"] == STATUS_OK], dtype=float)
+    timed = np.array([(row["N"], row["medianSeconds"]) for row in rows if "medianSeconds" in row])
     if len(timed) >= 2:
-        slope = np.polyfit(np.log(timed[:, 0]), np.log(np.maximum(timed[:, 1], 1e-9)), 1)[0]
-        rows[-1]["logLogSlope"] = float(slope)
+        rows[-1]["logLogSlope"] = log_linear_fit(np.log(timed[:, 0]), np.maximum(timed[:, 1], 1e-9))[0]
     yield from rows
 
 

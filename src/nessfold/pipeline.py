@@ -122,8 +122,8 @@ def log_linear_fit(x, y) -> tuple[float, float, float]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 3:
-        raise ValueError("need at least 3 matching points")
+    if x.size != y.size or np.unique(x).size < 2:
+        raise ValueError("need matching points at two or more distinct x")
     if (y <= 0).any():
         raise ValueError("log fit needs strictly positive values")
     ly = np.log(y)

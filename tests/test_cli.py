@@ -31,6 +31,7 @@ from nessfold.cli import (
 )
 from nessfold import exceptions
 from nessfold.exceptions import NessfoldError, SingularEigenbasis, VacuumVanishes
+from nessfold.pipeline import log_linear_fit
 
 from helpers import blocks_from_records, run_cli
 
@@ -360,7 +361,10 @@ def test_dump_fold(capsys, tmp_path):
     assert set(doc["signs"]) <= {-1, 1}
     assert doc["sites"] == [1, 4, 2, 3]
     assert doc["foldResidual"] < 1e-10
-    assert len(doc["modes"]["real"]) == 8
+    # the 4N = 8 rates are +-eig(X), so each mode's negative is a mode too
+    z = np.array(doc["modes"]["real"]) + 1j * np.array(doc["modes"]["imag"])
+    assert len(z) == 8
+    assert all(np.abs(z + v).min() <= 1e-10 * np.abs(z).max() for v in z)
 
 
 def test_output_is_deterministic(capsys):
@@ -462,6 +466,16 @@ def test_bench_output(capsys):
     assert float(last["medianSeconds"]) > 0
 
 
+def test_bench_slope_is_the_log_linear_fit_of_the_medians(capsys):
+    code, out, _ = run_cli(capsys, ["bench", "--sizes", "2,3,4", "--format", "json"])
+    assert code == EXIT_OK
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["logLogSlope"] is None for r in rows] == [True, True, False]
+    slope, _, _ = log_linear_fit(np.log([r["N"] for r in rows]),
+                                 np.maximum([r["medianSeconds"] for r in rows], 1e-9))
+    assert rows[-1]["logLogSlope"] == slope
+
+
 def test_bench_rows_carry_their_status(capsys):
     code, out, _ = run_cli(capsys, ["bench", "--sizes", "4,6", "--w", "1.5", "--mu", "3", "--max-chi", "2"])
     assert code == EXIT_NUMERICAL
@@ -481,6 +495,35 @@ def test_validate_suite_passes(capsys):
 # ---------------------------------------------------------------- units
 
 
+@pytest.mark.parametrize("argv", [
+    ["ness", "--N", "1"],
+    ["ness", "--N", "4", "--max-chi", "1"],
+    ["occupancy", "--N", "3"],
+    ["occupancy", "--N", "6", "--w", "1.5", "--mu", "3", "--max-chi", "2"],
+    ["sweep-size", "--sizes", "3,4", "--w", "1", "--mu", "0"],
+    ["sweep-size", "--sizes", "2", "--eps-fold", "0.7"],
+    ["phase-grid", "--sizes", "2,3,4", "--w-range", "0:1:1"],
+    ["phase-grid", "--sizes", "2,3"],
+    ["bench", "--sizes", "2,3"],
+    ["bench", "--sizes", "4,8", "--w", "1", "--mu", "0"],
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_rows_hold_plain_python_values(capsys, monkeypatch, argv):
+    """A row holds None or a Python int, float or str and nothing else, refused rows too,
+    so csv writes a float as its repr and json.dumps never meets a numpy scalar; a cell
+    the solve did not fill is absent, never an empty string."""
+    written = []
+
+    def recording(cfg, columns, rows):
+        return _write_rows(cfg, columns, (written.append(row) or row for row in rows))
+
+    monkeypatch.setattr(cli, "_write_rows", recording)
+    run_cli(capsys, argv)
+    assert written
+    values = [v for row in written for v in row.values()]
+    assert {type(v) for v in values} <= {type(None), int, float, str}
+    assert "" not in values
+
+
 @pytest.mark.parametrize("statuses, expected", [
     (["ok", "ok"], EXIT_OK),
     (["ok", "non_unique"], EXIT_DEGENERATE),
@@ -496,6 +539,21 @@ def test_sweep_values_inclusive_endpoints():
     vals = sweep({"start": 0.0, "stop": 4.0, "step": 0.5})
     assert vals == [0.5 * k for k in range(9)]
     assert sweep({"start": 0.0, "stop": 1.0, "step": 0.4}) == [0.0, 0.4, 0.8]
+
+
+def test_a_sweep_longer_than_a_run_is_refused_before_it_is_listed():
+    assert len(sweep("0:999999:1")) == cli.MAX_SOLVES
+    with pytest.raises(ValueError, match="more than 1000000 values"):
+        sweep("0:1000000:1")
+
+
+def test_a_grid_of_more_solves_than_a_run_allows_is_refused():
+    cfg = RunConfig()
+    cfg.sizes, cfg.w_range, cfg.mu_range = [2], sweep("0:1000:1"), sweep("0:1000:1")
+    with pytest.raises(cli._UsageError, match="lists 1002001 solves"):
+        cfg.validate_common("phase-grid")
+    cfg.mu_range = sweep("0:998:1")
+    cfg.validate_common("phase-grid")
 
 
 def test_every_typed_failure_has_a_row_status():

@@ -84,6 +84,10 @@ from helpers import blocks_from_records, run_cli
     (["sweep-size", "--sizes", "2"], {"N": 3}),
     (["phase-grid", "--sizes", "2"], {"N": 3}),
     (["bench", "--sizes", "2"], {"N": 3}),
+    # a size series names each chain length once
+    (["sweep-size"], {"sizes": [2, 2]}),
+    # a config integer too large for a float
+    (["ness"], {"w": 10**400}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -117,6 +121,9 @@ def test_unknown_flag_is_refused_with_the_subcommand_usage(capsys, argv):
     (["phase-grid", "--sizes", "2", "--w-range", "0:1"], "--w-range"),
     (["phase-grid", "--sizes", "2", "--w-range", "2:1:1"], "--w-range"),
     (["phase-grid", "--sizes", "2", "--w-range", "0:1:0"], "--w-range"),
+    (["phase-grid", "--sizes", "3,3,3"], "--sizes"),
+    (["bench", "--sizes", "2,2"], "--sizes"),
+    (["sweep-size", "--sizes", "2,3,2"], "--sizes"),
 ])
 def test_bad_flag_value_is_refused_with_the_subcommand_usage(capsys, argv, flag):
     """One cast reads every flag, so every bad value is refused as an unknown flag is: the
@@ -186,6 +193,8 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
 
     sol = solve_end_bath(KitaevParams(N=3, w=0.5, mu=2.0, delta=1.0),
                          EndBathParams(gamma21=1.0, gamma22=1.0))
+    # five records per cleared site pair, N(2N-1) = 15 pairs
+    assert "".join(r["kind"] for r in doc["rotations"]) == "UUUVV" * 15
     np.testing.assert_array_equal(dumped.blocks, sol.foldResult.blocks)
     np.testing.assert_array_equal(dumped.rotations, sol.foldResult.rotations)
     np.testing.assert_allclose(state.z0 * dense_coefficients(state),

@@ -120,8 +120,10 @@ def test_log_linear_fit_of_a_flat_series_has_no_residual():
 
 
 def test_log_linear_fit_validation():
+    slope, intercept, _ = log_linear_fit([1, 2], [1.0, 2.0])
+    assert (slope, intercept) == pytest.approx((np.log(2.0), -np.log(2.0)), abs=1e-12)
     with pytest.raises(ValueError):
-        log_linear_fit([1, 2], [1.0, 2.0])
+        log_linear_fit([2, 2], [1.0, 2.0])
     with pytest.raises(ValueError):
         log_linear_fit([1, 2, 3], [1.0, -2.0, 3.0])
     with pytest.raises(ValueError):
