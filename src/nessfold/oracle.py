@@ -3,8 +3,9 @@
 Two independent routes to the stationary state: the vectorized Lindblad
 superoperator over density matrices (first space) and the dense quadratic
 generator over Majorana-string coefficients (second space), plus the exact
-single-site solution and the conversion map between the two spaces.  All of
-these scale exponentially and are deliberately capped at small sizes.
+single-site solution.  All of these scale exponentially and are deliberately
+capped at small sizes.  The conversion map between the two spaces checks the
+routes against each other, not the solver, so it lives in the tests.
 
 Jordan-Wigner convention, fixed once: gamma_{2j-1} = Z^(j-1) X_j and
 gamma_{2j} = Z^(j-1) Y_j in the basis (|0>, |1>) with site 1 as the most
@@ -218,35 +219,6 @@ def dense_second_space_ness(H: MajoranaHamiltonian, baths) -> DenseSecondSpaceNe
     vec = np.zeros(dim, dtype=complex)
     vec[even] = v / v[0]
     return DenseSecondSpaceNess(vec=vec)
-
-
-def _ordered_strings(N: int) -> list:
-    """All 4^N ordered products gamma_1^n1 (i gamma_2)^n2 ... indexed big-endian."""
-    gam = majorana_site_matrices(N)
-    factors = [gam[k] if k % 2 == 0 else 1j * gam[k] for k in range(2 * N)]
-    dim = 2 ** N
-    out = [None] * (4 ** N)
-
-    def rec(k: int, mat: np.ndarray, idx: int) -> None:
-        if k == 2 * N:
-            out[idx] = mat
-            return
-        rec(k + 1, mat, idx << 1)
-        rec(k + 1, mat @ factors[k], (idx << 1) | 1)
-
-    rec(0, np.eye(dim, dtype=complex), 0)
-    return out
-
-
-def rho_to_second_space(rho: np.ndarray) -> np.ndarray:
-    """Vacuum-normalized string coefficients 2^-N tr(tau^dag rho), N <= 3."""
-    dim = rho.shape[0]
-    N = int(round(np.log2(dim)))
-    if N > FIRST_SPACE_MAX_SITES:
-        raise ValueError(f"conversion capped at N = {FIRST_SPACE_MAX_SITES}")
-    strings = _ordered_strings(N)
-    q = np.array([np.trace(tau.conj().T @ rho) for tau in strings]) / dim
-    return q / q[0]
 
 
 def analytic_n1(gamma1: float, gamma2: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Reference operations that only tests need: stack rotations, the step-by-step site-pair
 elimination, fold replay, dumped records regrouped into blocks, the 4N second-space
 generator with its eigendecomposition, projector and stack, dense and record-by-record rotation
-gates, Majorana pair expectations, mode Majoranas, string expansion, and a CLI run that reads
-a usage refusal's exit code."""
+gates, Majorana pair expectations, mode Majoranas, the first-to-second-space string map and its
+inverse, and a CLI run that reads a usage refusal's exit code."""
 
 import math
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from nessfold.cli import main
 from nessfold.folding import _PAIR_STEPS, BLOCK_DTYPE
-from nessfold.oracle import _ordered_strings, mode_ladders
+from nessfold.oracle import FIRST_SPACE_MAX_SITES, majorana_site_matrices, mode_ladders
 from nessfold.tns import _pair_gates, _physical, _update_pair, coefficient
 
 
@@ -225,8 +225,38 @@ def mode_majoranas(n_modes: int) -> list:
     return out
 
 
+def _ordered_strings(N: int) -> list:
+    """All 4^N ordered products gamma_1^n1 (i gamma_2)^n2 ... indexed big-endian."""
+    gam = majorana_site_matrices(N)
+    factors = [gam[k] if k % 2 == 0 else 1j * gam[k] for k in range(2 * N)]
+    dim = 2 ** N
+    out = [None] * (4 ** N)
+
+    def rec(k: int, mat: np.ndarray, idx: int) -> None:
+        if k == 2 * N:
+            out[idx] = mat
+            return
+        rec(k + 1, mat, idx << 1)
+        rec(k + 1, mat @ factors[k], (idx << 1) | 1)
+
+    rec(0, np.eye(dim, dtype=complex), 0)
+    return out
+
+
+def rho_to_second_space(rho: np.ndarray) -> np.ndarray:
+    """Vacuum-normalized string coefficients 2^-N tr(tau^dag rho), N <= 3: the first-space
+    oracle's density matrix in the second space, where the other oracle and the solver live."""
+    dim = rho.shape[0]
+    N = int(round(np.log2(dim)))
+    if N > FIRST_SPACE_MAX_SITES:
+        raise ValueError(f"conversion capped at N = {FIRST_SPACE_MAX_SITES}")
+    strings = _ordered_strings(N)
+    q = np.array([np.trace(tau.conj().T @ rho) for tau in strings]) / dim
+    return q / q[0]
+
+
 def second_space_from_strings(q: np.ndarray, N: int) -> np.ndarray:
-    """Inverse expansion sum_n q_n tau_n of oracle.rho_to_second_space."""
+    """Inverse expansion sum_n q_n tau_n of rho_to_second_space."""
     rho = np.zeros((2 ** N, 2 ** N), dtype=complex)
     for coeff, tau in zip(q, _ordered_strings(N)):
         rho += coeff * tau

@@ -1,8 +1,9 @@
 """End-to-end guarantees, one numbered block per advertised criterion.
 
-Criteria 1-5 and 7 run the oracle checks of `nessfold validate` (the
+Criteria 1, 2, 4, 5 and 7 run the solver's checks of `nessfold validate` (the
 `nessfold.cli.CHECKS` registry, which holds their tolerances) under the wall-time
-budgets stated here.  Criterion 6 is the randomized property suite:
+budgets stated here.  Criterion 3 checks the two dense oracles against each
+other, through the first-to-second-space map in `helpers`.  Criterion 6 is the randomized property suite:
 ten invariants, 100 derandomized cases each, drawn from the full supported
 parameter ranges plus a pinned generic fixture.  Criterion 8 is the
 (non-binding) runtime-scaling diagnostic, run at the documented capped-bond
@@ -21,12 +22,14 @@ from nessfold.cli import CHECKS
 from nessfold.exceptions import ClosureViolation, NonUniqueNess, SingularEigenbasis
 from nessfold.folding import fold
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from nessfold.oracle import second_space_liouvillian
+from nessfold.oracle import (dense_first_space_ness, dense_second_space_ness, error_metric,
+                             second_space_liouvillian)
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
 from nessfold.tns import dense_coefficients
 
-from helpers import liouvillian_by_channel, reference_projector, replay, rotation_gate, scalar_eigenvalue
+from helpers import (liouvillian_by_channel, reference_projector, replay, rho_to_second_space, rotation_gate,
+                     scalar_eigenvalue)
 
 FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
@@ -56,7 +59,13 @@ def test_criterion_2_second_space_kernel():
 
 def test_criterion_3_cross_oracle():
     """The two brute-force routes agree with each other to 1e-10 on every criterion-2 point."""
-    run_check("cross_oracle")
+    worst = 0.0
+    for params in cli._FIG1_PARAMS:
+        channels = end_baths(params.N, cli._FIG1_BATHS)
+        first = rho_to_second_space(dense_first_space_ness(params, channels).rho)
+        second = dense_second_space_ness(build_kitaev(params), channels).vec
+        worst = max(worst, error_metric(first, second))
+    assert worst <= 1e-10, f"max rel err {worst:.3e} over {len(cli._FIG1_PARAMS)} points (tol 1e-10)"
 
 
 def test_criterion_4_decay_profile():

@@ -488,8 +488,10 @@ def test_validate_suite_passes(capsys):
     code, out, _ = run_cli(capsys, ["validate"])
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[-1] == "6/6 checks passed"
-    assert all(line.startswith("PASS") for line in lines[:-1])
+    assert lines[-1] == "5/5 checks passed"
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["PASS", name] for name in ("analytic_single_site", "second_space_oracle", "decay_profile",
+                                    "degeneracy_detection", "dense_equivalence")]
 
 
 # ---------------------------------------------------------------- units

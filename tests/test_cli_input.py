@@ -88,6 +88,8 @@ from helpers import blocks_from_records, run_cli
     (["sweep-size"], {"sizes": [2, 2]}),
     # a config integer too large for a float
     (["ness"], {"w": 10**400}),
+    # a sweep whose step is too small to keep its values apart
+    (["phase-grid", "--sizes", "2,3"], {"w": {"start": 0, "stop": 1e-12, "step": 1e-13}}),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -124,6 +126,9 @@ def test_unknown_flag_is_refused_with_the_subcommand_usage(capsys, argv):
     (["phase-grid", "--sizes", "3,3,3"], "--sizes"),
     (["bench", "--sizes", "2,2"], "--sizes"),
     (["sweep-size", "--sizes", "2,3,2"], "--sizes"),
+    (["sweep-size", "--sizes", "2,,3"], "--sizes"),
+    (["sweep-size", "--sizes", ",2"], "--sizes"),
+    (["phase-grid", "--sizes", "2,3", "--w-range", "0:1e-12:1e-13"], "--w-range"),
 ])
 def test_bad_flag_value_is_refused_with_the_subcommand_usage(capsys, argv, flag):
     """One cast reads every flag, so every bad value is refused as an unknown flag is: the
