@@ -434,11 +434,3 @@ def build_report(state: TensorState) -> ObservableReport:
             raise UnphysicalReadout(f"occupancy at site {j} is {occ!r}, outside [0,1]")
         occupancy.append(occ)
     return ObservableReport(eec=eec, occupancy=np.array(occupancy), maxBond=int(state.maxBondSeen))
-
-
-def dense_coefficients(state: TensorState) -> np.ndarray:
-    """Full 2^sites coefficient vector, big-endian (site 1 = most significant bit)."""
-    arr, *rest = state.tensors
-    for t in rest:
-        arr = np.tensordot(arr, t, axes=([arr.ndim - 1], [0]))
-    return np.asarray(arr).reshape(2 ** state.sites)

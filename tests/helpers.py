@@ -1,8 +1,9 @@
-"""Reference operations that only tests need: stack rotations, the step-by-step site-pair
-elimination, fold replay, dumped records regrouped into blocks, the 4N second-space
-generator with its eigendecomposition, projector and stack, dense and record-by-record rotation
-gates, Majorana pair expectations, mode Majoranas, the first-to-second-space string map and its
-inverse, and a CLI run that reads a usage refusal's exit code."""
+"""Reference operations that only tests need: a tensor state's dense coefficient vector, stack
+rotations, the step-by-step site-pair elimination, fold replay, dumped records regrouped into
+blocks, the 4N second-space generator with its eigendecomposition, projector and stack, dense and
+record-by-record rotation gates, Majorana pair expectations, mode Majoranas, the
+first-to-second-space string map and its inverse, and a CLI run that reads a usage refusal's
+exit code."""
 
 import math
 
@@ -23,6 +24,14 @@ def run_cli(capsys, argv) -> tuple:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dense_coefficients(state) -> np.ndarray:
+    """Full 2^sites coefficient vector of a TensorState, big-endian (site 1 = most significant bit)."""
+    arr, *rest = state.tensors
+    for t in rest:
+        arr = np.tensordot(arr, t, axes=([arr.ndim - 1], [0]))
+    return np.asarray(arr).reshape(2 ** state.sites)
 
 
 def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:

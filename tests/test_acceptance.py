@@ -2,7 +2,10 @@
 
 Criteria 1, 2, 4, 5 and 7 run the solver's checks of `nessfold validate` (the
 `nessfold.cli.CHECKS` registry, which holds their tolerances) under the wall-time
-budgets stated here.  Criterion 3 checks the two dense oracles against each
+budgets stated here.  Those checks compare the readout with the N=1 closed form and
+with the solve's own covariance; criteria 2, 4 and 7 also compare the solver with the
+dense second-space kernel in their own bodies, which catches an error that the replay
+and the covariance share.  Criterion 3 checks the two dense oracles against each
 other, through the first-to-second-space map in `helpers`.  Criterion 6 is the randomized property suite:
 ten invariants, 100 derandomized cases each, drawn from the full supported
 parameter ranges plus a pinned generic fixture.  Criterion 8 is the
@@ -11,6 +14,7 @@ configuration.
 """
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,25 +27,39 @@ from nessfold.exceptions import ClosureViolation, NonUniqueNess, SingularEigenba
 from nessfold.folding import fold
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import (dense_first_space_ness, dense_second_space_ness, error_metric,
-                             second_space_liouvillian)
+                             occupancy_from_vec, second_space_liouvillian)
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
-from nessfold.tns import dense_coefficients
 
-from helpers import (liouvillian_by_channel, reference_projector, replay, rho_to_second_space, rotation_gate,
-                     scalar_eigenvalue)
+from helpers import (dense_coefficients, liouvillian_by_channel, reference_projector, replay, rho_to_second_space,
+                     rotation_gate, scalar_eigenvalue)
 
 FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
 
 
-def run_check(name, budget_s=None):
+@contextmanager
+def within(budget_s):
     t0 = time.perf_counter()
-    ok, detail = CHECKS[name]()
+    yield
     elapsed = time.perf_counter() - t0
+    assert elapsed < budget_s, f"took {elapsed:.2f}s"
+
+
+def run_check(name):
+    ok, detail = CHECKS[name]()
     assert ok, detail
-    if budget_s is not None:
-        assert elapsed < budget_s, f"took {elapsed:.2f}s"
+
+
+def dense_ness(params, bath_params):
+    """The dense second-space kernel's vacuum-normalized coefficient vector at one point."""
+    return dense_second_space_ness(build_kitaev(params), end_baths(params.N, bath_params)).vec
+
+
+def second_space_error(params, bath_params) -> float:
+    """Relative error of the solver's coefficient vector against the dense kernel's."""
+    sol = solve_end_bath(params, bath_params)
+    return error_metric(sol.state.z0 * dense_coefficients(sol.state), dense_ness(params, bath_params))
 
 
 # ---------------------------------------------------------------- 1-5
@@ -49,12 +67,16 @@ def run_check(name, budget_s=None):
 
 def test_criterion_1_single_site_analytic():
     """N=1 with rates (1, gamma2) matches the closed form to 1e-12 in under a second."""
-    run_check("analytic_single_site", budget_s=1.0)
+    with within(1.0):
+        run_check("analytic_single_site")
 
 
 def test_criterion_2_second_space_kernel():
     """N=2,3 over both half-step panels match the dense kernel to 1e-10 in under a minute."""
-    run_check("second_space_oracle", budget_s=60.0)
+    with within(60.0):
+        run_check("second_space_oracle")
+        worst = max(second_space_error(params, cli._FIG1_BATHS) for params in cli._FIG1_PARAMS)
+        assert worst <= 1e-10, f"max rel err {worst:.3e} over {len(cli._FIG1_PARAMS)} points (tol 1e-10)"
 
 
 def test_criterion_3_cross_oracle():
@@ -69,8 +91,15 @@ def test_criterion_3_cross_oracle():
 
 
 def test_criterion_4_decay_profile():
-    """Injection-only chain at w=0, mu=4: odd-N correlation vanishes, even-N decays cleanly."""
-    run_check("decay_profile", budget_s=120.0)
+    """Injection-only chain at w=0, mu=4: odd-N correlation vanishes, even-N decays cleanly,
+    and the N=5 end occupancies match the dense kernel to 1e-8."""
+    with within(120.0):
+        run_check("decay_profile")
+        params = KitaevParams(N=5, w=0.0, mu=4.0, delta=1.0)
+        occupancy = solve_end_bath(params, INJECT_BATHS).report.occupancy
+        ref = dense_ness(params, INJECT_BATHS)
+        err = max(abs(occupancy[j - 1] - occupancy_from_vec(ref, 5, j)) for j in (1, 5))
+        assert err <= 1e-8, f"end occupancy err {err:.3e} (tol 1e-8)"
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -253,7 +282,10 @@ def test_criterion_6_correlation_sign_symmetry(case):
 
 def test_criterion_7_dense_equivalence():
     """Generic N=4 point matches the dense kernel to 1e-9 in under 30 seconds."""
-    run_check("dense_equivalence", budget_s=30.0)
+    with within(30.0):
+        run_check("dense_equivalence")
+        err = second_space_error(KitaevParams(N=4, w=1.5, mu=1.0, delta=1.0), INJECT_BATHS)
+        assert err <= 1e-9, f"rel err {err:.3e} at N=4 (tol 1e-9)"
 
 
 # ---------------------------------------------------------------- 8

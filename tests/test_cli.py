@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -535,6 +536,23 @@ def test_rows_hold_plain_python_values(capsys, monkeypatch, argv):
 def test_aggregate_exit_ladder(capsys, statuses, expected):
     assert _write_rows(RunConfig(), ["status"], [{"status": s} for s in statuses]) == expected
     assert capsys.readouterr().out.splitlines() == ["status", *statuses]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_cells_are_written_blank(capsys, fmt):
+    """2|w| overflows to inf above w = 8.99e307; strict JSON has no inf or nan, so such a cell
+    is written blank, as one the solve did not fill."""
+    cfg = RunConfig()
+    cfg.format = fmt
+    row = {"w": 1e308, "boundaryMu": float("inf"), "fitSlope": np.float64("nan"), "status": "ok"}
+    assert _write_rows(cfg, ["w", "boundaryMu", "fitSlope", "status"], [row]) == EXIT_OK
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out.splitlines()[1] == "1e+308,,,ok"
+    else:
+        refuse = partial(pytest.fail, "a non-finite number was written")
+        assert json.loads(out, parse_constant=refuse) == {"w": 1e308, "boundaryMu": None, "fitSlope": None,
+                                                          "status": "ok"}
 
 
 def test_sweep_values_inclusive_endpoints():

@@ -18,9 +18,9 @@ from nessfold.exceptions import ClosureViolation, NonUniqueNess, UnphysicalReado
 from nessfold.folding import FoldResult
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import solve_end_bath
-from nessfold.tns import apply_inverse_sequence, dense_coefficients, normalize_vacuum, product_state
+from nessfold.tns import apply_inverse_sequence, normalize_vacuum, product_state
 
-from helpers import blocks_from_records, run_cli
+from helpers import blocks_from_records, dense_coefficients, run_cli
 
 
 @pytest.mark.parametrize("argv, config", [

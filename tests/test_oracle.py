@@ -21,10 +21,9 @@ from nessfold.oracle import (
     second_space_liouvillian,
 )
 from nessfold.pipeline import solve_end_bath
-from nessfold.tns import dense_coefficients
 
-from helpers import (liouvillian_by_channel, mode_majoranas, rho_to_second_space, scalar_eigenvalue,
-                     second_space_from_strings)
+from helpers import (dense_coefficients, liouvillian_by_channel, mode_majoranas, rho_to_second_space,
+                     scalar_eigenvalue, second_space_from_strings)
 
 BP = EndBathParams(gamma11=0.8, gamma21=1.7, gamma12=0.4, gamma22=2.1)
 

@@ -173,6 +173,7 @@ _SOLVES = {
         "               EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0))\n"
     ),
     "cli": "from nessfold.cli import main\nassert main(['ness', '--N', '3']) == 0\n",
+    "validate": "from nessfold.cli import main\nassert main(['validate']) == 0\n",
 }
 
 

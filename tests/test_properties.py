@@ -11,9 +11,9 @@ from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import dense_second_space_ness, error_metric
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import TransferStack, build_liouvillian, decompose
-from nessfold.tns import dense_coefficients, product_state
+from nessfold.tns import product_state
 
-from helpers import apply_gate, liouvillian_by_channel, reference_projector, replay, rotate_columns, scalar_eigenvalue
+from helpers import apply_gate, dense_coefficients, liouvillian_by_channel, reference_projector, replay, rotate_columns, scalar_eigenvalue
 
 SUITE_SETTINGS = settings(
     max_examples=50,

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nessfold.cli import _FIG1_BATHS, _FIG1_PARAMS
 from nessfold.exceptions import NonUniqueNess, SingularEigenbasis
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
+from nessfold.oracle import dense_second_space_ness, eec_from_vec, occupancy_from_vec
+from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import (
     LiouvillianCoeffs,
+    ModeSpectrum,
     TransferStack,
     build_liouvillian,
     build_stack,
     decompose,
+    gaussian_report,
     orthogonality_residual,
     stable_projector,
 )
@@ -163,3 +168,39 @@ def test_orthogonality_residual_on_genuine_stack():
 def test_orthogonality_residual_counts_diagonal():
     stack = TransferStack(N=1, R=np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]], dtype=complex))
     assert orthogonality_residual(stack) == pytest.approx(1.0)
+
+
+LONGER = [(KitaevParams(N=n, w=1.2, mu=0.9, delta=1.0), BP) for n in (4, 5)]
+
+
+@pytest.mark.parametrize("params, bp", FIG1_GRID + LONGER,
+                         ids=[f"fig1-{i}" for i in range(len(FIG1_GRID))] + ["n4", "n5"])
+def test_gaussian_report_matches_the_dense_kernel(params, bp):
+    """The covariance readout's index conventions, against the dense kernel's vector, with the
+    covariance taken from scipy's Lyapunov solve rather than decompose's."""
+    H, chans = build_kitaev(params), end_baths(params.N, bp)
+    L = build_liouvillian(H, chans)
+    gamma = scipy.linalg.solve_continuous_lyapunov(L.X, -L.Y)
+    eec, occupancy = gaussian_report(ModeSpectrum(z=np.empty(0), gamma=gamma))
+    vec = dense_second_space_ness(H, chans).vec
+    assert abs(eec - eec_from_vec(vec, params.N)) <= 1e-10
+    ref = [occupancy_from_vec(vec, params.N, j) for j in range(1, params.N + 1)]
+    np.testing.assert_allclose(occupancy, ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("gamma2", [0.5, 1.0, 2.5, 4.0])
+def test_gaussian_report_on_a_lone_site(gamma2):
+    """No end-to-end correlation, and the occupancy (1 + r)/2, r = (gamma2 - gamma1)/(gamma2 + gamma1)."""
+    H, chans = chain(n=1, w=0.0, mu=1.0, delta=0.0, bp=EndBathParams(1.0, gamma2, 0.0, 0.0))
+    eec, occupancy = gaussian_report(decompose(build_liouvillian(H, chans)))
+    r = (gamma2 - 1.0) / (gamma2 + 1.0)
+    assert eec == 0.0
+    np.testing.assert_allclose(occupancy, [(1.0 + r) / 2.0], rtol=0, atol=1e-15)
+
+
+def test_gaussian_report_equals_the_replay_readout():
+    """An uncapped N=8 solve reads the same observables off its replay as off its covariance."""
+    sol = solve_end_bath(KitaevParams(N=8, w=0.5, mu=2.0, delta=1.0), EndBathParams(0.0, 1.0, 0.0, 1.0))
+    eec, occupancy = gaussian_report(sol.spectrum)
+    assert abs(eec - sol.report.eec) <= 1e-12
+    np.testing.assert_allclose(occupancy, sol.report.occupancy, rtol=0, atol=1e-12)

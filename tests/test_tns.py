@@ -18,12 +18,11 @@ from nessfold.tns import (
     _update_pair,
     apply_inverse_sequence,
     coefficient,
-    dense_coefficients,
     normalize_vacuum,
     product_state,
 )
 
-from helpers import apply_gate, blocks_from_records, rotation_gate, two_site_gate
+from helpers import apply_gate, blocks_from_records, dense_coefficients, rotation_gate, two_site_gate
 
 
 def dense_gate(n_sites, m, theta):
