@@ -41,7 +41,7 @@ from .folding import EPS_FOLD_DEFAULT
 from .model import EndBathParams, KitaevParams
 from .pipeline import check_settings, log_linear_fit, solve_end_bath
 from .spectral import EPS_Z_DEFAULT, gaussian_report
-from .tns import TRUNC_TOL_DEFAULT, coefficient
+from .tns import TRUNC_TOL_DEFAULT, covariance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -475,31 +475,31 @@ def cmd_bench(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- validate
 # Checks of the solver, returning (passed, detail), registered in CHECKS: `nessfold validate`
 # runs them all, the acceptance tests call them for criteria 1, 2, 4, 5, 7.  The stationary
-# state is Gaussian, so the readout a row prints is checked against the same observables read
-# off the solve's own covariance (spectral.gaussian_report), and the N=1 state against its
-# closed form; the dense oracles are left to the tests, so validate never loads scipy.
+# state is Gaussian, so the covariance a row's readout is read from (tns.covariance) is checked
+# against the solve's own, and the N=1 state against its closed form; the dense oracles are left
+# to the tests, so validate never loads scipy.
 
 _INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
 
 
 def _check_analytic_n1() -> tuple:
-    """|00) + r|11), r = (gamma2 - gamma1)/(gamma2 + gamma1); |01) and |10) are zero by parity."""
+    """|00) + r|11), r = (gamma2 - gamma1)/(gamma2 + gamma1); |01) and |10) are zero by parity.
+    The vacuum entry is 1 by normalization, and r is z0 c(11), the covariance entry (0, 1)."""
     worst = 0.0
     for k in range(1, 9):
         gamma2 = 0.5 * k
         bp = EndBathParams(gamma11=1.0, gamma21=gamma2, gamma12=0.0, gamma22=0.0)
         state = solve_end_bath(KitaevParams(N=1, w=0.0, mu=1.0, delta=0.0), bp).state
-        exact = np.array([1.0, (gamma2 - 1.0) / (gamma2 + 1.0)])
-        vec = state.z0 * np.array([coefficient(state, bits) for bits in ((0, 0), (1, 1))])
-        worst = max(worst, float(np.linalg.norm(vec - exact) / np.linalg.norm(exact)))
+        r = (gamma2 - 1.0) / (gamma2 + 1.0)
+        worst = max(worst, float(abs(covariance(state)[0][0, 1] - r) / np.hypot(1.0, r)))
     return worst <= 1e-12, f"max rel err {worst:.3e} over 8 rates (tol 1e-12)"
 
 
 def _readout_error(params: KitaevParams, bath_params: EndBathParams) -> float:
-    """Largest absolute error of a solve's eec and occupancies against its covariance's."""
+    """Largest entry of |Gamma_MPS - Gamma|: the replayed state's covariance, which its row's
+    readout is read from, against the solve's own."""
     sol = solve_end_bath(params, bath_params)
-    eec, occupancy = gaussian_report(sol.spectrum)
-    return max(abs(sol.report.eec - eec), float(np.abs(sol.report.occupancy - occupancy).max()))
+    return float(np.abs(covariance(sol.state)[0] - sol.spectrum.gamma).max())
 
 
 def _check_second_space_oracle() -> tuple:
@@ -515,7 +515,7 @@ def _check_decay_profile() -> tuple:
     decreasing = all(a > b for a, b in zip(evens, evens[1:]))
     _, _, residual = log_linear_fit([4, 6, 8, 10], evens)
 
-    occupancy, ref = sols[5].report.occupancy, gaussian_report(sols[5].spectrum)[1]
+    occupancy, ref = sols[5].report.occupancy, gaussian_report(sols[5].spectrum.gamma)[1]
     occ_err = max(abs(occupancy[j - 1] - ref[j - 1]) for j in (1, 5))
     occ_min = min(occupancy[0], occupancy[4])
     ok = (odd_max <= 1e-10 and decreasing and residual <= 0.10
@@ -577,7 +577,7 @@ _COMMANDS = {
     "occupancy": ("solve one point and report the site profile", partial(cmd_point, command="occupancy")),
     "sweep-size": ("correlation vs chain length", cmd_sweep_size),
     "phase-grid": ("size sweeps over a (w, mu) grid", cmd_phase_grid),
-    "validate": ("run the oracle cross-check suite", cmd_validate),
+    "validate": ("check the solver against its own covariance", cmd_validate),
     "bench": ("median runtime per chain length (3 runs each)", cmd_bench),
 }
 

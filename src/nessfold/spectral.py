@@ -121,14 +121,14 @@ def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectru
     return ModeSpectrum(z=z, gamma=(gamma - gamma.T) / 2.0)
 
 
-def gaussian_report(spec: ModeSpectrum) -> tuple:
-    """(eec, occupancy) read off the stationary covariance, 0-based: eec = 2|Gamma[1, 2N-2] +
-    Gamma[0, 2N-1]|, 0.0 on a lone site, and site j's occupancy (1 + Gamma[2j-2, 2j-1])/2 for
-    1-based j.  The state is Gaussian, so these are the values build_report reads off the replay."""
-    g = spec.gamma
-    n2 = len(g)
-    eec = 2.0 * abs(g[1, n2 - 2] + g[0, n2 - 1]) if n2 >= 4 else 0.0
-    return float(eec), (1.0 + np.diag(g[0::2, 1::2])) / 2.0
+def gaussian_report(gamma: np.ndarray) -> tuple:
+    """(eec, occupancy) read off a covariance, 0-based: eec = 2|Gamma[1, 2N-2] + Gamma[0, 2N-1]|,
+    0.0 on a lone site, and site j's occupancy (1 + Gamma[2j-2, 2j-1])/2 for 1-based j.  It reads
+    both routes: the solve's stationary covariance (ModeSpectrum.gamma) and the replayed state's
+    (tns.covariance), which build_report prints."""
+    n2 = len(gamma)
+    eec = 2.0 * abs(gamma[1, n2 - 2] + gamma[0, n2 - 1]) if n2 >= 4 else 0.0
+    return float(eec), (1.0 + np.diag(gamma[0::2, 1::2])) / 2.0
 
 
 def stable_projector(spec: ModeSpectrum) -> np.ndarray:

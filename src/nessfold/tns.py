@@ -32,9 +32,13 @@ one_blas_thread pins numpy's OpenBLAS to one thread around a solve; the
 scipy gesvd fallback pins scipy's own OpenBLAS the same way.
 
 Observables are ratios of basis coefficients against the vacuum one, so
-the trace factors dropped during construction cancel identically.  A pair
-of occupied second-space sites (i, j) selects the expectation of the
-ordered Majorana pair gamma_i * (i gamma_j) in the physical state.
+the trace factors dropped during construction cancel identically.  The
+state is Gaussian, and its amplitudes with exactly two modes a < b occupied
+(0-based) hold its whole covariance: z0 c_ab = p_ab Gamma_ab, with p_ab = 1
+for odd b - a, and otherwise i for even a and -i for odd a.  One left-to-right
+sweep (covariance) reads all N(2N-1) of them, and build_report reads every
+observable off that matrix with the formulas spectral.gaussian_report applies
+to the solve's own covariance.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import numpy as np
 
 from .exceptions import UnphysicalReadout, VacuumVanishes
 from .folding import FoldResult
+from .spectral import gaussian_report
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
@@ -403,34 +408,48 @@ class ObservableReport:
             raise ValueError(f"eec must be nonnegative, got {self.eec}")
 
 
-def _occupied(n2: int, *positions: int) -> list:
-    """Occupations of n2 modes with exactly the given 1-based positions occupied."""
-    return [int(k + 1 in positions) for k in range(n2)]
+def covariance(state: TensorState) -> tuple:
+    """(Gamma, leakage) of a vacuum-normalized state, read in one left-to-right sweep.
+
+    With modes a < b (0-based) exactly occupied, z0 times the amplitude is
+    p_ab Gamma_ab: p_ab is 1 for odd b - a, else i for even a and -i for odd a.
+    Gamma is the real part of z0 c_ab / p_ab, leakage its imaginary part, both
+    as antisymmetric 2N x 2N arrays.  The sweep carries the all-empty prefix and
+    one open row per earlier occupied mode, and closes each row at its second
+    occupied mode against the all-empty suffix to the right.
+    """
+    if state.z0 == 0:
+        raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
+    n2, even = state.sites, state.even
+    right = [np.ones(even[n2], dtype=complex)]  # all-empty suffixes, on each bond's even sector
+    for j in range(n2 - 1, 0, -1):
+        right.append(state.matrices[j][:even[j], :even[j + 1]] @ right[-1])
+    right.reverse()
+    amp = np.zeros((n2, n2), dtype=complex)
+    vac, opened = np.ones((1, 1), dtype=complex), np.zeros((0, 0), dtype=complex)
+    for j, (M, env) in enumerate(zip(state.matrices, right)):
+        e, e1 = even[j], even[j + 1]
+        amp[:j, j] = opened @ (M[e:, :e1] @ env)
+        opened = np.concatenate((opened @ M[e:, e1:], vac @ M[:e, e1:]))
+        vac = vac @ M[:e, :e1]
+    a, b = np.indices((n2, n2))
+    phase = np.where((b - a) % 2 == 1, 1.0, np.where(a % 2 == 0, 1j, -1j))
+    values = np.triu(state.z0 * amp / phase, 1)
+    return values.real - values.real.T, values.imag - values.imag.T
 
 
 def build_report(state: TensorState) -> ObservableReport:
-    """Every observable of a vacuum-normalized state, each read as z0 times an amplitude:
-    eec = 2|z0 (c_A + c_B)| with c_A occupied at (2, 2N-1) and c_B at (1, 2N), 0.0 on a lone
-    site, and site j's occupancy (1 + Re[z0 c_j])/2 with c_j occupied at (2j-1, 2j).
-    UnphysicalReadout refuses an occupancy with complex leakage or outside [0, 1]."""
-    if state.z0 == 0:
-        raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
-    n2 = state.sites
-    eec = 0.0
-    if n2 >= 4:
-        c_a = coefficient(state, _occupied(n2, 2, n2 - 1))
-        c_b = coefficient(state, _occupied(n2, 1, n2))
-        eec = float(2.0 * abs(state.z0 * (c_a + c_b)))
+    """Every observable of a vacuum-normalized state: spectral.gaussian_report applied to the
+    covariance swept off it.  UnphysicalReadout refuses an occupancy with complex leakage or
+    outside [0, 1]."""
+    gamma, leakage = covariance(state)
     # hermiticity leakage scales like the root of the discarded weight; the
     # floor covers exact-tolerance runs where discards sit at roundoff
     imag_tol = max(IMAG_TOL, 10.0 * float(np.sqrt(max(state.discardedWeight, 0.0))))
-    occupancy = []
-    for j in range(1, n2 // 2 + 1):
-        val = state.z0 * coefficient(state, _occupied(n2, 2 * j - 1, 2 * j))
-        if abs(val.imag) > imag_tol:
-            raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {val.imag:.3e}")
-        occ = float((1.0 + val.real) / 2.0)
+    eec, occupancy = gaussian_report(gamma)
+    for j, (leak, occ) in enumerate(zip(np.diag(leakage[0::2, 1::2]), occupancy), start=1):
+        if abs(leak) > imag_tol:
+            raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {leak:.3e}")
         if occ < -1e-8 or occ > 1 + 1e-8:
-            raise UnphysicalReadout(f"occupancy at site {j} is {occ!r}, outside [0,1]")
-        occupancy.append(occ)
-    return ObservableReport(eec=eec, occupancy=np.array(occupancy), maxBond=int(state.maxBondSeen))
+            raise UnphysicalReadout(f"occupancy at site {j} is {float(occ)!r}, outside [0,1]")
+    return ObservableReport(eec=eec, occupancy=occupancy, maxBond=int(state.maxBondSeen))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from nessfold.cli import _FIG1_BATHS, _FIG1_PARAMS
 from nessfold.exceptions import UnphysicalReadout
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import log_linear_fit, solve_end_bath
-from nessfold.tns import ObservableReport, build_report, normalize_vacuum, product_state
+from nessfold.spectral import gaussian_report
+from nessfold.tns import ObservableReport, build_report, coefficient, covariance, normalize_vacuum, product_state
 
 from helpers import apply_gate, majorana_pair_expectation
 
@@ -102,6 +104,41 @@ def test_build_report_single_site_has_zero_eec():
     assert sol.report.eec == 0.0
     assert sol.report.maxBond >= 1
     assert sol.state.z0 != 0
+
+
+GAIN = EndBathParams(gamma21=1.0, gamma22=1.0)
+
+
+@pytest.mark.parametrize("n, w, mu, chi", [(3, 0.5, 2.0, 0), (4, 0.5, 2.0, 0), (4, 0.5, 2.0, 4), (4, 1.5, 0.2, 2)])
+def test_covariance_reads_every_two_mode_amplitude(n, w, mu, chi):
+    """z0 c_ab = p_ab (Gamma_ab + i leakage_ab) for every pair a < b, capped states included:
+    p_ab is 1 for odd b - a, else i for even a and -i for odd a."""
+    state = solve_end_bath(KitaevParams(N=n, w=w, mu=mu, delta=1.0), GAIN, max_chi=chi).state
+    gamma, leakage = covariance(state)
+    np.testing.assert_array_equal(gamma, -gamma.T)
+    np.testing.assert_array_equal(leakage, -leakage.T)
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            bits = [int(k in (a, b)) for k in range(2 * n)]
+            phase = 1.0 if (b - a) % 2 else (1j if a % 2 == 0 else -1j)
+            swept = phase * (gamma[a, b] + 1j * leakage[a, b])
+            assert abs(state.z0 * coefficient(state, bits) - swept) <= 1e-15, (a, b)
+
+
+@pytest.mark.parametrize("params, bp", [(p, _FIG1_BATHS) for p in _FIG1_PARAMS]
+                         + [(KitaevParams(N=8, w=0.5, mu=2.0, delta=1.0), GAIN)])
+def test_uncapped_covariance_equals_the_solves(params, bp):
+    sol = solve_end_bath(params, bp)
+    assert np.abs(covariance(sol.state)[0] - sol.spectrum.gamma).max() <= 1e-12
+
+
+def test_capped_covariance_error_exceeds_the_eec_error():
+    """At (12, 0.5, 2) under a chi=24 cap the worst covariance entry (about 9.1e-3) is off more
+    than the row's eec (about 8.2e-4), so comparing covariances catches more than eec does."""
+    sol = solve_end_bath(KitaevParams(N=12, w=0.5, mu=2.0, delta=1.0), GAIN, max_chi=24)
+    worst = np.abs(covariance(sol.state)[0] - sol.spectrum.gamma).max()
+    eec_error = abs(sol.report.eec - gaussian_report(sol.spectrum.gamma)[0])
+    assert worst > 5 * eec_error > 0
 
 
 def test_log_linear_fit_recovers_exact_decay():

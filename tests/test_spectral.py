@@ -11,7 +11,6 @@ from nessfold.oracle import dense_second_space_ness, eec_from_vec, occupancy_fro
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import (
     LiouvillianCoeffs,
-    ModeSpectrum,
     TransferStack,
     build_liouvillian,
     build_stack,
@@ -181,7 +180,7 @@ def test_gaussian_report_matches_the_dense_kernel(params, bp):
     H, chans = build_kitaev(params), end_baths(params.N, bp)
     L = build_liouvillian(H, chans)
     gamma = scipy.linalg.solve_continuous_lyapunov(L.X, -L.Y)
-    eec, occupancy = gaussian_report(ModeSpectrum(z=np.empty(0), gamma=gamma))
+    eec, occupancy = gaussian_report(gamma)
     vec = dense_second_space_ness(H, chans).vec
     assert abs(eec - eec_from_vec(vec, params.N)) <= 1e-10
     ref = [occupancy_from_vec(vec, params.N, j) for j in range(1, params.N + 1)]
@@ -192,7 +191,7 @@ def test_gaussian_report_matches_the_dense_kernel(params, bp):
 def test_gaussian_report_on_a_lone_site(gamma2):
     """No end-to-end correlation, and the occupancy (1 + r)/2, r = (gamma2 - gamma1)/(gamma2 + gamma1)."""
     H, chans = chain(n=1, w=0.0, mu=1.0, delta=0.0, bp=EndBathParams(1.0, gamma2, 0.0, 0.0))
-    eec, occupancy = gaussian_report(decompose(build_liouvillian(H, chans)))
+    eec, occupancy = gaussian_report(decompose(build_liouvillian(H, chans)).gamma)
     r = (gamma2 - 1.0) / (gamma2 + 1.0)
     assert eec == 0.0
     np.testing.assert_allclose(occupancy, [(1.0 + r) / 2.0], rtol=0, atol=1e-15)
@@ -201,6 +200,6 @@ def test_gaussian_report_on_a_lone_site(gamma2):
 def test_gaussian_report_equals_the_replay_readout():
     """An uncapped N=8 solve reads the same observables off its replay as off its covariance."""
     sol = solve_end_bath(KitaevParams(N=8, w=0.5, mu=2.0, delta=1.0), EndBathParams(0.0, 1.0, 0.0, 1.0))
-    eec, occupancy = gaussian_report(sol.spectrum)
+    eec, occupancy = gaussian_report(sol.spectrum.gamma)
     assert abs(eec - sol.report.eec) <= 1e-12
     np.testing.assert_allclose(occupancy, sol.report.occupancy, rtol=0, atol=1e-12)
