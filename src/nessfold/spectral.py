@@ -96,7 +96,8 @@ def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectru
     that threshold band (otherwise one of each pair +-lam is stable, so the
     stable set has size 2N), and SingularEigenbasis when W is ill conditioned
     (condition number above 1/eps_z).  The Lyapunov equation is then diagonal
-    in W's basis: Gamma = W G W^T with G_jk = -(W^-1 Y W^-T)_jk / (lam_j + lam_k).
+    in W's basis: Gamma = W G W^T with G_jk = -(W^-1 Y W^-T)_jk / (lam_j + lam_k),
+    and a sum lam_j + lam_k beyond the float range raises NonUniqueNess too.
     """
     lam, W = np.linalg.eig(L.X)
     z = np.concatenate((-lam, lam))
@@ -115,8 +116,12 @@ def decompose(L: LiouvillianCoeffs, eps_z: float = EPS_Z_DEFAULT) -> ModeSpectru
         raise SingularEigenbasis(
             f"eigenvector matrix condition {cond:.3e} exceeds {1.0 / eps_z:.3e}"
         )
+    with np.errstate(over="ignore"):
+        rates = lam[:, None] + lam[None, :]
+    if not np.isfinite(rates).all():
+        raise NonUniqueNess(f"Lyapunov step overflows: largest |lam| {float(np.abs(lam).max()):.3e}")
     Winv = np.linalg.inv(W)
-    G = -(Winv @ L.Y @ Winv.T) / (lam[:, None] + lam[None, :])
+    G = -(Winv @ L.Y @ Winv.T) / rates
     gamma = (W @ G @ W.T).real
     return ModeSpectrum(z=z, gamma=(gamma - gamma.T) / 2.0)
 

@@ -28,8 +28,8 @@ eigensolve fails, goes through the SVD instead.
 
 These factorizations act on blocks of a few hundred rows at most, where
 waking and syncing BLAS threads costs more than the work they share, so
-one_blas_thread pins numpy's OpenBLAS to one thread around a solve; the
-scipy gesvd fallback pins scipy's own OpenBLAS the same way.
+one_blas_thread pins numpy's OpenBLAS, the only one a solve uses (a failed
+gesdd call is retried on the conjugate transpose), to one thread.
 
 Observables are ratios of basis coefficients against the vacuum one, so
 the trace factors dropped during construction cancel identically.  The
@@ -108,15 +108,14 @@ class TensorState:
         return out
 
 
-def _openblas_threads(path=None):
-    """(get, set) thread-count functions of the OpenBLAS the extension at path links
-    (numpy.linalg's by default), or None.
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS numpy.linalg links, or None.
 
     None on other BLAS builds (MKL, Accelerate) or when the extension cannot be
     loaded; pinning then does nothing.
     """
     try:
-        lib = ctypes.CDLL(path or np.linalg._umath_linalg.__file__)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
     for prefix in ("scipy_openblas", "openblas"):
@@ -131,37 +130,32 @@ def _openblas_threads(path=None):
 
 
 _BLAS_THREADS = _openblas_threads()
-# OpenBLAS's thread count is process-wide: the first block to pin a library saves its count,
-# the last block to leave restores every count saved
+# OpenBLAS's thread count is process-wide: the first block in saves the count found,
+# the last block to leave restores it
 _pin_lock = threading.Lock()
 _pin_depth = 0
-_pin_saved = []  # (handle, count found), in the order pinned
+_pin_saved = 0
 
 
 @contextmanager
-def one_blas_thread(*extra):
-    """Run the block with numpy's OpenBLAS, and each extra (get, set) pair that is not None,
-    on one thread, then restore the counts found.
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the count found.
 
-    Nested and concurrent blocks leave each count as the first block to pin it found it.
+    Nested and concurrent blocks leave the count as the first block in found it.
     """
-    global _pin_depth
+    global _pin_depth, _pin_saved
     with _pin_lock:
-        for blas in (_BLAS_THREADS, *extra):
-            if blas is not None and blas not in [h for h, _ in _pin_saved]:
-                _pin_saved.append((blas, blas[0]()))
-                blas[1](1)
+        if _pin_depth == 0 and _BLAS_THREADS is not None:
+            _pin_saved = _BLAS_THREADS[0]()
+            _BLAS_THREADS[1](1)
         _pin_depth += 1
     try:
         yield
     finally:
         with _pin_lock:
             _pin_depth -= 1
-            if _pin_depth == 0:
-                # last pinned first, so two handles on one library end at the count first found
-                for (_, put), count in reversed(_pin_saved):
-                    put(count)
-                _pin_saved.clear()
+            if _pin_depth == 0 and _BLAS_THREADS is not None:
+                _BLAS_THREADS[1](_pin_saved)
 
 
 def _occupations(bits) -> list:
@@ -187,14 +181,10 @@ def _robust_svd(blocks: np.ndarray):
     try:
         return np.linalg.svd(blocks, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but reliable.  It runs on
-        # scipy's OpenBLAS, which wheels ship apart from numpy's, pinned to one thread like
-        # numpy's.  scipy is imported here: a solve that never falls back never loads it.
-        import scipy.linalg as sla
-
-        with one_blas_thread(_openblas_threads(sla._flapack.__file__)):
-            parts = [sla.svd(b, full_matrices=False, lapack_driver="gesvd") for b in blocks]
-        return tuple(np.stack(x) for x in zip(*parts))
+        # gesdd occasionally fails to converge; T^H = V s U^H is the same factorization
+        # reached along another path, so (U', s, Vh') of T^H gives T = Vh'^H s U'^H
+        U, s, Vh = np.linalg.svd(blocks.conj().swapaxes(-1, -2), full_matrices=False)
+        return Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
 
 
 _MIX_AXES = np.indices((2, 2, 2, 2))
@@ -443,8 +433,9 @@ def build_report(state: TensorState) -> ObservableReport:
     covariance swept off it.  UnphysicalReadout refuses an occupancy with complex leakage or
     outside [0, 1]."""
     gamma, leakage = covariance(state)
-    # hermiticity leakage scales like the root of the discarded weight; the
-    # floor covers exact-tolerance runs where discards sit at roundoff
+    # the floor refuses leakage above roundoff on exact-tolerance runs; a capped row's tolerance
+    # is of order 1 and refuses almost nothing: at (N, w, mu) = (11, 0.99, 1.85) with maxChi 6,
+    # leakage 3.0e-3 passes a tolerance of 2.36 on a row whose Gamma is off by 8.3e-2
     imag_tol = max(IMAG_TOL, 10.0 * float(np.sqrt(max(state.discardedWeight, 0.0))))
     eec, occupancy = gaussian_report(gamma)
     for j, (leak, occ) in enumerate(zip(np.diag(leakage[0::2, 1::2]), occupancy), start=1):

@@ -1,12 +1,11 @@
 """One BLAS thread per solve, and no scipy on the solve path.
 
 `nessfold.pipeline.solve` pins numpy's OpenBLAS to one thread while it runs and
-restores the count it found, through `nessfold.tns.one_blas_thread`; the
-replay's scipy gesvd fallback pins scipy's own OpenBLAS too. Cases that read a
-count skip when the library does not link an OpenBLAS with get/set functions.
+restores the count it found, through `nessfold.tns.one_blas_thread`; numpy is the
+only numerical library a solve loads, the replay's SVD retry included. Cases that
+read a count skip when the library does not link an OpenBLAS with get/set functions.
 """
 
-import ctypes
 import os
 import subprocess
 import sys
@@ -39,23 +38,6 @@ def blas():
     put(found)
 
 
-@pytest.fixture
-def scipy_blas():
-    """(get, set) of the thread count of scipy.linalg's own OpenBLAS, restored after the test."""
-    from scipy.linalg import _flapack
-
-    lib = ctypes.CDLL(_flapack.__file__)
-    get = getattr(lib, "scipy_openblas_get_num_threads", None)
-    put = getattr(lib, "scipy_openblas_set_num_threads", None)
-    if get is None or put is None:
-        pytest.skip("scipy.linalg does not link an OpenBLAS with get/set_num_threads")
-    get.restype, get.argtypes = ctypes.c_int, []
-    put.restype, put.argtypes = None, [ctypes.c_int]
-    found = get()
-    yield get, put
-    put(found)
-
-
 @pytest.mark.parametrize("before", [1, 2])
 def test_solve_runs_on_one_thread_and_restores_the_count(blas, monkeypatch, before):
     get, put = blas
@@ -73,26 +55,21 @@ def test_solve_runs_on_one_thread_and_restores_the_count(blas, monkeypatch, befo
 
 
 @pytest.mark.parametrize("before", [1, 2])
-def test_gesvd_fallback_runs_on_one_scipy_thread(scipy_blas, monkeypatch, before):
-    """numpy's pin does not reach scipy's library, which the replay's fallback runs on."""
-    import scipy.linalg
-
-    get, put = scipy_blas
+def test_svd_retry_runs_on_one_thread(blas, monkeypatch, before):
+    """The replay retries a failed gesdd call inside the solve's pin, on numpy's library."""
+    get, put = blas
     put(before)
-    svd, gesvd, seen = np.linalg.svd, scipy.linalg.svd, []
+    svd, seen = np.linalg.svd, []
 
     def failing_once(*args, **kwargs):
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    def recording(*args, **kwargs):
         seen.append(get())
-        return gesvd(*args, **kwargs)
+        if len(seen) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing_once)
-    monkeypatch.setattr(scipy.linalg, "svd", recording)
     solve_end_bath(POINT, BATHS)
-    assert seen and set(seen) == {1}
+    assert len(seen) >= 2 and set(seen) == {1}
     assert get() == before
 
 
@@ -174,6 +151,21 @@ _SOLVES = {
     ),
     "cli": "from nessfold.cli import main\nassert main(['ness', '--N', '3']) == 0\n",
     "validate": "from nessfold.cli import main\nassert main(['validate']) == 0\n",
+    # the first gesdd call fails, so the replay retries it; the answer is the unforced one
+    "retry": (
+        "import numpy as np\n"
+        "from nessfold import EndBathParams, KitaevParams, solve_end_bath\n"
+        "point = KitaevParams(N=4, w=0.5, mu=2.0, delta=1.0), EndBathParams(0.0, 1.0, 0.0, 1.0)\n"
+        "unforced, svd, calls = solve_end_bath(*point).report.eec, np.linalg.svd, []\n"
+        "def failing_once(*args, **kwargs):\n"
+        "    calls.append(1)\n"
+        "    if len(calls) == 1:\n"
+        "        raise np.linalg.LinAlgError('SVD did not converge')\n"
+        "    return svd(*args, **kwargs)\n"
+        "np.linalg.svd = failing_once\n"
+        "assert solve_end_bath(*point).report.eec == unforced\n"
+        "assert len(calls) > 1\n"
+    ),
 }
 
 

@@ -1,5 +1,7 @@
 """Mode decomposition, stable projector, and transfer stack assembly, against the 4N reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -111,6 +113,23 @@ def test_threshold_is_relative():
     decompose(L, eps_z=1e-8)
     with pytest.raises(NonUniqueNess):
         decompose(L, eps_z=0.99)
+
+
+@pytest.mark.parametrize("w", [1e308, 1.7e308])
+def test_overflowing_lyapunov_step_is_refused(w):
+    """At N=2 the rates are -1 +/- i w, so two of them sum past the float range."""
+    L = coeffs(n=2, w=w, mu=1.0, bp=EndBathParams(gamma21=1.0, gamma22=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonUniqueNess, match="Lyapunov step overflows"):
+            decompose(L)
+
+
+def test_lyapunov_step_near_the_float_limit_is_not_refused():
+    L = coeffs(n=2, w=1e307, mu=1.0, bp=EndBathParams(gamma21=1.0, gamma22=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(decompose(L).gamma).all()
 
 
 def test_singular_eigenbasis_guard():

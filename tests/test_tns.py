@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from nessfold import tns
 from nessfold.exceptions import VacuumVanishes
@@ -363,30 +362,27 @@ def test_cap_splits_a_cross_sector_tie_by_the_stable_ranking(s_even, s_odd):
     np.testing.assert_allclose(dense_coefficients(state), dense_coefficients(truncated), rtol=0, atol=1e-14)
 
 
-def test_gesvd_fallback_factorizes_each_parity_block(monkeypatch):
+def test_svd_retry_factorizes_the_conjugate_transpose(monkeypatch):
     rng = np.random.default_rng(5)
     state = product_state([1, 0, 0], trunc_tol=0.0)
     dense = dense_coefficients(state)
     for m, theta in random_rotations(rng, 3, 12):
         apply_gate(state, m, theta)
         dense = dense_gate(3, m, theta) @ dense
-    gesdd, gesvd = np.linalg.svd, scipy.linalg.svd
-    failures, drivers = [np.linalg.LinAlgError("SVD did not converge")], []
+    gesdd, calls = np.linalg.svd, []
 
-    def flaky(*args, **kwargs):
-        if failures:
-            raise failures.pop()
-        return gesdd(*args, **kwargs)
+    def failing_once(blocks, *args, **kwargs):
+        calls.append(blocks.copy())
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return gesdd(blocks, *args, **kwargs)
 
-    def counted(*args, **kwargs):
-        drivers.append(kwargs.get("lapack_driver"))
-        return gesvd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", flaky)
-    monkeypatch.setattr(scipy.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", failing_once)
     apply_gate(state, 5, 0.7)
-    assert not failures
-    assert drivers == ["gesvd", "gesvd"]
+    assert len(calls) == 2
+    first, retried = calls
+    assert first.shape[0] == 2 and retried.shape == (2, first.shape[2], first.shape[1])
+    np.testing.assert_array_equal(retried, first.conj().swapaxes(1, 2))
     np.testing.assert_allclose(dense_coefficients(state), dense_gate(3, 5, 0.7) @ dense, atol=1e-12)
 
 
