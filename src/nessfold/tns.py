@@ -67,11 +67,6 @@ def _physical(M: np.ndarray, even_left: int, even_right: int) -> np.ndarray:
     return (np.arange(M.shape[0]) >= even_left)[:, None] != (np.arange(M.shape[1]) >= even_right)
 
 
-def _sector(even: int, parity: int) -> slice:
-    """Positions of one parity's vectors in a bond whose first `even` vectors are even."""
-    return slice(None, even) if parity == 0 else slice(even, None)
-
-
 @dataclass
 class TensorState:
     """Mutable MPS with relative-cutoff truncation, one matrix per site.
@@ -357,25 +352,19 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
         _update_pair(state, j, gate, center_left=left)
 
 
-def coefficient(state: TensorState, bits) -> complex:
-    """Amplitude of one occupation pattern, contracted left to right.
-
-    Only the bond sector of the prefix's parity carries the pattern, so a
-    pattern of the wrong total parity reads exactly 0.
-    """
-    bits = _occupations(bits)
-    if len(bits) != state.sites:
-        raise ValueError(f"need {state.sites} occupations, got {len(bits)}")
-    v, parity = np.ones(1, dtype=complex), 0
-    for j, (M, b) in enumerate(zip(state.matrices, bits)):
-        v = v @ M[_sector(state.even[j], parity), _sector(state.even[j + 1], parity ^ b)]
-        parity ^= b
-    return complex(v[0]) if v.size else 0j
+def _vacuum_prefixes(state: TensorState) -> list:
+    """All-empty amplitude of the sites left of each bond 0..sites, as a (1, even[j]) row on
+    the bond's even sector, contracted left to right."""
+    out = [np.ones((1, 1), dtype=complex)]
+    for j, M in enumerate(state.matrices):
+        out.append(out[-1] @ M[:state.even[j], :state.even[j + 1]])
+    return out
 
 
 def normalize_vacuum(state: TensorState) -> complex:
     """Fix the overall scale so the vacuum coefficient becomes exactly 1."""
-    c0 = coefficient(state, [0] * state.sites)
+    vac = _vacuum_prefixes(state)[-1]
+    c0 = complex(vac[0, 0]) if vac.size else 0j
     if abs(c0) < VACUUM_EPS:
         raise VacuumVanishes(f"vacuum amplitude {abs(c0):.3e} below {VACUUM_EPS:.3e}")
     state.z0 = 1.0 / c0
@@ -404,9 +393,10 @@ def covariance(state: TensorState) -> tuple:
     With modes a < b (0-based) exactly occupied, z0 times the amplitude is
     p_ab Gamma_ab: p_ab is 1 for odd b - a, else i for even a and -i for odd a.
     Gamma is the real part of z0 c_ab / p_ab, leakage its imaginary part, both
-    as antisymmetric 2N x 2N arrays.  The sweep carries the all-empty prefix and
-    one open row per earlier occupied mode, and closes each row at its second
-    occupied mode against the all-empty suffix to the right.
+    as antisymmetric 2N x 2N arrays.  The sweep carries one open row per earlier
+    occupied mode, opens a row at each site from the all-empty prefix to its left
+    (_vacuum_prefixes, the contraction normalize_vacuum reads c0 from), and closes
+    each row at its second occupied mode against the all-empty suffix to the right.
     """
     if state.z0 == 0:
         raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
@@ -415,13 +405,11 @@ def covariance(state: TensorState) -> tuple:
     for j in range(n2 - 1, 0, -1):
         right.append(state.matrices[j][:even[j], :even[j + 1]] @ right[-1])
     right.reverse()
-    amp = np.zeros((n2, n2), dtype=complex)
-    vac, opened = np.ones((1, 1), dtype=complex), np.zeros((0, 0), dtype=complex)
-    for j, (M, env) in enumerate(zip(state.matrices, right)):
+    amp, opened = np.zeros((n2, n2), dtype=complex), np.zeros((0, 0), dtype=complex)
+    for j, (M, vac, env) in enumerate(zip(state.matrices, _vacuum_prefixes(state), right)):
         e, e1 = even[j], even[j + 1]
         amp[:j, j] = opened @ (M[e:, :e1] @ env)
         opened = np.concatenate((opened @ M[e:, e1:], vac @ M[:e, e1:]))
-        vac = vac @ M[:e, :e1]
     a, b = np.indices((n2, n2))
     phase = np.where((b - a) % 2 == 1, 1.0, np.where(a % 2 == 0, 1j, -1j))
     values = np.triu(state.z0 * amp / phase, 1)

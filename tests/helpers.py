@@ -1,9 +1,9 @@
-"""Reference operations that only tests need: a tensor state's dense coefficient vector, stack
-rotations, the step-by-step site-pair elimination, fold replay, dumped records regrouped into
-blocks, the 4N second-space generator with its eigendecomposition, projector and stack, dense and
-record-by-record rotation gates, Majorana pair expectations, mode Majoranas, the
-first-to-second-space string map and its inverse, and a CLI run that reads a usage refusal's
-exit code."""
+"""Reference operations that only tests need: a tensor state's dense coefficient vector and one
+pattern's amplitude, stack rotations, the step-by-step site-pair elimination, fold replay, dumped
+records regrouped into blocks, the 4N second-space generator with its eigendecomposition,
+projector and stack, dense and record-by-record rotation gates, Majorana pair expectations, mode
+Majoranas, the first-to-second-space string map and its inverse, and a CLI run that reads a usage
+refusal's exit code."""
 
 import math
 
@@ -12,7 +12,7 @@ import numpy as np
 from nessfold.cli import main
 from nessfold.folding import _PAIR_STEPS, BLOCK_DTYPE
 from nessfold.oracle import FIRST_SPACE_MAX_SITES, majorana_site_matrices, mode_ladders
-from nessfold.tns import _pair_gates, _physical, _update_pair, coefficient
+from nessfold.tns import _occupations, _pair_gates, _physical, _update_pair
 
 
 def run_cli(capsys, argv) -> tuple:
@@ -32,6 +32,28 @@ def dense_coefficients(state) -> np.ndarray:
     for t in rest:
         arr = np.tensordot(arr, t, axes=([arr.ndim - 1], [0]))
     return np.asarray(arr).reshape(2 ** state.sites)
+
+
+def _sector(even: int, parity: int) -> slice:
+    """Positions of one parity's vectors in a bond whose first `even` vectors are even."""
+    return slice(None, even) if parity == 0 else slice(even, None)
+
+
+def coefficient(state, bits) -> complex:
+    """Amplitude of one occupation pattern of a TensorState, contracted left to right: the
+    per-pattern reference for tns.covariance's sweep and tns.normalize_vacuum.
+
+    Only the bond sector of the prefix's parity carries the pattern, so a
+    pattern of the wrong total parity reads exactly 0.
+    """
+    bits = _occupations(bits)
+    if len(bits) != state.sites:
+        raise ValueError(f"need {state.sites} occupations, got {len(bits)}")
+    v, parity = np.ones(1, dtype=complex), 0
+    for j, (M, b) in enumerate(zip(state.matrices, bits)):
+        v = v @ M[_sector(state.even[j], parity), _sector(state.even[j + 1], parity ^ b)]
+        parity ^= b
+    return complex(v[0]) if v.size else 0j
 
 
 def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:

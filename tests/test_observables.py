@@ -8,9 +8,9 @@ from nessfold.exceptions import UnphysicalReadout
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import log_linear_fit, solve_end_bath
 from nessfold.spectral import gaussian_report
-from nessfold.tns import ObservableReport, build_report, coefficient, covariance, normalize_vacuum, product_state
+from nessfold.tns import ObservableReport, build_report, covariance, normalize_vacuum, product_state
 
-from helpers import apply_gate, majorana_pair_expectation
+from helpers import apply_gate, coefficient, majorana_pair_expectation
 
 
 def solved_state(n=2, w=1.0, mu=1.0, g1=1.0, g2=3.0):
@@ -45,8 +45,6 @@ def test_pair_expectation_parity_and_range_checks():
 def test_eec_reads_advertised_patterns():
     sol = solved_state(n=3)
     state = sol.state
-    from nessfold.tns import coefficient
-
     inner = coefficient(state, [0, 1, 0, 0, 1, 0])
     outer = coefficient(state, [1, 0, 0, 0, 0, 1])
     expected = 2.0 * abs(state.z0 * (inner + outer))

@@ -1,9 +1,10 @@
-"""One BLAS thread per solve, and no scipy on the solve path.
+"""One BLAS thread per solve, no scipy on the solve path, and no CLI stack on import.
 
 `nessfold.pipeline.solve` pins numpy's OpenBLAS to one thread while it runs and
 restores the count it found, through `nessfold.tns.one_blas_thread`; numpy is the
 only numerical library a solve loads, the replay's SVD retry included. Cases that
 read a count skip when the library does not link an OpenBLAS with get/set functions.
+`import nessfold` loads neither the CLI nor the standard modules only it reads.
 """
 
 import os
@@ -176,6 +177,26 @@ def test_solving_loads_no_scipy(solve):
     script = solve + (
         "import sys\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_loads_no_cli_stack():
+    """`import nessfold` adds to numpy's own modules only what the solver needs: not the CLI, the
+    dense oracles, scipy, or the standard modules only the CLI reads, whose import time would
+    count against every solve's setup."""
+    src = str(Path(nessfold.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import nessfold\n"
+        "unwanted = {'nessfold.cli', 'nessfold.oracle', 'argparse', 'csv', 'json', 'concurrent.futures', 'statistics'}\n"
+        "loaded = sorted(m for m in set(sys.modules) - before if m in unwanted or m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),

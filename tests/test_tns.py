@@ -16,12 +16,11 @@ from nessfold.tns import (
     _pair_gates,
     _update_pair,
     apply_inverse_sequence,
-    coefficient,
     normalize_vacuum,
     product_state,
 )
 
-from helpers import apply_gate, blocks_from_records, dense_coefficients, rotation_gate, two_site_gate
+from helpers import _sector, apply_gate, blocks_from_records, coefficient, dense_coefficients, rotation_gate, two_site_gate
 
 
 def dense_gate(n_sites, m, theta):
@@ -177,10 +176,10 @@ def canonical_deviation(state, center):
             continue
         for q in (0, 1):
             if j < center:
-                part = M[:, tns._sector(state.even[j + 1], q)]
+                part = M[:, _sector(state.even[j + 1], q)]
                 gram = part.conj().T @ part
             else:
-                part = M[tns._sector(state.even[j], q)]
+                part = M[_sector(state.even[j], q)]
                 gram = part @ part.conj().T
             worst = max(worst, np.abs(gram - np.eye(len(gram))).max(initial=0.0))
     return worst
@@ -234,6 +233,7 @@ def test_coefficient_matches_dense_vector():
     for idx in range(8):
         bits = [(idx >> (2 - k)) & 1 for k in range(3)]
         assert coefficient(state, bits) == pytest.approx(dense[idx], abs=1e-13)
+    assert normalize_vacuum(state) == 1.0 / coefficient(state, [0, 0, 0])
     with pytest.raises(ValueError):
         coefficient(state, [0, 0])
     with pytest.raises(ValueError, match="occupation must be 0 or 1, got -1"):
@@ -255,6 +255,14 @@ def test_vacuum_vanishes_on_occupied_state():
     assert coefficient(state, [0] * state.sites) == 0.0
     with pytest.raises(VacuumVanishes):
         normalize_vacuum(state)
+
+
+@pytest.mark.parametrize("n, w, mu, chi", [(8, 0.5, 2.0, 0), (8, 0.5, 2.0, 16), (10, 1.5, 0.2, 16)])
+def test_vacuum_prefix_reads_the_all_empty_coefficient(n, w, mu, chi):
+    """normalize_vacuum's prefix contracts in the per-pattern reference's left-to-right order,
+    so a solve's z0 is 1 over the all-empty coefficient bit for bit, capped solves included."""
+    state = solve_end_bath(KitaevParams(N=n, w=w, mu=mu, delta=1.0), GAIN_ONLY, max_chi=chi).state
+    assert state.z0 == 1.0 / coefficient(state, [0] * state.sites)
 
 
 def test_two_site_gate_entangles_as_expected():
