@@ -9,10 +9,10 @@ the real parts off the far site's two columns, all inside the pair's four
 columns.  Closure then pins the surviving pair to a single fermionic mode,
 which never acts again in a lower row (nilpotency), so each row is cleared
 inside the live block: the rows not yet closed, on the free sites.  Each
-cleared site pair leaves one block of five angles; in application order the
-blocks define the bundled transformation whose inverse rebuilds the
-stationary state, each replays as one two-site gate, and reversed, the rows
-alternate between ascending and descending staircases.
+cleared site pair leaves one block of five steps, a role and an angle each;
+in application order the blocks define the bundled transformation whose
+inverse rebuilds the stationary state, each one two-site gate; reversed,
+the rows alternate between ascending and descending staircases.
 """
 
 from __future__ import annotations
@@ -32,16 +32,19 @@ EPS_FOLD_DEFAULT = 1e-10
 # ones; both act identically on coefficients.  Local column 1 mixes the two sites.
 _PAIR_STEPS = ((2, "U"), (1, "U"), (0, "U"), (2, "V"), (1, "V"))
 
-# One block per cleared site pair (j, j+1), 0-based: whether its row was cleared on the
-# mirrored columns, and the angles of _PAIR_STEPS as they act on the stack's own columns.
-BLOCK_DTYPE = np.dtype([("pair", np.int64), ("mirrored", bool), ("angles", np.float64, len(_PAIR_STEPS))])
+# One block per cleared site pair (j, j+1), 0-based: the role of each step of _PAIR_STEPS, where
+# it acts on the stack's own columns (0 a phase on the pair's left site, 1 the rotation mixing
+# its two sites, 2 a phase on its right site), and the steps' angles on those columns.
+BLOCK_DTYPE = np.dtype([("pair", np.int64), ("roles", np.int8, len(_PAIR_STEPS)),
+                        ("angles", np.float64, len(_PAIR_STEPS))])
 
 
 @dataclass(frozen=True)
 class FoldResult:
     """Site-pair blocks (read-only record array of BLOCK_DTYPE, application order; row l
-    contributes the next 2N - l), per-row weights, closure signs, pinned sites (1-based),
-    and the largest entry any row keeps on its other free sites, read as that row closes."""
+    contributes the next 2N - l), the only stored form of the fold's steps; per-row weights,
+    closure signs, pinned sites (1-based), and the largest entry any row keeps on its other
+    free sites, read as that row closes."""
 
     blocks: np.recarray
     rDiag: np.ndarray
@@ -59,21 +62,12 @@ class FoldResult:
         return bits
 
     @property
-    def roles(self) -> np.ndarray:
-        """Where each block's steps act, shape (blocks, 5) in application order, built on each
-        access: 0 a phase on the pair's left site, 1 the rotation mixing the pair's two sites,
-        2 a phase on its right site.  A step on local column i has role i, or 2-i when its block
-        is mirrored."""
-        columns = np.array([i for i, _ in _PAIR_STEPS])
-        return np.where(self.blocks.mirrored[:, None], 2 - columns, columns)
-
-    @property
     def rotations(self) -> np.recarray:
         """Read-only (m, theta, kind) records, one per rotation of (gamma~_{m-1}, gamma~_m) by theta,
         built on each access: a step of role r in a block on pair j has m = 2j+2+r."""
         kinds = np.array([kind for _, kind in _PAIR_STEPS])
         b = self.blocks
-        m = 2 * b.pair[:, None] + 2 + self.roles
+        m = 2 * b.pair[:, None] + 2 + b.roles
         records = np.rec.fromarrays([m.ravel(), b.angles.ravel(), np.tile(kinds, len(b))],
                                     names="m,theta,kind")
         records.setflags(write=False)
@@ -152,18 +146,20 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
     site left and no pair to clear.  Row l is cleared inside the live block,
     the rows l..2N on the columns of sites lo..hi, so a closed row's site
     simply leaves it.  An odd row's pair k (1-based, within the block) gives
-    the block (lo-2+k, plain, angles); an even row is cleared on the block's
-    column-reversed view and gives (hi-1-k, mirrored, -angles).  The sign of
-    a right-pinned row is read on the unreversed columns, so an interior one
-    closes -1.  rDiag stores the magnitude of each row's pinned weight: the
-    rotations leave an interior row's weight real and positive, while row 2N
-    may keep a phase that no rotation removes.  residual is the largest entry
-    any row keeps on its other free sites, read as that row closes.
+    the block (lo-2+k, columns, angles), its roles the local columns of
+    _PAIR_STEPS; an even row is cleared on the block's column-reversed view
+    and gives (hi-1-k, 2 - columns, -angles).  The sign of a right-pinned row
+    is read on the unreversed columns, so an interior one closes -1.  rDiag
+    stores the magnitude of each row's pinned weight: the rotations leave an
+    interior row's weight real and positive, while row 2N may keep a phase
+    that no rotation removes.  residual is the largest entry any row keeps on
+    its other free sites, read as that row closes.
     """
     N = stack.N
     W = np.array(stack.R, dtype=complex)
     blocks = np.zeros(N * (2 * N - 1), dtype=BLOCK_DTYPE)
     angles = blocks["angles"]
+    columns = np.array([i for i, _ in _PAIR_STEPS])
     b = 0  # the next block
     rDiag = np.zeros(2 * N)
     signs = np.zeros(2 * N, dtype=int)
@@ -180,11 +176,11 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
             angles[b] = eliminate_pair(view, 1, k)
             b += 1
         row = blocks[first:b]
+        row["roles"] = columns if odd else 2 - columns
         if odd:
             row["pair"] = np.arange(hi - 2, lo - 2, -1)
         else:
             row["pair"] = np.arange(lo - 1, hi - 1)
-            row["mirrored"] = True
             row["angles"] = -row["angles"]
         rDiag[l - 1] = abs(view[0, 1])
         if rDiag[l - 1] < eps_fold:

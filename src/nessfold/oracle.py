@@ -2,10 +2,10 @@
 
 Two independent routes to the stationary state: the vectorized Lindblad
 superoperator over density matrices (first space) and the dense quadratic
-generator over Majorana-string coefficients (second space), plus the exact
-single-site solution.  All of these scale exponentially and are deliberately
-capped at small sizes.  The conversion map between the two spaces checks the
-routes against each other, not the solver, so it lives in the tests.
+generator over Majorana-string coefficients (second space).  Both scale
+exponentially and are deliberately capped at small sizes.  The conversion
+map between the two spaces checks the routes against each other, not the
+solver, so it lives in the tests.
 
 Jordan-Wigner convention, fixed once: gamma_{2j-1} = Z^(j-1) X_j and
 gamma_{2j} = Z^(j-1) Y_j in the basis (|0>, |1>) with site 1 as the most
@@ -219,26 +219,6 @@ def dense_second_space_ness(H: MajoranaHamiltonian, baths) -> DenseSecondSpaceNe
     vec = np.zeros(dim, dtype=complex)
     vec[even] = v / v[0]
     return DenseSecondSpaceNess(vec=vec)
-
-
-def analytic_n1(gamma1: float, gamma2: float) -> np.ndarray:
-    """Exact single-site coefficients |00) + r|11), r = (G2-G1)/(G2+G1)."""
-    if gamma1 < 0 or gamma2 < 0 or gamma1 + gamma2 <= 0:
-        raise ValueError("need nonnegative rates with a positive sum")
-    r = (gamma2 - gamma1) / (gamma2 + gamma1)
-    return np.array([1.0, 0.0, 0.0, r], dtype=complex)
-
-
-def error_metric(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| / ||b||, the relative deviation from reference b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ref = np.linalg.norm(b)
-    if ref == 0:
-        raise ValueError("reference vector is zero")
-    return float(np.linalg.norm(a - b) / ref)
 
 
 def _pattern_index(positions, n_bits: int) -> int:

@@ -5,10 +5,9 @@ site 1 as the most significant bit.  Every rotation of the fold is 2-local
 in that encoding: one that mixes the two sites of a pair is a
 nearest-neighbor gate whose string factors cancel, one inside a site a
 single-site phase gate.  The replay multiplies the five rotations of each
-of the fold's site-pair blocks into one two-site unitary, which acts on the
-pair's even states (|00>, |11>) and odd states (|01>, |10>) as two 2x2
-blocks; it builds every block's unitary once per solve, already read as a
-2x2 mix of the cut's two parity sectors for each pair of bond parities.
+of the fold's site-pair blocks, each its role's 4x4 generator rotated by its
+angle, into one two-site unitary, built once per solve and read as a 2x2
+mix of the cut's two parity sectors for each pair of bond parities.
 
 Every gate conserves fermion parity and the replay starts from a product
 state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
@@ -182,42 +181,37 @@ def _robust_svd(blocks: np.ndarray):
         return Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
 
 
-_MIX_AXES = np.indices((2, 2, 2, 2))
-# sign of theta in the phase on each left leg of the two parity blocks, by step role: a phase
-# on the left site, none for the pair's gate, and a phase on the right site, which reverses in
-# the odd block: there the right leg is the left one flipped
-_PHASE_SIGNS = np.array([[[1.0, -1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+_Z, _X, _I = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+# the generator K of each step role on the two-site basis |l r>, the left site the more significant
+# bit: a phase on the left site, the pair's gate, a phase on the right site
+_GENERATORS = np.array([np.kron(_Z, _I), np.kron(_X, _X), np.kron(_I, _Z)])
+# each is a signed permutation: row i of K U is row _ROWS[r, i] of U times _SIGNS[r, i]
+_ROWS, _SIGNS = np.abs(_GENERATORS).argmax(axis=-1), _GENERATORS.sum(axis=-1)[..., None]
 
 
 def _pair_gates(roles, thetas) -> np.ndarray:
     """Cut-sector mixes undoing the fold's site-pair blocks, one per row of roles and of thetas
-    (FoldResult.roles and the blocks' angles): a block's steps, undone last first at negated
-    angles.
+    (the blocks' roles and angles): a block's steps, undone last first at negated angles.
 
     Step (role r, theta) is exp(theta/2 * gamma~_a gamma~_b) on the Majoranas (a, b) =
-    (r+1, r+2) of the pair's four: at role 1 the pair's gate cos + i sin X(x)X, else the
-    phase diag(e^{i theta/2}, e^{-i theta/2}) on the left site (role 0) or on the right one
-    (role 2).  The product is built as two 2x2 parity blocks, on (|00>, |11>) and on
-    (|01>, |10>), each indexed by the left leg.  On a two-site amplitude with left bond parity
-    pa and right bond parity pb, cut sector q holds the legs (pa^q, pb^q), so parity block
-    pa^pb maps sector q to sector x with its entry [pa^x, pa^q].  Returns G of shape
-    (blocks, 2, 2, 2, 2) with G[b, q, x, pa, pb] that entry of the product undoing block b.
+    (r+1, r+2) of the pair's four: cos(theta/2) + i sin(theta/2) K, K = _GENERATORS[r], so
+    Z(x)I at role 0, the pair's gate X(x)X at role 1 and I(x)Z at role 2.  The product U is a
+    4x4 matrix on |l r>.  On a two-site amplitude with left bond parity pa and right bond
+    parity pb, cut sector q holds the legs (pa^q, pb^q), so U maps sector q to sector x with
+    its entry [2(pa^x) + (pb^x), 2(pa^q) + (pb^q)].  Returns G of shape (blocks, 2, 2, 2, 2)
+    with G[b, q, x, pa, pb] that entry of the product undoing block b.
     """
-    half = -0.5 * np.asarray(thetas, dtype=float)[:, ::-1, None, None, None]
+    half = -0.5 * np.asarray(thetas, dtype=float)[:, ::-1, None, None]
     c, s = np.cos(half), np.sin(half)
     undo = np.asarray(roles)[:, ::-1]
-    two_site = (undo == 1)[..., None, None, None]
-    # each step is cos + i sin K, K the leg swap X(x)X for the pair's gate and the diagonal of
-    # leg signs for a phase, applied as cos g + (i sin) K g with each product rounded on its own:
+    rows, signs, b = _ROWS[undo], _SIGNS[undo], np.arange(len(undo))[:, None]
+    U = np.tile(np.eye(4, dtype=complex), (len(undo), 1, 1))
+    # each step is cos U + (i sin) K U, K U as U's signed rows, each product rounded on its own:
     # numpy's fused complex multiply rounds differently and moves small eec values by 1e-10
-    swap = np.where(two_site, 1j * s, 0)
-    phase = np.where(two_site, 0, 1j * s * _PHASE_SIGNS[undo][..., None])
-    g = np.zeros((len(undo), 2, 2, 2), dtype=complex)
-    g[..., [0, 1], [0, 1]] = 1.0
-    for cos, sin_swap, sin_phase in zip(*(np.moveaxis(t, 1, 0) for t in (c, swap, phase))):
-        g = cos * g + sin_phase * g + sin_swap * g[:, :, ::-1]
-    q, x, pa, pb = _MIX_AXES
-    return g[:, pa ^ pb, pa ^ x, pa ^ q]
+    for step in range(undo.shape[1]):
+        U = c[:, step] * U + (1j * s[:, step]) * (U[b, rows[:, step]] * signs[:, step])
+    q, x, pa, pb = np.indices((2, 2, 2, 2))
+    return U[:, 2 * (pa ^ x) + (pb ^ x), 2 * (pa ^ q) + (pb ^ q)]
 
 
 def _kept(state: TensorState, s: np.ndarray) -> tuple:
@@ -348,7 +342,7 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     if np.any(np.abs(moves) > 1):
         raise ValueError("a block skips past the orthogonality center; the fold's rows never do")
     center_left = np.append(moves < 0, False).tolist()
-    for j, gate, left in zip(pairs.tolist(), _pair_gates(result.roles[::-1], blocks.angles), center_left):
+    for j, gate, left in zip(pairs.tolist(), _pair_gates(blocks.roles, blocks.angles), center_left):
         _update_pair(state, j, gate, center_left=left)
 
 

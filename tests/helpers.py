@@ -1,8 +1,9 @@
-"""Reference operations that only tests need: a tensor state's dense coefficient vector and one
-pattern's amplitude, stack rotations, the step-by-step site-pair elimination, fold replay, dumped
-records regrouped into blocks, the 4N second-space generator with its eigendecomposition,
-projector and stack, dense and record-by-record rotation gates, Majorana pair expectations, mode
-Majoranas, the first-to-second-space string map and its inverse, and a CLI run that reads a usage
+"""Reference operations that only tests need: the exact single-site solution, the relative
+error between coefficient vectors, a tensor state's dense coefficient vector and one pattern's
+amplitude, stack rotations, the step-by-step site-pair elimination, fold replay, dumped records
+regrouped into blocks, the 4N second-space generator with its eigendecomposition, projector and
+stack, dense and record-by-record rotation gates, Majorana pair expectations, mode Majoranas,
+the first-to-second-space string map and its inverse, and a CLI run that reads a usage
 refusal's exit code."""
 
 import math
@@ -24,6 +25,26 @@ def run_cli(capsys, argv) -> tuple:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def analytic_n1(gamma1: float, gamma2: float) -> np.ndarray:
+    """Exact single-site coefficients |00) + r|11), r = (G2-G1)/(G2+G1)."""
+    if gamma1 < 0 or gamma2 < 0 or gamma1 + gamma2 <= 0:
+        raise ValueError("need nonnegative rates with a positive sum")
+    r = (gamma2 - gamma1) / (gamma2 + gamma1)
+    return np.array([1.0, 0.0, 0.0, r], dtype=complex)
+
+
+def error_metric(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| / ||b||, the relative deviation from reference b."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    ref = np.linalg.norm(b)
+    if ref == 0:
+        raise ValueError("reference vector is zero")
+    return float(np.linalg.norm(a - b) / ref)
 
 
 def dense_coefficients(state) -> np.ndarray:
@@ -106,9 +127,10 @@ def replay(R: np.ndarray, result) -> np.ndarray:
 
 def blocks_from_records(records) -> np.recarray:
     """Regroup (m, theta, kind) records, in application order as --dump-fold writes them,
-    into the fold's site-pair blocks, five records each: the second has m = 2j+3 on pair j,
-    and the first m = 2j+4 for a plain block or 2j+2 for a mirrored one.  Raises ValueError
-    on records that do not split into fives or on a block that follows neither pattern."""
+    into the fold's site-pair blocks, five records each, each step's role m - 2j - 2: the
+    second has m = 2j+3 on pair j, and the first m = 2j+4 for a row cleared on the stack's own
+    columns or 2j+2 for one cleared on the mirrored columns.  Raises ValueError on records that
+    do not split into fives or on a block that follows neither pattern."""
     size = len(_PAIR_STEPS)
     if len(records) % size:
         raise ValueError(f"{len(records)} rotation records do not split into site-pair blocks of {size}")
@@ -121,7 +143,7 @@ def blocks_from_records(records) -> np.recarray:
         if list(ms) != (2 * pair + (4 - columns if mirrored else 2 + columns)).tolist():
             raise ValueError(f"rotation records {list(ms)} follow neither of the fold's per-pair patterns "
                              f"2j + 2 + {columns.tolist()} and 2j + 4 - {columns.tolist()}")
-        blocks.append((pair, mirrored, thetas))
+        blocks.append((pair, [m - 2 * pair - 2 for m in ms], thetas))
     return np.rec.fromrecords(blocks, dtype=BLOCK_DTYPE)
 
 

@@ -26,13 +26,13 @@ from nessfold.cli import CHECKS
 from nessfold.exceptions import ClosureViolation, NonUniqueNess, SingularEigenbasis
 from nessfold.folding import fold
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from nessfold.oracle import (dense_first_space_ness, dense_second_space_ness, error_metric,
-                             occupancy_from_vec, second_space_liouvillian)
+from nessfold.oracle import (dense_first_space_ness, dense_second_space_ness, occupancy_from_vec,
+                             second_space_liouvillian)
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
 
-from helpers import (dense_coefficients, liouvillian_by_channel, reference_projector, replay, rho_to_second_space,
-                     rotation_gate, scalar_eigenvalue)
+from helpers import (dense_coefficients, error_metric, liouvillian_by_channel, reference_projector, replay,
+                     rho_to_second_space, rotation_gate, scalar_eigenvalue)
 
 FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)

@@ -251,7 +251,7 @@ def test_fold_counts_and_weights():
             row = result.blocks[start:start + 2 * n - l]
             start += len(row)
             free = sorted(set(range(1, 2 * n + 1)) - set(result.sites[:l - 1].tolist()))
-            assert row.mirrored.tolist() == [l % 2 == 0] * len(row)
+            assert row.roles.tolist() == [[0, 1, 2, 0, 1] if l % 2 == 0 else [2, 1, 0, 2, 1]] * len(row)
             assert np.diff(row.pair).tolist() == [1 if l % 2 == 0 else -1] * (len(row) - 1)
             assert sorted(row.pair.tolist()) == list(range(free[0] - 1, free[-1] - 1))
 
@@ -261,11 +261,11 @@ def test_roles_place_each_step_on_its_pair():
     then right and across again; a mirrored block's read the same columns from the far end,
     so left and right swap.  Each record's m is 2j + 2 + role."""
     result = fold(genuine_stack(n=3))
-    assert result.roles.shape == (len(result.blocks), 5)
-    for mirrored, roles in zip(result.blocks.mirrored.tolist(), result.roles.tolist()):
-        assert roles == ([0, 1, 2, 0, 1] if mirrored else [2, 1, 0, 2, 1])
-    m = result.rotations.m.reshape(result.roles.shape)
-    assert (m == 2 * result.blocks.pair[:, None] + 2 + result.roles).all()
+    roles = result.blocks.roles
+    assert roles.shape == (len(result.blocks), 5)
+    assert {tuple(r) for r in roles.tolist()} == {(0, 1, 2, 0, 1), (2, 1, 0, 2, 1)}
+    m = result.rotations.m.reshape(roles.shape)
+    assert (m == 2 * result.blocks.pair[:, None] + 2 + roles).all()
 
 
 def test_fold_replay_reproduces_pattern():

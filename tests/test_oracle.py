@@ -8,13 +8,11 @@ from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths,
 from nessfold.oracle import (
     DenseFirstSpaceNess,
     DenseSecondSpaceNess,
-    analytic_n1,
     bath_operator_dense,
     build_hamiltonian_dense,
     dense_first_space_ness,
     dense_second_space_ness,
     eec_from_vec,
-    error_metric,
     lindblad_superoperator,
     majorana_site_matrices,
     occupancy_from_vec,
@@ -22,8 +20,8 @@ from nessfold.oracle import (
 )
 from nessfold.pipeline import solve_end_bath
 
-from helpers import (dense_coefficients, liouvillian_by_channel, mode_majoranas, rho_to_second_space,
-                     scalar_eigenvalue, second_space_from_strings)
+from helpers import (analytic_n1, dense_coefficients, error_metric, liouvillian_by_channel, mode_majoranas,
+                     rho_to_second_space, scalar_eigenvalue, second_space_from_strings)
 
 BP = EndBathParams(gamma11=0.8, gamma21=1.7, gamma12=0.4, gamma22=2.1)
 

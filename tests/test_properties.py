@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from nessfold.exceptions import NessfoldError
 from nessfold.folding import fold
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from nessfold.oracle import dense_second_space_ness, error_metric
+from nessfold.oracle import dense_second_space_ness
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import TransferStack, build_liouvillian, decompose
 from nessfold.tns import product_state
 
-from helpers import apply_gate, dense_coefficients, liouvillian_by_channel, reference_projector, replay, rotate_columns, scalar_eigenvalue
+from helpers import apply_gate, dense_coefficients, error_metric, liouvillian_by_channel, reference_projector, replay, rotate_columns, scalar_eigenvalue
 
 SUITE_SETTINGS = settings(
     max_examples=50,
