@@ -1,13 +1,15 @@
 """Matrix-product representation of second-space states and rotation gates.
 
 A chain of 2N fermionic modes maps under Jordan-Wigner to 2N qubits with
-site 1 as the most significant bit.  Every rotation of the fold is 2-local
-in that encoding: one that mixes the two sites of a pair is a
-nearest-neighbor gate whose string factors cancel, one inside a site a
-single-site phase gate.  The replay multiplies the five rotations of each
-of the fold's site-pair blocks, each its role's 4x4 generator rotated by its
-angle, into one two-site unitary, built once per solve and read as a 2x2
-mix of the cut's two parity sectors for each pair of bond parities.
+site 1 as the most significant bit.  Every rotation of the fold mixes two
+same-parity Majoranas of neighboring sites, a nearest-neighbor gate whose
+string factors cancel, with the real generator (-iY) (x) X or X (x) iY.  The
+replay multiplies the two rotations of each of the fold's site-pair blocks
+into one real two-site unitary, built once per solve and read as a 2x2 mix
+of the cut's two parity sectors for each pair of bond parities.  It runs in
+float64 from the product state to the last block, in the fold's real gauge,
+so every factorization takes a real LAPACK driver; one phase per site then
+returns the state to the physical gauge.
 
 Every gate conserves fermion parity and the replay starts from a product
 state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
@@ -161,13 +163,13 @@ def _occupations(bits) -> list:
 
 
 def product_state(bits, trunc_tol: float = TRUNC_TOL_DEFAULT, max_chi: int = 0) -> TensorState:
-    """Bond-1 state |b_1 b_2 ... b_n) from an iterable of 0/1 occupations."""
+    """Bond-1 state |b_1 b_2 ... b_n) from an iterable of 0/1 occupations, real."""
     bits = _occupations(bits)
     if not bits:
         raise ValueError("need at least one site")
     # bond j's one vector has the parity of the occupations left of it, so site j's entry has p = b_j
     even = [1 - sum(bits[:j]) % 2 for j in range(len(bits) + 1)]
-    matrices = [np.ones((1, 1), dtype=complex) for _ in bits]
+    matrices = [np.ones((1, 1)) for _ in bits]
     return TensorState(matrices=matrices, even=even, truncTol=trunc_tol, maxChi=max_chi)
 
 
@@ -181,35 +183,27 @@ def _robust_svd(blocks: np.ndarray):
         return Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
 
 
-_Z, _X, _I = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
-# the generator K of each step role on the two-site basis |l r>, the left site the more significant
-# bit: a phase on the left site, the pair's gate, a phase on the right site
-_GENERATORS = np.array([np.kron(_Z, _I), np.kron(_X, _X), np.kron(_I, _Z)])
-# each is a signed permutation: row i of K U is row _ROWS[r, i] of U times _SIGNS[r, i]
-_ROWS, _SIGNS = np.abs(_GENERATORS).argmax(axis=-1), _GENERATORS.sum(axis=-1)[..., None]
+_X, _J = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]])  # X and iY
+# the Jordan-Wigner images on |l r>, the left site the more significant bit, of a block's two
+# Majorana products: gamma~_{2j+1} gamma~_{2j+3} = (-iY) (x) X and gamma~_{2j+2} gamma~_{2j+4} = X (x) iY
+_K_ODD, _K_EVEN = np.kron(-_J, _X), np.kron(_X, _J)
 
 
-def _pair_gates(roles, thetas) -> np.ndarray:
-    """Cut-sector mixes undoing the fold's site-pair blocks, one per row of roles and of thetas
-    (the blocks' roles and angles): a block's steps, undone last first at negated angles.
+def _pair_gates(angles) -> np.ndarray:
+    """Cut-sector mixes undoing the fold's site-pair blocks, one per row of angles (the blocks'
+    odd and even Givens angles).
 
-    Step (role r, theta) is exp(theta/2 * gamma~_a gamma~_b) on the Majoranas (a, b) =
-    (r+1, r+2) of the pair's four: cos(theta/2) + i sin(theta/2) K, K = _GENERATORS[r], so
-    Z(x)I at role 0, the pair's gate X(x)X at role 1 and I(x)Z at role 2.  The product U is a
-    4x4 matrix on |l r>.  On a two-site amplitude with left bond parity pa and right bond
-    parity pb, cut sector q holds the legs (pa^q, pb^q), so U maps sector q to sector x with
-    its entry [2(pa^x) + (pb^x), 2(pa^q) + (pb^q)].  Returns G of shape (blocks, 2, 2, 2, 2)
-    with G[b, q, x, pa, pb] that entry of the product undoing block b.
+    The rotation by phi of the pair's Majoranas (a, b) is exp(phi/2 gamma~_a gamma~_b), so
+    its undo is cos(phi/2) - sin(phi/2) K with K that product's image (_K_ODD, _K_EVEN).  The
+    two commute and square to -1, and their product is the real 4x4 matrix U on |l r>.  On a
+    two-site amplitude with left bond parity pa and right bond parity pb, cut sector q holds
+    the legs (pa^q, pb^q), so U maps sector q to sector x with its entry
+    [2(pa^x) + (pb^x), 2(pa^q) + (pb^q)].  Returns G of shape (blocks, 2, 2, 2, 2) with
+    G[b, q, x, pa, pb] that entry of the product undoing block b.
     """
-    half = -0.5 * np.asarray(thetas, dtype=float)[:, ::-1, None, None]
+    half = 0.5 * np.asarray(angles, dtype=float)[:, :, None, None]
     c, s = np.cos(half), np.sin(half)
-    undo = np.asarray(roles)[:, ::-1]
-    rows, signs, b = _ROWS[undo], _SIGNS[undo], np.arange(len(undo))[:, None]
-    U = np.tile(np.eye(4, dtype=complex), (len(undo), 1, 1))
-    # each step is cos U + (i sin) K U, K U as U's signed rows, each product rounded on its own:
-    # numpy's fused complex multiply rounds differently and moves small eec values by 1e-10
-    for step in range(undo.shape[1]):
-        U = c[:, step] * U + (1j * s[:, step]) * (U[b, rows[:, step]] * signs[:, step])
+    U = (c[:, 0] * np.eye(4) - s[:, 0] * _K_ODD) @ (c[:, 1] * np.eye(4) - s[:, 1] * _K_EVEN)
     q, x, pa, pb = np.indices((2, 2, 2, 2))
     return U[:, 2 * (pa ^ x) + (pb ^ x), 2 * (pa ^ q) + (pb ^ q)]
 
@@ -298,7 +292,7 @@ def _update_pair(state: TensorState, j: int, gate: np.ndarray, center_left: bool
     a, c, even_a, even_c = L.shape[0], R.shape[1], state.even[j], state.even[j + 2]
     # cut sector q's block L[:, q] R[q], then each bond-parity pair's mix spread over its
     # entries, so that one broadcast product and one sum over q give both new sectors
-    M = np.empty((2, 1, a, c), dtype=complex)
+    M = np.empty((2, 1, a, c), dtype=np.result_type(L, R, gate))
     np.matmul(L[:, :mid], R[:mid], out=M[0, 0])
     np.matmul(L[:, mid:], R[mid:], out=M[1, 0])
     mix = gate.repeat((even_a, a - even_a), axis=2).repeat((even_c, c - even_c), axis=3)
@@ -324,8 +318,10 @@ def _update_pair(state: TensorState, j: int, gate: np.ndarray, center_left: bool
 def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     """Undo the fold's rotation bundle: its site-pair blocks in reverse order, each undone.
 
-    Each block is multiplied into one two-site unitary, zero angles included
-    as exact identity factors, and applied with one SVD.  Reversed, the
+    Each block is multiplied into one real two-site unitary, zero angles
+    included as exact identity factors, and applied with one SVD; the
+    product state is real, so the whole replay runs in float64, and
+    _physical_gauge's one phase per site ends it.  Reversed, the
     fold's rows are staircases of alternating direction, each starting on the
     pair next to where the previous one ended, so consecutive blocks sit at
     most one pair apart.  Each update leaves the orthogonality center on the
@@ -342,8 +338,17 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     if np.any(np.abs(moves) > 1):
         raise ValueError("a block skips past the orthogonality center; the fold's rows never do")
     center_left = np.append(moves < 0, False).tolist()
-    for j, gate, left in zip(pairs.tolist(), _pair_gates(blocks.roles, blocks.angles), center_left):
+    for j, gate, left in zip(pairs.tolist(), _pair_gates(blocks.angles), center_left):
         _update_pair(state, j, gate, center_left=left)
+    _physical_gauge(state)
+
+
+def _physical_gauge(state: TensorState) -> None:
+    """Multiply the occupied entries of site j (0-based) by e^{i(pi j/2 + pi/4)}, which takes
+    the replay's real-gauge state (folding.gauged_projector) to the physical one."""
+    for j, M in enumerate(state.matrices):
+        occupied = _physical(M, state.even[j], state.even[j + 1])
+        state.matrices[j] = np.where(occupied, M * np.exp(0.25j * np.pi * (2 * j + 1)), M)
 
 
 def _vacuum_prefixes(state: TensorState) -> list:
@@ -415,9 +420,9 @@ def build_report(state: TensorState) -> ObservableReport:
     covariance swept off it.  UnphysicalReadout refuses an occupancy with complex leakage or
     outside [0, 1]."""
     gamma, leakage = covariance(state)
-    # the floor refuses leakage above roundoff on exact-tolerance runs; a capped row's tolerance
-    # is of order 1 and refuses almost nothing: at (N, w, mu) = (11, 0.99, 1.85) with maxChi 6,
-    # leakage 3.0e-3 passes a tolerance of 2.36 on a row whose Gamma is off by 8.3e-2
+    # the replay is real up to its one final phase, so leakage is roundoff, capped or not, and
+    # the guard refuses only a broken replay; truncation error lands in the real part, which no
+    # tolerance here sees: at (N, w, mu) = (11, 0.99, 1.85) with maxChi 6, Gamma is off by 0.18
     imag_tol = max(IMAG_TOL, 10.0 * float(np.sqrt(max(state.discardedWeight, 0.0))))
     eec, occupancy = gaussian_report(gamma)
     for j, (leak, occ) in enumerate(zip(np.diag(leakage[0::2, 1::2]), occupancy), start=1):

@@ -1,19 +1,20 @@
 """Reference operations that only tests need: the exact single-site solution, the relative
 error between coefficient vectors, a tensor state's dense coefficient vector and one pattern's
-amplitude, stack rotations, the step-by-step site-pair elimination, fold replay, dumped records
-regrouped into blocks, the 4N second-space generator with its eigendecomposition, projector and
-stack, dense and record-by-record rotation gates, Majorana pair expectations, mode Majoranas,
-the first-to-second-space string map and its inverse, and a CLI run that reads a usage
-refusal's exit code."""
+amplitude, stack rotations, the complex stack the real fold clears, the step-by-step site-pair
+elimination, fold replay, dumped records regrouped into blocks, the 4N second-space generator
+with its eigendecomposition, projector and stack, dense and record-by-record rotation gates,
+the physical gauge's dense phases, Majorana pair expectations, mode Majoranas, the
+first-to-second-space string map and its inverse, and a CLI run that reads a usage refusal's
+exit code."""
 
 import math
 
 import numpy as np
 
 from nessfold.cli import main
-from nessfold.folding import _PAIR_STEPS, BLOCK_DTYPE
+from nessfold.folding import BLOCK_DTYPE, real_stack
 from nessfold.oracle import FIRST_SPACE_MAX_SITES, majorana_site_matrices, mode_ladders
-from nessfold.tns import _occupations, _pair_gates, _physical, _update_pair
+from nessfold.tns import _occupations, _physical, _update_pair
 
 
 def run_cli(capsys, argv) -> tuple:
@@ -78,45 +79,50 @@ def coefficient(state, bits) -> complex:
 
 
 def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
-    """Copy of R with columns m-1 and m (1-based) of every row rotated by theta."""
-    out = np.array(R, dtype=complex)
+    """Copy of R with columns m-2 and m (1-based) of every row rotated by theta, (a, b) to
+    (a c + b s, b c - a s): the rotation of (gamma~_{m-2}, gamma~_m) that a fold record names."""
+    out = np.array(R)
     c = np.cos(theta)
     s = np.sin(theta)
-    a = out[:, m - 2].copy()
+    a = out[:, m - 3].copy()
     b = out[:, m - 1].copy()
-    out[:, m - 2] = a * c + b * s
+    out[:, m - 3] = a * c + b * s
     out[:, m - 1] = b * c - a * s
     return out
 
 
+def gauged_stack(stack) -> np.ndarray:
+    """(1/2) [(I - Q') | i (I + Q')] on the odd and even columns: folding.real_stack with its even
+    columns times i, the stack of the real-gauge state, whose rows are self-orthogonal as the
+    physical stack's are.  The fold's rotations never mix the two parities, so they clear it as
+    they clear the real one."""
+    return real_stack(stack) * np.tile([1.0, 1j], 2 * stack.N)
+
+
 def eliminate_pair_by_steps(W: np.ndarray, l: int, k: int) -> list:
-    """folding.eliminate_pair built step by step, the reference its closed form is checked
-    against bit for bit: each step of _PAIR_STEPS takes its angle from row l's four entries,
-    updates them, and rotates the rows of a 4x4 identity held as nested lists; the built
-    matrix then reaches columns 2k-1..2k+2 of every row in one product."""
-    c0 = 2 * k - 2
-    x = W[l - 1, c0:c0 + 4].tolist()
-    Q = [[float(i == j) for j in range(4)] for i in range(4)]
+    """folding.eliminate_pair one Givens rotation at a time, the reference it is checked against
+    bit for bit: on the odd columns (2k-1, 2k+1), then on the even ones (2k, 2k+2), 1-based,
+    each by atan2 of row l's cleared and kept entries, each row's two entries rotated in
+    scalar arithmetic."""
     angles = []
-    for i, kind in _PAIR_STEPS:
-        a, b = x[i], x[i + 1]
-        theta = math.atan2(b.imag, a.imag) if kind == "U" else math.atan2(b.real, a.real)
+    for a in (2 * k - 2, 2 * k - 1):
+        b = a + 2
+        theta = math.atan2(W[l - 1, b], W[l - 1, a])
         c, s = math.cos(theta), math.sin(theta)
-        x[i], x[i + 1] = a * c + b * s, b * c - a * s
-        for q in Q:
-            q[i], q[i + 1] = q[i] * c + q[i + 1] * s, q[i + 1] * c - q[i] * s
+        for row in W:
+            x, y = float(row[a]), float(row[b])
+            row[a], row[b] = x * c + y * s, y * c - x * s
         angles.append(theta)
-    W[:, c0:c0 + 4] = W[:, c0:c0 + 4] @ np.array(Q)
     return angles
 
 
 def replay(R: np.ndarray, result) -> np.ndarray:
-    """Re-run a FoldResult's rotations and closure zeroings on a copy of R, one record at a
-    time: after row l's 2N - l blocks, the columns of the site it pinned are zeroed in the
+    """Re-run a FoldResult's rotations and closure zeroings on a copy of a stack, one record at
+    a time: after row l's 2N - l blocks, the columns of the site it pinned are zeroed in the
     rows below."""
-    W = np.array(R, dtype=complex)
+    W = np.array(R)
     n_rows = W.shape[0]
-    blocks = iter(result.rotations.reshape(-1, len(_PAIR_STEPS)).tolist())
+    blocks = iter(result.rotations.reshape(-1, 2).tolist())
     for l, site in zip(range(1, n_rows), result.sites.tolist()):
         for _ in range(n_rows - l):
             for m, theta, _ in next(blocks):
@@ -127,23 +133,18 @@ def replay(R: np.ndarray, result) -> np.ndarray:
 
 def blocks_from_records(records) -> np.recarray:
     """Regroup (m, theta, kind) records, in application order as --dump-fold writes them,
-    into the fold's site-pair blocks, five records each, each step's role m - 2j - 2: the
-    second has m = 2j+3 on pair j, and the first m = 2j+4 for a row cleared on the stack's own
-    columns or 2j+2 for one cleared on the mirrored columns.  Raises ValueError on records that
-    do not split into fives or on a block that follows neither pattern."""
-    size = len(_PAIR_STEPS)
-    if len(records) % size:
-        raise ValueError(f"{len(records)} rotation records do not split into site-pair blocks of {size}")
-    columns = np.array([i for i, _ in _PAIR_STEPS])
+    into the fold's site-pair blocks, two records each: ("odd", m = 2j+3), then ("even",
+    m = 2j+4) on pair j.  Raises ValueError on an odd number of records or on a pair of
+    records that follows another pattern."""
+    if len(records) % 2:
+        raise ValueError(f"{len(records)} rotation records do not split into site-pair blocks of 2")
     blocks = []
-    for start in range(0, len(records), size):
-        ms, thetas, _ = zip(*records[start:start + size])
-        pair = (ms[1] - 3) // 2
-        mirrored = ms[0] == 2 * pair + 2
-        if list(ms) != (2 * pair + (4 - columns if mirrored else 2 + columns)).tolist():
-            raise ValueError(f"rotation records {list(ms)} follow neither of the fold's per-pair patterns "
-                             f"2j + 2 + {columns.tolist()} and 2j + 4 - {columns.tolist()}")
-        blocks.append((pair, [m - 2 * pair - 2 for m in ms], thetas))
+    for (m, theta, kind), (m_even, theta_even, kind_even) in zip(records[0::2], records[1::2]):
+        pair = (m - 3) // 2
+        if (m, kind, m_even, kind_even) != (2 * pair + 3, "odd", 2 * pair + 4, "even"):
+            raise ValueError(f"rotation records {[(m, kind), (m_even, kind_even)]} do not follow the "
+                             f"fold's per-pair pattern (2j + 3, odd), (2j + 4, even)")
+        blocks.append((pair, (theta, theta_even)))
     return np.rec.fromrecords(blocks, dtype=BLOCK_DTYPE)
 
 
@@ -213,6 +214,8 @@ def pair_basis(N: int) -> np.ndarray:
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _XX = 1j * np.kron(_PAULI_X, _PAULI_X)
+# gamma_1..gamma_4 of two sites under Jordan-Wigner, the left site the more significant bit
+_PAIR_MAJORANAS = majorana_site_matrices(2)
 
 
 def rotation_gate(m: int, theta: float) -> np.ndarray:
@@ -224,17 +227,31 @@ def rotation_gate(m: int, theta: float) -> np.ndarray:
     return np.cos(half) * np.eye(4, dtype=complex) + np.sin(half) * _XX
 
 
+def record_gate(m: int, theta: float) -> np.ndarray:
+    """Dense 4x4 of exp(theta/2 * gamma~_{m-2} gamma~_m) on the site pair ((m-1)//2, (m+1)//2),
+    1-based, from the Jordan-Wigner Majoranas: the rotation a fold record (m, theta) names, on
+    the pair's odd Majoranas for odd m and on its even ones for even m."""
+    a = 1 - m % 2
+    product = _PAIR_MAJORANAS[a] @ _PAIR_MAJORANAS[a + 2]
+    return np.cos(0.5 * theta) * np.eye(4) + np.sin(0.5 * theta) * product
+
+
+def sector_mix(U: np.ndarray) -> np.ndarray:
+    """A parity-preserving 4x4 U on |l r> in the layout tns._update_pair takes: entry
+    [q, x, pa, pb] maps cut sector q to sector x for left and right bond parities (pa, pb)."""
+    q, x, pa, pb = np.indices((2, 2, 2, 2))
+    return U[2 * (pa ^ x) + (pb ^ x), 2 * (pa ^ q) + (pb ^ q)]
+
+
 def two_site_gate(theta: float) -> np.ndarray:
-    """Sector mix of exp(theta/2 * gamma~_{2j+2} gamma~_{2j+3}) on a site pair (j, j+1): the
-    undo of a block whose one step, at angle -theta, has role 1, the rotation mixing the pair."""
-    return _pair_gates([[1]], [[-theta]])[0]
+    """Sector mix of exp(theta/2 * gamma~_{2j+2} gamma~_{2j+3}) on a site pair (j, j+1)."""
+    return sector_mix(rotation_gate(3, theta))
 
 
 def apply_gate(state, m: int, theta: float) -> None:
-    """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to a TensorState in place, one record at a
-    time: the reference the fused site-pair replay of tns.apply_inverse_sequence is checked
-    against.  A phase on site m/2 for even m, a two-site update of sites ((m-1)/2, (m+1)/2)
-    with one SVD for odd m; the caller keeps the gauge.
+    """Apply exp(theta/2 * gamma~_{m-1} gamma~_m) to a TensorState in place: a phase on site
+    m/2 for even m, a two-site update of sites ((m-1)/2, (m+1)/2) with one SVD for odd m; the
+    caller keeps the gauge.
     """
     if m % 2 == 1:
         j = (m - 1) // 2 - 1
@@ -247,6 +264,20 @@ def apply_gate(state, m: int, theta: float) -> None:
     phase = complex(math.cos(half), math.sin(half))
     M = state.matrices[j]
     state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
+
+
+def apply_record(state, m: int, theta: float) -> None:
+    """Apply one fold record's rotation (record_gate) to a TensorState in place, one two-site
+    update with one SVD: the reference the fused site-pair replay of
+    tns.apply_inverse_sequence is checked against.  The caller keeps the gauge."""
+    _update_pair(state, (m - 1) // 2 - 1, sector_mix(record_gate(m, theta)))
+
+
+def physical_phases(n_sites: int) -> np.ndarray:
+    """Dense diagonal of tns._physical_gauge, big-endian: the product of e^{i(pi j/2 + pi/4)}
+    over the occupied sites j (0-based) of each pattern."""
+    bits = (np.arange(2 ** n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+    return np.exp(0.25j * np.pi * (bits @ (2 * np.arange(n_sites) + 1)))
 
 
 def majorana_pair_expectation(state, odd_idx: int, even_idx: int) -> complex:

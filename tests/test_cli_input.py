@@ -198,8 +198,8 @@ def test_dump_fold_replays_to_the_solved_state(capsys, tmp_path):
 
     sol = solve_end_bath(KitaevParams(N=3, w=0.5, mu=2.0, delta=1.0),
                          EndBathParams(gamma21=1.0, gamma22=1.0))
-    # five records per cleared site pair, N(2N-1) = 15 pairs
-    assert "".join(r["kind"] for r in doc["rotations"]) == "UUUVV" * 15
+    # two records per cleared site pair, odd then even, N(2N-1) = 15 pairs
+    assert [r["kind"] for r in doc["rotations"]] == ["odd", "even"] * 15
     np.testing.assert_array_equal(dumped.blocks, sol.foldResult.blocks)
     np.testing.assert_array_equal(dumped.rotations, sol.foldResult.rotations)
     np.testing.assert_allclose(state.z0 * dense_coefficients(state),
@@ -226,7 +226,7 @@ def test_dump_fold_holds_every_finished_fold(capsys, tmp_path, N, w, mu, max_chi
         assert not target.exists()
         return
     records = [(r["m"], r["theta"], r["kind"]) for r in json.loads(target.read_text())["rotations"]]
-    assert "".join(kind for _, _, kind in records) == "UUUVV" * (N * (2 * N - 1))
+    assert [kind for _, _, kind in records] == ["odd", "even"] * (N * (2 * N - 1))
     np.testing.assert_array_equal(blocks_from_records(records), sol.foldResult.blocks)
 
 

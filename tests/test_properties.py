@@ -6,11 +6,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nessfold.exceptions import NessfoldError
-from nessfold.folding import fold
+from nessfold.folding import fold_real
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.oracle import dense_second_space_ness
 from nessfold.pipeline import solve_end_bath
-from nessfold.spectral import TransferStack, build_liouvillian, decompose
+from nessfold.spectral import build_liouvillian, decompose
 from nessfold.tns import product_state
 
 from helpers import apply_gate, dense_coefficients, error_metric, liouvillian_by_channel, reference_projector, replay, rotate_columns, scalar_eigenvalue
@@ -40,18 +40,18 @@ def chain_cases(draw, max_n=3):
 
 @st.composite
 def scrambled_stacks(draw):
-    """A stack in already-folded shape, hidden behind random pair rotations."""
+    """A real stack in already-folded shape, hidden behind random same-parity rotations."""
     n = draw(st.integers(1, 3))
     rows = 2 * n
     r = np.array([draw(st.floats(0.1, 2.0, **finite)) for _ in range(rows)])
     signs = [draw(st.sampled_from([-1, 1])) for _ in range(rows)]
-    W = np.zeros((rows, 2 * rows), dtype=complex)
+    W = np.zeros((rows, 2 * rows))
     for l in range(1, rows + 1):
-        W[l - 1, 2 * l - 2] = 1j * signs[l - 1] * r[l - 1]
+        W[l - 1, 2 * l - 2] = -signs[l - 1] * r[l - 1]
         W[l - 1, 2 * l - 1] = r[l - 1]
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     for _ in range(60):
-        m = int(rng.integers(2, 2 * rows + 1))
+        m = int(rng.integers(3, 2 * rows + 1))
         W = rotate_columns(W, m, float(rng.uniform(-np.pi, np.pi)))
     return n, r, W
 
@@ -61,7 +61,7 @@ def scrambled_stacks(draw):
 def test_fold_recovers_row_weights_from_scrambled_stacks(case):
     # row weights survive any rotation history; closure signs are gauge and may not
     n, r, W = case
-    result = fold(TransferStack(N=n, R=W))
+    result = fold_real(W.copy())
     assert len(result.blocks) == n * (2 * n - 1)
     assert result.residual <= 1e-10
     assert np.allclose(result.rDiag, r, atol=1e-9)

@@ -7,20 +7,22 @@ import pytest
 
 from nessfold import tns
 from nessfold.exceptions import VacuumVanishes
-from nessfold.folding import _PAIR_STEPS, FoldResult, fold
+from nessfold.folding import FoldResult, fold
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_liouvillian, build_stack, decompose, stable_projector
 from nessfold.tns import (
     TensorState,
     _pair_gates,
+    _physical_gauge,
     _update_pair,
     apply_inverse_sequence,
     normalize_vacuum,
     product_state,
 )
 
-from helpers import _sector, apply_gate, blocks_from_records, coefficient, dense_coefficients, rotation_gate, two_site_gate
+from helpers import (_sector, apply_gate, apply_record, blocks_from_records, coefficient, dense_coefficients,
+                     physical_phases, record_gate, rotation_gate, two_site_gate)
 
 
 def dense_gate(n_sites, m, theta):
@@ -28,6 +30,12 @@ def dense_gate(n_sites, m, theta):
     left = np.eye(2 ** (site - 1))
     right = np.eye(2 ** (n_sites - site - span + 1))
     return np.kron(np.kron(left, rotation_gate(m, theta)), right)
+
+
+def dense_record(n_sites, m, theta):
+    """record_gate on the whole chain: identities on the sites off its pair."""
+    site = (m - 1) // 2
+    return np.kron(np.kron(np.eye(2 ** (site - 1)), record_gate(m, theta)), np.eye(2 ** (n_sites - site - 1)))
 
 
 def random_rotations(rng, n_sites, count):
@@ -133,7 +141,8 @@ def test_inverse_sequence_gauge_moves_are_exact():
     naive = product_state(bits, trunc_tol=0.0)
     for rot in reversed(result.rotations):
         if rot.theta != 0.0:
-            apply_gate(naive, int(rot.m), -float(rot.theta))
+            apply_record(naive, int(rot.m), -float(rot.theta))
+    _physical_gauge(naive)
 
     np.testing.assert_allclose(
         dense_coefficients(gauged), dense_coefficients(naive), atol=1e-12
@@ -222,6 +231,32 @@ def test_replay_keeps_the_state_canonical_about_its_center(monkeypatch, n, w, mu
     sol = solve_end_bath(KitaevParams(N=n, w=w, mu=mu, delta=1.0), bp, max_chi=max_chi)
     assert len(centers) == n * (2 * n - 1)
     assert centers[-1] == int(sol.foldResult.blocks.pair[0]) + 1
+
+
+@pytest.mark.parametrize("max_chi", [0, 16], ids=["uncapped", "capped"])
+def test_replay_stays_real_until_the_final_phase(monkeypatch, max_chi):
+    """Every two-site update of a solve finds float64 site matrices, takes a float64 gate and
+    leaves float64 matrices, so its SVDs and Gram eigensolves get real input; the one per-site
+    phase at the end makes the state complex."""
+    svd, updates, factored = np.linalg.svd, [], []
+
+    def checked(state, j, gate, center_left=False):
+        assert gate.dtype == np.float64
+        assert all(M.dtype == np.float64 for M in state.matrices)
+        _update_pair(state, j, gate, center_left=center_left)
+        assert all(M.dtype == np.float64 for M in state.matrices)
+        updates.append(j)
+
+    def recorded(a, *args, **kwargs):
+        factored.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(tns, "_update_pair", checked)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    sol = solve_end_bath(KitaevParams(N=8, w=0.5, mu=2.0, delta=1.0), GAIN_ONLY, max_chi=max_chi)
+    assert len(updates) == 8 * 15
+    assert factored and set(factored) == {np.dtype(np.float64)}
+    assert all(M.dtype == np.complex128 for M in sol.state.matrices)
 
 
 def test_coefficient_matches_dense_vector():
@@ -314,30 +349,22 @@ def test_cap_breaks_a_tie_across_parity_sectors():
     assert_parity_blocked(state, [0, 0, 1])
 
 
-def pair_record_dense(j, m, theta):
-    """Dense 4x4 of one record on the site pair (j, j+1), 0-based, left site first."""
-    if m % 2:
-        return rotation_gate(m, theta)
-    phase = rotation_gate(m, theta)
-    return np.kron(phase, np.eye(2)) if m == 2 * j + 2 else np.kron(np.eye(2), phase)
-
-
 @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
 def test_pair_gates_match_dense_block_products(mirrored):
-    """Each block's sector mix is the dense product undoing its records, in the fold's per-pair
-    pattern, last record first at negated angles: entry [q, x, pa, pb] takes the legs
-    (pa^q, pb^q) to (pa^x, pb^x)."""
+    """Each block's sector mix is the dense Jordan-Wigner product undoing its two records, each
+    at its negated angle: entry [q, x, pa, pb] takes the legs (pa^q, pb^q) to (pa^x, pb^x).  The
+    two rotations commute, so the product does not depend on their order: a plain row's kernel
+    rotates the odd Majoranas first, a mirrored row's the even ones."""
     rng = np.random.default_rng(11)
-    steps = [i for i, _ in _PAIR_STEPS]
     pairs = rng.integers(0, 5, size=8)
-    ms = np.array([[2 * j + 4 - i if mirrored else 2 * j + 2 + i for i in steps] for j in pairs])
-    thetas = rng.uniform(-np.pi, np.pi, ms.shape) * (rng.random(ms.shape) > 0.2)
-    gates = _pair_gates(ms - 2 * pairs[:, None] - 2, thetas)  # each step's role, read off its m
-    assert gates.shape == (len(pairs), 2, 2, 2, 2)
-    for j, row, angles, gate in zip(pairs.tolist(), ms.tolist(), thetas.tolist(), gates):
+    angles = rng.uniform(-np.pi, np.pi, (len(pairs), 2)) * (rng.random((len(pairs), 2)) > 0.2)
+    gates = _pair_gates(angles)
+    assert gates.shape == (len(pairs), 2, 2, 2, 2) and gates.dtype == np.float64
+    for j, (odd, even), gate in zip(pairs.tolist(), angles.tolist(), gates):
+        records = [(2 * j + 3, odd), (2 * j + 4, even)]
         dense = np.eye(4, dtype=complex)
-        for m, theta in zip(row[::-1], angles[::-1]):
-            dense = pair_record_dense(j, m, -theta) @ dense
+        for m, theta in records[::-1] if mirrored else records:
+            dense = record_gate(m, -theta) @ dense
         expected = np.zeros((2, 2, 2, 2), dtype=complex)
         for q, x, pa, pb in itertools.product((0, 1), repeat=4):
             expected[q, x, pa, pb] = dense[2 * (pa ^ x) + (pb ^ x), 2 * (pa ^ q) + (pb ^ q)]
@@ -423,21 +450,21 @@ def test_fused_replay_matches_record_by_record_gates(n):
     rots = sol.foldResult.rotations
     naive = product_state(sol.foldResult.bits, trunc_tol=0.0)
     for m, theta in zip(rots.m[::-1].tolist(), rots.theta[::-1].tolist()):
-        apply_gate(naive, m, -theta)
+        apply_record(naive, m, -theta)
+    _physical_gauge(naive)
     np.testing.assert_allclose(dense_coefficients(sol.state), dense_coefficients(naive), rtol=0, atol=1e-12)
     assert sol.state.discardedWeight == 0.0
 
 
-def fold_layout_records(rng, pairs, mirrored, zero_block):
+def fold_layout_records(rng, pairs, zero_block):
     """Fold-layout records, in application order, whose reversed blocks act on `pairs` (0-based):
-    block b is _PAIR_STEPS on pair j, at m = 2j + 2 + i or, if mirrored[b], at m = 2j + 4 - i as
-    from a row cleared on the mirrored columns, at random angles, some of them zero, all of
-    block `zero_block` zero."""
+    block b is ("odd", m = 2j + 3) and ("even", m = 2j + 4) on pair j, at random angles, some of
+    them zero, all of block `zero_block` zero."""
     records = []
-    for b, (j, mirror) in enumerate(zip(pairs, mirrored)):
-        thetas = rng.uniform(-np.pi, np.pi, len(_PAIR_STEPS)) * (rng.random(len(_PAIR_STEPS)) > 0.3)
-        block = [(2 * j + 4 - i if mirror else 2 * j + 2 + i, 0.0 if b == zero_block else float(t), kind)
-                 for (i, kind), t in zip(_PAIR_STEPS, thetas)]
+    for b, j in enumerate(pairs):
+        thetas = rng.uniform(-np.pi, np.pi, 2) * (rng.random(2) > 0.3)
+        block = [(2 * j + 3 + i, 0.0 if b == zero_block else float(t), kind)
+                 for i, (t, kind) in enumerate(zip(thetas, ("odd", "even")))]
         records = block + records
     return records
 
@@ -450,22 +477,22 @@ def fold_result(records, n_sites):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_replay_matches_dense_gates(seed):
-    """Random blocks in the fold's layout, either pattern, zero angles and an all-zero block
-    included, replay as the dense gate product: each next block sits at most one pair left or
+    """Random blocks in the fold's layout, zero angles and an all-zero block included, replay as
+    the dense gate product in the physical gauge: each next block sits at most one pair left or
     right of the last one, or on the same pair."""
     rng = np.random.default_rng(seed)
     n_sites = 5
     pairs = [n_sites - 2]
     for _ in range(15):
         pairs.append(int(np.clip(pairs[-1] + rng.integers(-1, 2), 0, n_sites - 2)))
-    records = fold_layout_records(rng, pairs, rng.random(len(pairs)) < 0.5, zero_block=4)
+    records = fold_layout_records(rng, pairs, zero_block=4)
     bits = rng.integers(0, 2, size=n_sites).tolist()
     state = product_state(bits, trunc_tol=0.0)
     dense = dense_coefficients(state)
     apply_inverse_sequence(state, fold_result(records, n_sites))
     for m, theta, _ in reversed(records):
-        dense = dense_gate(n_sites, m, -theta) @ dense
-    np.testing.assert_allclose(dense_coefficients(state), dense, rtol=0, atol=1e-12)
+        dense = dense_record(n_sites, m, -theta) @ dense
+    np.testing.assert_allclose(dense_coefficients(state), physical_phases(n_sites) * dense, rtol=0, atol=1e-12)
     assert_parity_blocked(state, bits)
 
 
@@ -493,15 +520,15 @@ def test_every_update_finds_the_center_on_its_pair(monkeypatch):
 # records in application order: the blocks of pairs 0, 1, 2 from one left-pinned row, replayed as
 # 2, 1, 0.  The reader of dumped records refuses the first three, the replay the blocks of the rest.
 @pytest.mark.parametrize("edit, message", [
-    (lambda recs: recs[:-1], "blocks of 5"),
-    (lambda recs: recs + recs[:2], "blocks of 5"),
-    (lambda recs: [recs[1], recs[0]] + recs[2:], "per-pair patterns"),
-    (lambda recs: recs[:10] + [(m + 2, t, k) for m, t, k in recs[10:]], "outside the chain"),
-    (lambda recs: recs[5:] + recs[:5], "skips past the orthogonality center"),
-    (lambda recs: recs[5:10] + recs[:5] + recs[10:], "skips past the orthogonality center"),
+    (lambda recs: recs[:-1], "blocks of 2"),
+    (lambda recs: recs + recs[:1], "blocks of 2"),
+    (lambda recs: [recs[1], recs[0]] + recs[2:], "per-pair pattern"),
+    (lambda recs: recs[:4] + [(m + 2, t, k) for m, t, k in recs[4:]], "outside the chain"),
+    (lambda recs: recs[2:] + recs[:2], "skips past the orthogonality center"),
+    (lambda recs: recs[2:4] + recs[:2] + recs[4:], "skips past the orthogonality center"),
 ], ids=["short", "long", "swapped", "outside", "rightward", "leftward"])
 def test_replay_refuses_records_outside_the_fold_layout(edit, message):
-    records = fold_layout_records(np.random.default_rng(3), [2, 1, 0], [False] * 3, zero_block=-1)
+    records = fold_layout_records(np.random.default_rng(3), [2, 1, 0], zero_block=-1)
     apply_inverse_sequence(product_state([0, 0, 0, 0]), fold_result(records, 4))  # the layout as built replays
     state = product_state([0, 0, 0, 0])
     with pytest.raises(ValueError, match=message):
