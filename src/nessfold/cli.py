@@ -483,15 +483,15 @@ _INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0
 
 
 def _check_analytic_n1() -> tuple:
-    """|00) + r|11), r = (gamma2 - gamma1)/(gamma2 + gamma1); |01) and |10) are zero by parity.
-    The vacuum entry is 1 by normalization, and r is z0 c(11), the covariance entry (0, 1)."""
+    """|00) + r|11) in the physical gauge, r = (gamma2 - gamma1)/(gamma2 + gamma1); |01) and |10)
+    are zero by parity.  The vacuum entry is 1 by normalization, and r is the covariance entry (0, 1)."""
     worst = 0.0
     for k in range(1, 9):
         gamma2 = 0.5 * k
         bp = EndBathParams(gamma11=1.0, gamma21=gamma2, gamma12=0.0, gamma22=0.0)
         state = solve_end_bath(KitaevParams(N=1, w=0.0, mu=1.0, delta=0.0), bp).state
         r = (gamma2 - 1.0) / (gamma2 + 1.0)
-        worst = max(worst, float(abs(covariance(state)[0][0, 1] - r) / np.hypot(1.0, r)))
+        worst = max(worst, float(abs(covariance(state)[0, 1] - r) / np.hypot(1.0, r)))
     return worst <= 1e-12, f"max rel err {worst:.3e} over 8 rates (tol 1e-12)"
 
 
@@ -499,7 +499,7 @@ def _readout_error(params: KitaevParams, bath_params: EndBathParams) -> float:
     """Largest entry of |Gamma_MPS - Gamma|: the replayed state's covariance, which its row's
     readout is read from, against the solve's own."""
     sol = solve_end_bath(params, bath_params)
-    return float(np.abs(covariance(sol.state)[0] - sol.spectrum.gamma).max())
+    return float(np.abs(covariance(sol.state) - sol.spectrum.gamma).max())
 
 
 def _check_second_space_oracle() -> tuple:

@@ -31,4 +31,4 @@ class VacuumVanishes(NessfoldError):
 
 
 class UnphysicalReadout(NessfoldError, ValueError):
-    """A readout is unphysical: an occupancy has complex leakage or lies outside [0, 1]."""
+    """A readout is unphysical: an occupancy lies outside [0, 1], as a tight bond cap can leave it."""

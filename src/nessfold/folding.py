@@ -4,7 +4,7 @@ The stack rows are (1/2) [(I - Q) | i (I + Q)] on the odd and even Majoranas
 (spectral.build_stack), and with 0-based indices Q' = i^-(j+k+1) Q is real,
 since each entry of Q is a real covariance entry times +-1 or +-i.  That
 per-site phase gauge is the state's image under exp(-i sum_s (pi s/2 + pi/4)
-n_s), which tns undoes once at the end of the replay.  The fold works on the
+n_s), in which the replay leaves the state (tns).  The fold works on the
 real stack [(I - Q')/2 | (I + Q')/2]: the rotations it applies never mix an
 odd with an even Majorana, so the even columns' common factor i rides along
 untouched.  Row l of the stack is cleared one site pair at a time onto one
@@ -113,19 +113,32 @@ def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAU
     return 1 if err_plus <= err_minus else -1
 
 
+def gauge_signs(n: int) -> np.ndarray:
+    """s = (+1, -1, -1, +1) repeating over n Majoranas, 0-based: the real gauge's one sign per
+    Majorana (gauged_projector), and Gamma_ab = s_a s_b z0 c_ab on a real-gauge state (tns)."""
+    return np.array([1.0, -1.0, -1.0, 1.0])[np.arange(n) % 4]
+
+
 def gauged_projector(stack: TransferStack) -> np.ndarray:
     """Q' = i^-(j+k+1) Q (0-based), Q read off the stack's odd columns (I - Q)/2.  Every
-    factor is exact, so on build_stack's layout Q' is antisymmetric with imaginary part 0."""
+    factor is exact, so on build_stack's layout Q' is antisymmetric with imaginary part 0, and
+    Q' = S Gamma S exactly, Gamma the stationary covariance and S = diag(gauge_signs(2N))."""
     n = 2 * stack.N
     phase = np.array([1, -1j, -1, 1j])[np.arange(n) % 4]  # i^-j
     return -1j * phase[:, None] * (np.eye(n) - 2 * stack.R[:, 0::2]) * phase
 
 
 def real_stack(stack: TransferStack) -> np.ndarray:
-    """The real 2N x 4N stack (1/2) [(I - Q') | (I + Q')] on the odd and even columns, 1-based."""
-    Qp, eye = gauged_projector(stack).real, np.eye(2 * stack.N)
+    """The real 2N x 4N stack (1/2) [(I - Q') | (I + Q')] on the odd and even columns, 1-based.
+    Q' is read off the odd columns alone, so ValueError refuses even columns other than
+    i (I + Q)/2 or a Q' with an imaginary part, both exactly 0 on build_stack's stacks."""
+    eye, Qp = np.eye(2 * stack.N), gauged_projector(stack)
+    layout = float(np.abs(stack.R[:, 1::2] - 0.5j * (eye + (eye - 2 * stack.R[:, 0::2]))).max())
+    if layout or Qp.imag.any():
+        raise ValueError(f"stack is not in build_stack's layout (1/2) [(I - Q) | i (I + Q)] with a real Q': "
+                         f"even columns off by {layout:.3e}, Im Q' up to {np.abs(Qp.imag).max():.3e}")
     W = np.empty((2 * stack.N, 4 * stack.N))
-    W[:, 0::2], W[:, 1::2] = (eye - Qp) / 2, (eye + Qp) / 2
+    W[:, 0::2], W[:, 1::2] = (eye - Qp.real) / 2, (eye + Qp.real) / 2
     return W
 
 

@@ -59,6 +59,8 @@ def check_settings(trunc_tol, max_chi, eps_z, eps_fold) -> None:
 class NessSolution:
     """Modes, fold, normalized state and readout of one solve; the stage functions give the rest.
 
+    `state` is float64 in the fold's real gauge, with a real z0: the physical state is this one
+    with the occupied entries of each site s (0-based) multiplied by e^{i(pi s/2 + pi/4)}.
     `report` is None only on the solution a VacuumVanishes or UnphysicalReadout carries."""
 
     spectrum: ModeSpectrum

@@ -8,8 +8,8 @@ replay multiplies the two rotations of each of the fold's site-pair blocks
 into one real two-site unitary, built once per solve and read as a 2x2 mix
 of the cut's two parity sectors for each pair of bond parities.  It runs in
 float64 from the product state to the last block, in the fold's real gauge,
-so every factorization takes a real LAPACK driver; one phase per site then
-returns the state to the physical gauge.
+so every factorization takes a real LAPACK driver, and the solved state
+stays in that gauge (TensorState).
 
 Every gate conserves fermion parity and the replay starts from a product
 state, so each bond basis is parity-sorted: the first `TensorState.even[j]`
@@ -35,9 +35,9 @@ gesdd call is retried on the conjugate transpose), to one thread.
 Observables are ratios of basis coefficients against the vacuum one, so
 the trace factors dropped during construction cancel identically.  The
 state is Gaussian, and its amplitudes with exactly two modes a < b occupied
-(0-based) hold its whole covariance: z0 c_ab = p_ab Gamma_ab, with p_ab = 1
-for odd b - a, and otherwise i for even a and -i for odd a.  One left-to-right
-sweep (covariance) reads all N(2N-1) of them, and build_report reads every
+(0-based) hold its whole covariance: z0 c_ab = s_a s_b Gamma_ab, with one
+sign per Majorana (folding.gauge_signs).  One left-to-right float64 sweep
+(covariance) reads all N(2N-1) of them, and build_report reads every
 observable off that matrix with the formulas spectral.gaussian_report applies
 to the solve's own covariance.
 """
@@ -52,20 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import UnphysicalReadout, VacuumVanishes
-from .folding import FoldResult
+from .folding import FoldResult, gauge_signs
 from .spectral import gaussian_report
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
-IMAG_TOL = 1e-10
 # relative floor on every value the Gram route keeps: the Gram matrix squares the condition
 # number, so singular values below about sqrt(eps) times the largest are not resolved
 GRAM_FLOOR = 1e-6
-
-
-def _physical(M: np.ndarray, even_left: int, even_right: int) -> np.ndarray:
-    """Physical index p = parity(a) xor parity(b) of every entry (a, b) of a site matrix."""
-    return (np.arange(M.shape[0]) >= even_left)[:, None] != (np.arange(M.shape[1]) >= even_right)
 
 
 @dataclass
@@ -76,13 +70,15 @@ class TensorState:
     j + 1; bond `sites` closes the chain.  `even[j]` counts the even-parity
     vectors of bond j, which come first.  Entry (a, b) of `matrices[j]` is
     the amplitude of physical index p = parity(a) xor parity(b) at site j.
+    The replay leaves it float64 in the fold's real gauge, with a real z0: the
+    physical state has the occupied entries of site j times e^{i(pi j/2 + pi/4)}.
     """
 
     matrices: list
     even: list
     truncTol: float = TRUNC_TOL_DEFAULT
     maxChi: int = 0
-    z0: complex = 0.0
+    z0: float = 0.0
     discardedWeight: float = 0.0
     maxBondSeen: int = field(default=1)
 
@@ -98,8 +94,8 @@ class TensorState:
     def tensors(self) -> list:
         """Dense (left bond, physical, right bond) arrays, built on each access."""
         out = []
-        for j, M in enumerate(self.matrices):
-            p = _physical(M, self.even[j], self.even[j + 1])
+        for M, e, e1 in zip(self.matrices, self.even, self.even[1:]):
+            p = (np.arange(M.shape[0]) >= e)[:, None] != (np.arange(M.shape[1]) >= e1)
             out.append(np.stack((np.where(p, 0, M), np.where(p, M, 0)), axis=1))
         return out
 
@@ -320,8 +316,8 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
 
     Each block is multiplied into one real two-site unitary, zero angles
     included as exact identity factors, and applied with one SVD; the
-    product state is real, so the whole replay runs in float64, and
-    _physical_gauge's one phase per site ends it.  Reversed, the
+    product state is real, so the whole replay runs in float64 and leaves
+    the state in the fold's real gauge (TensorState).  Reversed, the
     fold's rows are staircases of alternating direction, each starting on the
     pair next to where the previous one ended, so consecutive blocks sit at
     most one pair apart.  Each update leaves the orthogonality center on the
@@ -340,30 +336,21 @@ def apply_inverse_sequence(state: TensorState, result: FoldResult) -> None:
     center_left = np.append(moves < 0, False).tolist()
     for j, gate, left in zip(pairs.tolist(), _pair_gates(blocks.angles), center_left):
         _update_pair(state, j, gate, center_left=left)
-    _physical_gauge(state)
-
-
-def _physical_gauge(state: TensorState) -> None:
-    """Multiply the occupied entries of site j (0-based) by e^{i(pi j/2 + pi/4)}, which takes
-    the replay's real-gauge state (folding.gauged_projector) to the physical one."""
-    for j, M in enumerate(state.matrices):
-        occupied = _physical(M, state.even[j], state.even[j + 1])
-        state.matrices[j] = np.where(occupied, M * np.exp(0.25j * np.pi * (2 * j + 1)), M)
 
 
 def _vacuum_prefixes(state: TensorState) -> list:
     """All-empty amplitude of the sites left of each bond 0..sites, as a (1, even[j]) row on
     the bond's even sector, contracted left to right."""
-    out = [np.ones((1, 1), dtype=complex)]
+    out = [np.ones((1, 1))]
     for j, M in enumerate(state.matrices):
         out.append(out[-1] @ M[:state.even[j], :state.even[j + 1]])
     return out
 
 
-def normalize_vacuum(state: TensorState) -> complex:
-    """Fix the overall scale so the vacuum coefficient becomes exactly 1."""
+def normalize_vacuum(state: TensorState) -> float:
+    """Fix the overall scale so the vacuum coefficient becomes exactly 1; z0 = 1/c0, real on a real state."""
     vac = _vacuum_prefixes(state)[-1]
-    c0 = complex(vac[0, 0]) if vac.size else 0j
+    c0 = vac[0, 0].item() if vac.size else 0.0
     if abs(c0) < VACUUM_EPS:
         raise VacuumVanishes(f"vacuum amplitude {abs(c0):.3e} below {VACUUM_EPS:.3e}")
     state.z0 = 1.0 / c0
@@ -386,48 +373,43 @@ class ObservableReport:
             raise ValueError(f"eec must be nonnegative, got {self.eec}")
 
 
-def covariance(state: TensorState) -> tuple:
-    """(Gamma, leakage) of a vacuum-normalized state, read in one left-to-right sweep.
+def covariance(state: TensorState) -> np.ndarray:
+    """Gamma of a vacuum-normalized real-gauge state, antisymmetric 2N x 2N, read in one
+    left-to-right float64 sweep; ValueError refuses a state with complex site matrices.
 
     With modes a < b (0-based) exactly occupied, z0 times the amplitude is
-    p_ab Gamma_ab: p_ab is 1 for odd b - a, else i for even a and -i for odd a.
-    Gamma is the real part of z0 c_ab / p_ab, leakage its imaginary part, both
-    as antisymmetric 2N x 2N arrays.  The sweep carries one open row per earlier
-    occupied mode, opens a row at each site from the all-empty prefix to its left
-    (_vacuum_prefixes, the contraction normalize_vacuum reads c0 from), and closes
-    each row at its second occupied mode against the all-empty suffix to the right.
+    s_a s_b Gamma_ab, s = folding.gauge_signs.  The sweep carries one open row
+    per earlier occupied mode, opens a row at each site from the all-empty
+    prefix to its left (_vacuum_prefixes, the contraction normalize_vacuum
+    reads c0 from), and closes each row at its second occupied mode against the
+    all-empty suffix to the right.
     """
     if state.z0 == 0:
         raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
+    complex_sites = [j for j, M in enumerate(state.matrices, start=1) if np.iscomplexobj(M)]
+    if complex_sites:
+        raise ValueError(f"covariance reads real-gauge states only; sites {complex_sites} are complex")
     n2, even = state.sites, state.even
-    right = [np.ones(even[n2], dtype=complex)]  # all-empty suffixes, on each bond's even sector
+    right = [np.ones(even[n2])]  # all-empty suffixes, on each bond's even sector
     for j in range(n2 - 1, 0, -1):
         right.append(state.matrices[j][:even[j], :even[j + 1]] @ right[-1])
     right.reverse()
-    amp, opened = np.zeros((n2, n2), dtype=complex), np.zeros((0, 0), dtype=complex)
+    amp, opened = np.zeros((n2, n2)), np.zeros((0, 0))
     for j, (M, vac, env) in enumerate(zip(state.matrices, _vacuum_prefixes(state), right)):
         e, e1 = even[j], even[j + 1]
         amp[:j, j] = opened @ (M[e:, :e1] @ env)
         opened = np.concatenate((opened @ M[e:, e1:], vac @ M[:e, e1:]))
-    a, b = np.indices((n2, n2))
-    phase = np.where((b - a) % 2 == 1, 1.0, np.where(a % 2 == 0, 1j, -1j))
-    values = np.triu(state.z0 * amp / phase, 1)
-    return values.real - values.real.T, values.imag - values.imag.T
+    s = gauge_signs(n2)
+    values = np.triu(state.z0 * amp, 1) * s[:, None] * s
+    return values - values.T
 
 
 def build_report(state: TensorState) -> ObservableReport:
-    """Every observable of a vacuum-normalized state: spectral.gaussian_report applied to the
-    covariance swept off it.  UnphysicalReadout refuses an occupancy with complex leakage or
-    outside [0, 1]."""
-    gamma, leakage = covariance(state)
-    # the replay is real up to its one final phase, so leakage is roundoff, capped or not, and
-    # the guard refuses only a broken replay; truncation error lands in the real part, which no
-    # tolerance here sees: at (N, w, mu) = (11, 0.99, 1.85) with maxChi 6, Gamma is off by 0.18
-    imag_tol = max(IMAG_TOL, 10.0 * float(np.sqrt(max(state.discardedWeight, 0.0))))
-    eec, occupancy = gaussian_report(gamma)
-    for j, (leak, occ) in enumerate(zip(np.diag(leakage[0::2, 1::2]), occupancy), start=1):
-        if abs(leak) > imag_tol:
-            raise UnphysicalReadout(f"occupancy at site {j} has imaginary part {leak:.3e}")
+    """Every observable of a vacuum-normalized real-gauge state: spectral.gaussian_report
+    applied to the covariance swept off it.  UnphysicalReadout refuses an occupancy outside
+    [0, 1], as a tight bond cap can leave it."""
+    eec, occupancy = gaussian_report(covariance(state))
+    for j, occ in enumerate(occupancy, start=1):
         if occ < -1e-8 or occ > 1 + 1e-8:
             raise UnphysicalReadout(f"occupancy at site {j} is {float(occ)!r}, outside [0,1]")
     return ObservableReport(eec=eec, occupancy=occupancy, maxBond=int(state.maxBondSeen))

@@ -14,7 +14,7 @@ import numpy as np
 from nessfold.cli import main
 from nessfold.folding import BLOCK_DTYPE, real_stack
 from nessfold.oracle import FIRST_SPACE_MAX_SITES, majorana_site_matrices, mode_ladders
-from nessfold.tns import _occupations, _physical, _update_pair
+from nessfold.tns import _occupations, _update_pair
 
 
 def run_cli(capsys, argv) -> tuple:
@@ -71,7 +71,7 @@ def coefficient(state, bits) -> complex:
     bits = _occupations(bits)
     if len(bits) != state.sites:
         raise ValueError(f"need {state.sites} occupations, got {len(bits)}")
-    v, parity = np.ones(1, dtype=complex), 0
+    v, parity = np.ones(1), 0
     for j, (M, b) in enumerate(zip(state.matrices, bits)):
         v = v @ M[_sector(state.even[j], parity), _sector(state.even[j + 1], parity ^ b)]
         parity ^= b
@@ -263,7 +263,8 @@ def apply_gate(state, m: int, theta: float) -> None:
     half = 0.5 * theta
     phase = complex(math.cos(half), math.sin(half))
     M = state.matrices[j]
-    state.matrices[j] = M * np.where(_physical(M, state.even[j], state.even[j + 1]), phase.conjugate(), phase)
+    left, right = np.arange(M.shape[0]) >= state.even[j], np.arange(M.shape[1]) >= state.even[j + 1]
+    state.matrices[j] = M * np.where(left[:, None] != right, phase.conjugate(), phase)
 
 
 def apply_record(state, m: int, theta: float) -> None:
@@ -274,14 +275,17 @@ def apply_record(state, m: int, theta: float) -> None:
 
 
 def physical_phases(n_sites: int) -> np.ndarray:
-    """Dense diagonal of tns._physical_gauge, big-endian: the product of e^{i(pi j/2 + pi/4)}
-    over the occupied sites j (0-based) of each pattern."""
+    """Dense diagonal from the replay's real gauge to the physical one, big-endian: the product
+    of e^{i(pi j/2 + pi/4)} over the occupied sites j (0-based) of each pattern.  A solved
+    state's dense_coefficients times it is the physical coefficient vector."""
     bits = (np.arange(2 ** n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
     return np.exp(0.25j * np.pi * (bits @ (2 * np.arange(n_sites) + 1)))
 
 
 def majorana_pair_expectation(state, odd_idx: int, even_idx: int) -> complex:
-    """z0-weighted coefficient of the pattern occupied exactly at the two positions."""
+    """z0-weighted coefficient of the pattern occupied exactly at the two positions (1-based), in
+    the physical gauge: the solved state's coefficient times the phase physical_phases gives
+    that pattern, i^(odd_idx + even_idx - 1)."""
     if state.z0 == 0:
         raise ValueError("state is not vacuum-normalized; call normalize_vacuum first")
     n2 = state.sites
@@ -292,7 +296,7 @@ def majorana_pair_expectation(state, odd_idx: int, even_idx: int) -> complex:
     bits = [0] * n2
     bits[odd_idx - 1] = 1
     bits[even_idx - 1] = 1
-    return state.z0 * coefficient(state, bits)
+    return state.z0 * coefficient(state, bits) * (1, 1j, -1, -1j)[(odd_idx + even_idx - 1) % 4]
 
 
 def mode_majoranas(n_modes: int) -> list:

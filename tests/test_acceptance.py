@@ -31,8 +31,8 @@ from nessfold.oracle import (dense_first_space_ness, dense_second_space_ness, oc
 from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
 
-from helpers import (dense_coefficients, error_metric, gauged_stack, liouvillian_by_channel, reference_projector,
-                     replay, rho_to_second_space, rotation_gate, scalar_eigenvalue)
+from helpers import (dense_coefficients, error_metric, gauged_stack, liouvillian_by_channel, physical_phases,
+                     reference_projector, replay, rho_to_second_space, rotation_gate, scalar_eigenvalue)
 
 FIG1_BATHS = EndBathParams(gamma11=1.3, gamma21=2.2, gamma12=3.4, gamma22=4.1)
 INJECT_BATHS = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
@@ -57,9 +57,11 @@ def dense_ness(params, bath_params):
 
 
 def second_space_error(params, bath_params) -> float:
-    """Relative error of the solver's coefficient vector against the dense kernel's."""
+    """Relative error of the solver's coefficient vector, taken to the physical gauge, against
+    the dense kernel's."""
     sol = solve_end_bath(params, bath_params)
-    return error_metric(sol.state.z0 * dense_coefficients(sol.state), dense_ness(params, bath_params))
+    vec = sol.state.z0 * physical_phases(sol.state.sites) * dense_coefficients(sol.state)
+    return error_metric(vec, dense_ness(params, bath_params))
 
 
 # ---------------------------------------------------------------- 1-5

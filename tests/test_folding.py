@@ -5,7 +5,8 @@ import pytest
 
 from nessfold import folding
 from nessfold.exceptions import ClosureViolation
-from nessfold.folding import FoldResult, close_row, eliminate_pair, fold, fold_real, gauged_projector, real_stack
+from nessfold.folding import (FoldResult, close_row, eliminate_pair, fold, fold_real, gauge_signs,
+                              gauged_projector, real_stack)
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
 from nessfold.spectral import TransferStack, build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
 
@@ -74,6 +75,35 @@ def test_gauged_projector_is_real_and_antisymmetric(n):
         W = real_stack(stack)
         assert W.dtype == np.float64
         assert np.abs(minkowski(W)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
+def test_gauged_projector_is_the_covariance_under_one_sign_per_majorana(n):
+    """Q' = S Gamma S bit for bit, with S = diag(s) and s = (+1, -1, -1, +1) repeating: the
+    signs tns.covariance reads the replayed state's covariance with."""
+    s = gauge_signs(2 * n)
+    for baths in (FIG1_BP, GAIN_BP):
+        for w, mu in ((0.5, 2.2), (1.5, 0.2), (0.9, 1.0)):
+            L = build_liouvillian(build_kitaev(KitaevParams(N=n, w=w, mu=mu, delta=1.0)), end_baths(n, baths))
+            spectrum = decompose(L)
+            Qp = gauged_projector(build_stack(stable_projector(spectrum), n))
+            np.testing.assert_array_equal(Qp, s[:, None] * spectrum.gamma * s)
+
+
+def test_real_stack_refuses_a_stack_outside_the_layout():
+    """Q' is read off the odd columns alone, so a stack whose even columns are not i (I + Q)/2,
+    such as the folded-pattern rows (0.8i, 0.8) and (-0.6i, 0.6), or whose Q' is not real, as
+    for a real antisymmetric Q, is refused by name before any row is cleared."""
+    folded = TransferStack(N=1, R=np.array([[0.8j, 0.8, 0, 0], [0, 0, -0.6j, 0.6]]))
+    Q = np.array([[0, 0.5, 0.2, 0.1], [-0.5, 0, 0.3, 0.4], [-0.2, -0.3, 0, 0.6], [-0.1, -0.4, -0.6, 0]])
+    layout = r"not in build_stack's layout \(1/2\) \[\(I - Q\) \| i \(I \+ Q\)\]"
+    for stack, off in ((folded, r"even columns off by 1\.562e\+00"),
+                       (build_stack(Q, 2), r"Im Q' up to 4\.000e-01")):
+        for read in (real_stack, fold):
+            with pytest.raises(ValueError, match=layout):
+                read(stack)
+        with pytest.raises(ValueError, match=off):
+            real_stack(stack)
 
 
 def test_strip_phases_makes_row_real():

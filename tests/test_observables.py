@@ -5,9 +5,10 @@ import pytest
 
 from nessfold.cli import _FIG1_BATHS, _FIG1_PARAMS
 from nessfold.exceptions import UnphysicalReadout
+from nessfold.folding import gauge_signs, gauged_projector
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import log_linear_fit, solve_end_bath
-from nessfold.spectral import gaussian_report
+from nessfold.spectral import build_stack, gaussian_report, stable_projector
 from nessfold.tns import ObservableReport, build_report, covariance, normalize_vacuum, product_state
 
 from helpers import apply_gate, coefficient, majorana_pair_expectation
@@ -62,15 +63,15 @@ def test_occupancy_bounds_and_profile():
     np.testing.assert_allclose(occ, [(1 + v.real) / 2 for v in pairs], rtol=0, atol=1e-15)
 
 
-def test_occupancy_rejects_complex_leakage():
+def test_readout_refuses_a_complex_state():
+    """The readout sweeps in float64, in the replay's real gauge, so a state with complex site
+    matrices is refused by name rather than read."""
     state = product_state([0, 0])
     apply_gate(state, 3, 2 * np.arctan(1e-5))  # |00) + 1e-5j |11) after normalization
     normalize_vacuum(state)
-    with pytest.raises(UnphysicalReadout, match="imaginary"):
-        build_report(state)
-    # truncated runs widen the tolerance with the discarded weight
-    state.discardedWeight = 1e-10
-    assert build_report(state).occupancy[0] == pytest.approx(0.5, abs=1e-4)
+    for read in (covariance, build_report):
+        with pytest.raises(ValueError, match=r"real-gauge states only; sites \[1, 2\] are complex"):
+            read(state)
 
 
 def test_report_validation():
@@ -109,32 +110,46 @@ GAIN = EndBathParams(gamma21=1.0, gamma22=1.0)
 
 @pytest.mark.parametrize("n, w, mu, chi", [(3, 0.5, 2.0, 0), (4, 0.5, 2.0, 0), (4, 0.5, 2.0, 4), (4, 1.5, 0.2, 2)])
 def test_covariance_reads_every_two_mode_amplitude(n, w, mu, chi):
-    """z0 c_ab = p_ab (Gamma_ab + i leakage_ab) for every pair a < b, capped states included:
-    p_ab is 1 for odd b - a, else i for even a and -i for odd a."""
+    """z0 c_ab = s_a s_b Gamma_ab for every pair a < b, capped states included, with one sign
+    per Majorana, s = (+1, -1, -1, +1) repeating."""
     state = solve_end_bath(KitaevParams(N=n, w=w, mu=mu, delta=1.0), GAIN, max_chi=chi).state
-    gamma, leakage = covariance(state)
+    gamma, s = covariance(state), gauge_signs(2 * n)
+    assert gamma.dtype == np.float64
     np.testing.assert_array_equal(gamma, -gamma.T)
-    np.testing.assert_array_equal(leakage, -leakage.T)
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
             bits = [int(k in (a, b)) for k in range(2 * n)]
-            phase = 1.0 if (b - a) % 2 else (1j if a % 2 == 0 else -1j)
-            swept = phase * (gamma[a, b] + 1j * leakage[a, b])
-            assert abs(state.z0 * coefficient(state, bits) - swept) <= 1e-15, (a, b)
+            assert abs(state.z0 * coefficient(state, bits) - s[a] * s[b] * gamma[a, b]) <= 1e-15, (a, b)
 
 
-@pytest.mark.parametrize("params, bp", [(p, _FIG1_BATHS) for p in _FIG1_PARAMS]
-                         + [(KitaevParams(N=8, w=0.5, mu=2.0, delta=1.0), GAIN)])
+UNCAPPED_POINTS = ([(p, _FIG1_BATHS) for p in _FIG1_PARAMS]
+                   + [(KitaevParams(N=8, w=0.5, mu=2.0, delta=1.0), GAIN)])
+
+
+@pytest.mark.parametrize("params, bp", UNCAPPED_POINTS)
 def test_uncapped_covariance_equals_the_solves(params, bp):
     sol = solve_end_bath(params, bp)
-    assert np.abs(covariance(sol.state)[0] - sol.spectrum.gamma).max() <= 1e-12
+    assert np.abs(covariance(sol.state) - sol.spectrum.gamma).max() <= 1e-12
+
+
+@pytest.mark.parametrize("params, bp", UNCAPPED_POINTS)
+def test_uncapped_amplitudes_are_the_folds_gauged_projector(params, bp):
+    """The replay ends in the fold's real gauge, so each two-mode amplitude of an uncapped solve,
+    taken against the vacuum one, is the entry of the fold's own input Q' (a < b, 0-based)."""
+    sol = solve_end_bath(params, bp)
+    Qp = gauged_projector(build_stack(stable_projector(sol.spectrum), params.N)).real
+    n2 = 2 * params.N
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            bits = [int(k in (a, b)) for k in range(n2)]
+            assert abs(sol.state.z0 * coefficient(sol.state, bits) - Qp[a, b]) <= 1e-12, (a, b)
 
 
 def test_capped_covariance_error_exceeds_the_eec_error():
     """At (12, 0.5, 2) under a chi=24 cap the worst covariance entry (about 9.1e-3) is off more
     than the row's eec (about 8.2e-4), so comparing covariances catches more than eec does."""
     sol = solve_end_bath(KitaevParams(N=12, w=0.5, mu=2.0, delta=1.0), GAIN, max_chi=24)
-    worst = np.abs(covariance(sol.state)[0] - sol.spectrum.gamma).max()
+    worst = np.abs(covariance(sol.state) - sol.spectrum.gamma).max()
     eec_error = abs(sol.report.eec - gaussian_report(sol.spectrum.gamma)[0])
     assert worst > 5 * eec_error > 0
 

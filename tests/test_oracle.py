@@ -21,7 +21,7 @@ from nessfold.oracle import (
 from nessfold.pipeline import solve_end_bath
 
 from helpers import (analytic_n1, dense_coefficients, error_metric, liouvillian_by_channel, mode_majoranas,
-                     rho_to_second_space, scalar_eigenvalue, second_space_from_strings)
+                     physical_phases, rho_to_second_space, scalar_eigenvalue, second_space_from_strings)
 
 BP = EndBathParams(gamma11=0.8, gamma21=1.7, gamma12=0.4, gamma22=2.1)
 
@@ -188,7 +188,7 @@ def test_second_space_vector_validation():
 def test_vector_observables_match_pipeline():
     params = KitaevParams(N=2, w=1.4, mu=0.9, delta=1.0)
     sol = solve_end_bath(params, BP)
-    vec = sol.state.z0 * dense_coefficients(sol.state)
+    vec = sol.state.z0 * physical_phases(4) * dense_coefficients(sol.state)
     assert eec_from_vec(vec, 2) == pytest.approx(sol.report.eec, rel=1e-10)
     for j in (1, 2):
         assert occupancy_from_vec(vec, 2, j) == pytest.approx(

@@ -13,7 +13,8 @@ from nessfold.pipeline import solve_end_bath
 from nessfold.spectral import build_liouvillian, decompose
 from nessfold.tns import product_state
 
-from helpers import apply_gate, dense_coefficients, error_metric, liouvillian_by_channel, reference_projector, replay, rotate_columns, scalar_eigenvalue
+from helpers import (apply_gate, dense_coefficients, error_metric, liouvillian_by_channel, physical_phases,
+                     reference_projector, replay, rotate_columns, scalar_eigenvalue)
 
 SUITE_SETTINGS = settings(
     max_examples=50,
@@ -142,5 +143,5 @@ def test_pipeline_matches_dense_kernel_on_random_chains(case):
         ref = dense_second_space_ness(build_kitaev(params), end_baths(params.N, bp))
     except NessfoldError:
         assume(False)
-    vec = sol.state.z0 * dense_coefficients(sol.state)
+    vec = sol.state.z0 * physical_phases(sol.state.sites) * dense_coefficients(sol.state)
     assert error_metric(vec, ref.vec) <= 1e-9

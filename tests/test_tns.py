@@ -14,7 +14,6 @@ from nessfold.spectral import build_liouvillian, build_stack, decompose, stable_
 from nessfold.tns import (
     TensorState,
     _pair_gates,
-    _physical_gauge,
     _update_pair,
     apply_inverse_sequence,
     normalize_vacuum,
@@ -22,7 +21,7 @@ from nessfold.tns import (
 )
 
 from helpers import (_sector, apply_gate, apply_record, blocks_from_records, coefficient, dense_coefficients,
-                     physical_phases, record_gate, rotation_gate, two_site_gate)
+                     record_gate, rotation_gate, two_site_gate)
 
 
 def dense_gate(n_sites, m, theta):
@@ -142,7 +141,6 @@ def test_inverse_sequence_gauge_moves_are_exact():
     for rot in reversed(result.rotations):
         if rot.theta != 0.0:
             apply_record(naive, int(rot.m), -float(rot.theta))
-    _physical_gauge(naive)
 
     np.testing.assert_allclose(
         dense_coefficients(gauged), dense_coefficients(naive), atol=1e-12
@@ -234,10 +232,10 @@ def test_replay_keeps_the_state_canonical_about_its_center(monkeypatch, n, w, mu
 
 
 @pytest.mark.parametrize("max_chi", [0, 16], ids=["uncapped", "capped"])
-def test_replay_stays_real_until_the_final_phase(monkeypatch, max_chi):
+def test_replay_stays_real_to_the_solved_state(monkeypatch, max_chi):
     """Every two-site update of a solve finds float64 site matrices, takes a float64 gate and
-    leaves float64 matrices, so its SVDs and Gram eigensolves get real input; the one per-site
-    phase at the end makes the state complex."""
+    leaves float64 matrices, so its SVDs and Gram eigensolves get real input, and the solved
+    state keeps float64 matrices and a real z0: no phase step follows the last block."""
     svd, updates, factored = np.linalg.svd, [], []
 
     def checked(state, j, gate, center_left=False):
@@ -256,7 +254,8 @@ def test_replay_stays_real_until_the_final_phase(monkeypatch, max_chi):
     sol = solve_end_bath(KitaevParams(N=8, w=0.5, mu=2.0, delta=1.0), GAIN_ONLY, max_chi=max_chi)
     assert len(updates) == 8 * 15
     assert factored and set(factored) == {np.dtype(np.float64)}
-    assert all(M.dtype == np.complex128 for M in sol.state.matrices)
+    assert all(M.dtype == np.float64 for M in sol.state.matrices)
+    assert type(sol.state.z0) is float
 
 
 def test_coefficient_matches_dense_vector():
@@ -451,7 +450,6 @@ def test_fused_replay_matches_record_by_record_gates(n):
     naive = product_state(sol.foldResult.bits, trunc_tol=0.0)
     for m, theta in zip(rots.m[::-1].tolist(), rots.theta[::-1].tolist()):
         apply_record(naive, m, -theta)
-    _physical_gauge(naive)
     np.testing.assert_allclose(dense_coefficients(sol.state), dense_coefficients(naive), rtol=0, atol=1e-12)
     assert sol.state.discardedWeight == 0.0
 
@@ -478,8 +476,8 @@ def fold_result(records, n_sites):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_replay_matches_dense_gates(seed):
     """Random blocks in the fold's layout, zero angles and an all-zero block included, replay as
-    the dense gate product in the physical gauge: each next block sits at most one pair left or
-    right of the last one, or on the same pair."""
+    the dense gate product: each next block sits at most one pair left or right of the last one,
+    or on the same pair."""
     rng = np.random.default_rng(seed)
     n_sites = 5
     pairs = [n_sites - 2]
@@ -492,7 +490,7 @@ def test_block_replay_matches_dense_gates(seed):
     apply_inverse_sequence(state, fold_result(records, n_sites))
     for m, theta, _ in reversed(records):
         dense = dense_record(n_sites, m, -theta) @ dense
-    np.testing.assert_allclose(dense_coefficients(state), physical_phases(n_sites) * dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense_coefficients(state), dense, rtol=0, atol=1e-12)
     assert_parity_blocked(state, bits)
 
 
