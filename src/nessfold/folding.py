@@ -1,25 +1,22 @@
 """Reduction of the transfer stack into same-parity Givens rotations of neighboring sites.
 
-The stack rows are (1/2) [(I - Q) | i (I + Q)] on the odd and even Majoranas
-(spectral.build_stack), and with 0-based indices Q' = i^-(j+k+1) Q is real,
-since each entry of Q is a real covariance entry times +-1 or +-i.  That
-per-site phase gauge is the state's image under exp(-i sum_s (pi s/2 + pi/4)
-n_s), in which the replay leaves the state (tns).  The fold works on the
-real stack [(I - Q')/2 | (I + Q')/2]: the rotations it applies never mix an
-odd with an even Majorana, so the even columns' common factor i rides along
-untouched.  Row l of the stack is cleared one site pair at a time onto one
-free site, which it then pins: odd rows onto the leftmost free site, even
-rows onto the rightmost, so the free sites stay one contiguous run.  Inside a
-pair (s, s+1) two real Givens rotations push the far site's entries onto the
-near one, one on the odd Majoranas (gamma~_{2s-1}, gamma~_{2s+1}) and one on
-the even ones (gamma~_{2s}, gamma~_{2s+2}), 1-based.  Closure then pins the
-surviving pair to a single fermionic mode, which never acts again in a lower
-row (nilpotency), so each row is cleared inside the live block: the rows not
-yet closed, on the free sites.  Each cleared site pair leaves one block of
-two angles; in application order the blocks define the bundled
-transformation whose inverse rebuilds the stationary state, each one
-two-site gate; reversed, the rows alternate between ascending and descending
-staircases.
+The fold works on the transfer stack in its real gauge,
+[(I - Q')/2 | (I + Q')/2] on the odd and even Majoranas with Q' = S Gamma S
+(spectral.real_stack): the rotations it applies never mix an odd with an
+even Majorana, so the physical stack's common factor i on the even columns
+rides along untouched.  Row l of the stack is cleared one site pair at a
+time onto one free site, which it then pins: odd rows onto the leftmost free
+site, even rows onto the rightmost, so the free sites stay one contiguous
+run.  Inside a pair (s, s+1) two real Givens rotations push the far site's
+entries onto the near one, one on the odd Majoranas (gamma~_{2s-1},
+gamma~_{2s+1}) and one on the even ones (gamma~_{2s}, gamma~_{2s+2}),
+1-based.  Closure then pins the surviving pair to a single fermionic mode,
+which never acts again in a lower row (nilpotency), so each row is cleared
+inside the live block: the rows not yet closed, on the free sites.  Each
+cleared site pair leaves one block of two angles; in application order the
+blocks define the bundled transformation whose inverse rebuilds the
+stationary state, each one two-site gate; reversed, the rows alternate
+between ascending and descending staircases.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from math import atan2, cos, sin
 import numpy as np
 
 from .exceptions import ClosureViolation
-from .spectral import TransferStack
+from .spectral import TransferStack, real_stack
 
 EPS_FOLD_DEFAULT = 1e-10
 
@@ -111,35 +108,6 @@ def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAU
             f"{min(err_plus, err_minus):.3e} (tolerance {eps_fold:.3e})"
         )
     return 1 if err_plus <= err_minus else -1
-
-
-def gauge_signs(n: int) -> np.ndarray:
-    """s = (+1, -1, -1, +1) repeating over n Majoranas, 0-based: the real gauge's one sign per
-    Majorana (gauged_projector), and Gamma_ab = s_a s_b z0 c_ab on a real-gauge state (tns)."""
-    return np.array([1.0, -1.0, -1.0, 1.0])[np.arange(n) % 4]
-
-
-def gauged_projector(stack: TransferStack) -> np.ndarray:
-    """Q' = i^-(j+k+1) Q (0-based), Q read off the stack's odd columns (I - Q)/2.  Every
-    factor is exact, so on build_stack's layout Q' is antisymmetric with imaginary part 0, and
-    Q' = S Gamma S exactly, Gamma the stationary covariance and S = diag(gauge_signs(2N))."""
-    n = 2 * stack.N
-    phase = np.array([1, -1j, -1, 1j])[np.arange(n) % 4]  # i^-j
-    return -1j * phase[:, None] * (np.eye(n) - 2 * stack.R[:, 0::2]) * phase
-
-
-def real_stack(stack: TransferStack) -> np.ndarray:
-    """The real 2N x 4N stack (1/2) [(I - Q') | (I + Q')] on the odd and even columns, 1-based.
-    Q' is read off the odd columns alone, so ValueError refuses even columns other than
-    i (I + Q)/2 or a Q' with an imaginary part, both exactly 0 on build_stack's stacks."""
-    eye, Qp = np.eye(2 * stack.N), gauged_projector(stack)
-    layout = float(np.abs(stack.R[:, 1::2] - 0.5j * (eye + (eye - 2 * stack.R[:, 0::2]))).max())
-    if layout or Qp.imag.any():
-        raise ValueError(f"stack is not in build_stack's layout (1/2) [(I - Q) | i (I + Q)] with a real Q': "
-                         f"even columns off by {layout:.3e}, Im Q' up to {np.abs(Qp.imag).max():.3e}")
-    W = np.empty((2 * stack.N, 4 * stack.N))
-    W[:, 0::2], W[:, 1::2] = (eye - Qp.real) / 2, (eye + Qp.real) / 2
-    return W
 
 
 def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:

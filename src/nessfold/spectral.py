@@ -17,8 +17,14 @@ rates are +-eig(X), and the stationary state is assembled from the branch
 with positive real parts.  The projector onto that branch is
 [[I, -Q], [0, 0]] in the pair basis; its one nontrivial block is fixed by
 the stationary covariance Gamma, the solution of X Gamma + Gamma X^T = -Y,
-as Q = D (i Gamma P) D^-1.  The 2N x 4N stack matrix R is read off Q, so no
-4N matrix is built or decomposed.
+as Q = D (i Gamma P) D^-1.  That is one real gauge: with S = diag(s) and
+s = (+1, -1, -1, +1) repeating (gauge_signs, 0-based), D = diag(i^j s_j) and
+P D^-1 = D, so stable_projector builds Q as i^(j+k+1) (S Gamma S) from one
+exact phase table (gauge_phase), and Q' = Q / i^(j+k+1), read back off the
+stack (gauged_projector), is S Gamma S by construction.  The 2N x 4N stack
+matrix R is read off Q, so no 4N matrix is built or decomposed; the fold
+clears its real form, built from Q' (real_stack), and the replayed state
+stays in that gauge (tns).
 """
 
 from __future__ import annotations
@@ -136,12 +142,21 @@ def gaussian_report(gamma: np.ndarray) -> tuple:
     return float(eec), (1.0 + np.diag(gamma[0::2, 1::2])) / 2.0
 
 
+def gauge_signs(n: int) -> np.ndarray:
+    """s = (+1, -1, -1, +1) repeating over n Majoranas, 0-based: the real gauge's S = diag(s)."""
+    return np.array([1.0, -1.0, -1.0, 1.0])[np.arange(n) % 4]
+
+
+def gauge_phase(n: int) -> np.ndarray:
+    """The n x n table i^(j+k+1), 0-based, taken exactly from (1, i, -1, -i)."""
+    return np.array([1, 1j, -1, -1j])[np.add.outer(np.arange(n), np.arange(1, n + 1)) % 4]
+
+
 def stable_projector(spec: ModeSpectrum) -> np.ndarray:
-    """Q = D (i Gamma P) D^-1, antisymmetric as Gamma is: the stable projector's nontrivial block."""
-    n = len(spec.gamma)
-    d = np.tile([1.0, -1j], n // 2)
-    p = np.tile([1.0, -1.0], n // 2)
-    return d[:, None] * (1j * spec.gamma * p) / d
+    """Q = i^(j+k+1) (S Gamma S), which is D (i Gamma P) D^-1 entry for entry, antisymmetric
+    as Gamma is: the stable projector's nontrivial block."""
+    s = gauge_signs(len(spec.gamma))
+    return gauge_phase(len(s)) * (s[:, None] * spec.gamma * s)
 
 
 def build_stack(Q: np.ndarray, N: int) -> TransferStack:
@@ -149,13 +164,28 @@ def build_stack(Q: np.ndarray, N: int) -> TransferStack:
     if Q.shape != (2 * N, 2 * N):
         raise ValueError(f"projector block must be {2 * N}x{2 * N}, got {Q.shape}")
     eye = np.eye(2 * N)
-    R = np.empty((2 * N, 4 * N), dtype=complex)
-    R[:, 0::2] = (eye - Q) / 2.0
-    R[:, 1::2] = 0.5j * (eye + Q)
-    return TransferStack(N=N, R=R)
+    return TransferStack(N=N, R=np.dstack(((eye - Q) / 2.0, 0.5j * (eye + Q))).reshape(2 * N, 4 * N))
 
 
 def orthogonality_residual(stack: TransferStack) -> float:
     """Largest |sum_l R[j][l] R[k][l]| over all row pairs, including j = k."""
     G = stack.R @ stack.R.T
     return float(np.abs(G).max())
+
+
+def gauged_projector(stack: TransferStack) -> np.ndarray:
+    """Q' = Q / i^(j+k+1), Q read off the stack's odd columns (I - Q)/2: every factor is exact,
+    so on build_stack's layout Q' = S Gamma S, Gamma the stationary covariance, with Im Q' = 0."""
+    return (np.eye(2 * stack.N) - 2 * stack.R[:, 0::2]) / gauge_phase(2 * stack.N)
+
+
+def real_stack(stack: TransferStack) -> np.ndarray:
+    """The real 2N x 4N stack (1/2) [(I - Q') | (I + Q')] on the odd and even columns, 1-based.
+    Q' is read off the odd columns alone, so ValueError refuses even columns other than
+    i (I + Q)/2 or a Q' with an imaginary part, both exactly 0 on build_stack's stacks."""
+    eye, Qp = np.eye(2 * stack.N), gauged_projector(stack)
+    layout = float(np.abs(stack.R[:, 1::2] - 0.5j * (eye + (eye - 2 * stack.R[:, 0::2]))).max())
+    if layout or Qp.imag.any():
+        raise ValueError(f"stack is not in build_stack's layout (1/2) [(I - Q) | i (I + Q)] with a real Q': "
+                         f"even columns off by {layout:.3e}, Im Q' up to {np.abs(Qp.imag).max():.3e}")
+    return np.dstack(((eye - Qp.real) / 2, (eye + Qp.real) / 2)).reshape(2 * stack.N, 4 * stack.N)

@@ -36,7 +36,7 @@ Observables are ratios of basis coefficients against the vacuum one, so
 the trace factors dropped during construction cancel identically.  The
 state is Gaussian, and its amplitudes with exactly two modes a < b occupied
 (0-based) hold its whole covariance: z0 c_ab = s_a s_b Gamma_ab, with one
-sign per Majorana (folding.gauge_signs).  One left-to-right float64 sweep
+sign per Majorana (spectral.gauge_signs).  One left-to-right float64 sweep
 (covariance) reads all N(2N-1) of them, and build_report reads every
 observable off that matrix with the formulas spectral.gaussian_report applies
 to the solve's own covariance.
@@ -52,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import UnphysicalReadout, VacuumVanishes
-from .folding import FoldResult, gauge_signs
-from .spectral import gaussian_report
+from .folding import FoldResult
+from .spectral import gauge_signs, gaussian_report
 
 TRUNC_TOL_DEFAULT = 1e-12
 VACUUM_EPS = 1e-13
@@ -378,7 +378,7 @@ def covariance(state: TensorState) -> np.ndarray:
     left-to-right float64 sweep; ValueError refuses a state with complex site matrices.
 
     With modes a < b (0-based) exactly occupied, z0 times the amplitude is
-    s_a s_b Gamma_ab, s = folding.gauge_signs.  The sweep carries one open row
+    s_a s_b Gamma_ab, s = spectral.gauge_signs.  The sweep carries one open row
     per earlier occupied mode, opens a row at each site from the all-empty
     prefix to its left (_vacuum_prefixes, the contraction normalize_vacuum
     reads c0 from), and closes each row at its second occupied mode against the

@@ -5,10 +5,10 @@ import pytest
 
 from nessfold import folding
 from nessfold.exceptions import ClosureViolation
-from nessfold.folding import (FoldResult, close_row, eliminate_pair, fold, fold_real, gauge_signs,
-                              gauged_projector, real_stack)
+from nessfold.folding import FoldResult, close_row, eliminate_pair, fold, fold_real
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from nessfold.spectral import TransferStack, build_liouvillian, build_stack, decompose, orthogonality_residual, stable_projector
+from nessfold.spectral import (TransferStack, build_liouvillian, build_stack, decompose, gauge_signs, gauged_projector,
+                               orthogonality_residual, real_stack, stable_projector)
 
 from helpers import eliminate_pair_by_steps, gauged_stack, replay, rotate_columns
 

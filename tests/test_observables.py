@@ -5,10 +5,9 @@ import pytest
 
 from nessfold.cli import _FIG1_BATHS, _FIG1_PARAMS
 from nessfold.exceptions import UnphysicalReadout
-from nessfold.folding import gauge_signs, gauged_projector
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import log_linear_fit, solve_end_bath
-from nessfold.spectral import build_stack, gaussian_report, stable_projector
+from nessfold.spectral import build_stack, gauge_signs, gauged_projector, gaussian_report, stable_projector
 from nessfold.tns import ObservableReport, build_report, covariance, normalize_vacuum, product_state
 
 from helpers import apply_gate, coefficient, majorana_pair_expectation

@@ -148,6 +148,21 @@ def test_build_stack_rows():
     np.testing.assert_array_equal(stack.R[1, 1::2], 0.5j * (np.eye(4)[1] + Q[1]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
+def test_stable_projector_is_the_pair_basis_block(n):
+    """Q = i^(j+k+1) (S Gamma S) is the pair basis's D (i Gamma P) D^-1, value for value, with
+    D = diag(1, -i, 1, -i, ...) and P = diag(1, -1, 1, -1, ...), and its stack is the same to
+    the byte."""
+    d, p = np.tile([1.0, -1j], n), np.tile([1.0, -1.0], n)
+    gain = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
+    for bp in (_FIG1_BATHS, gain):
+        for w, mu in ((0.5, 2.2), (1.5, 0.2), (0.9, 1.0)):
+            spectrum = decompose(coeffs(n, w, mu, bp=bp))
+            Q, expected = stable_projector(spectrum), d[:, None] * (1j * spectrum.gamma * p) / d
+            np.testing.assert_array_equal(Q, expected)
+            assert build_stack(Q, n).R.tobytes() == build_stack(expected, n).R.tobytes()
+
+
 def seeded_point(n, seed):
     """A chain of n sites with (w, mu) and the four end rates drawn from seed."""
     w, mu, *rates = np.random.default_rng(seed).uniform([-2, -3, 0.2, 0.2, 0.2, 0.2], [2, 3, 3, 3, 3, 3])
