@@ -2,7 +2,7 @@
 
 The fold works on the transfer stack in its real gauge,
 [(I - Q')/2 | (I + Q')/2] on the odd and even Majoranas with Q' = S Gamma S
-(spectral.real_stack): the rotations it applies never mix an odd with an
+(spectral.TransferStack.W): the rotations it applies never mix an odd with an
 even Majorana, so the physical stack's common factor i on the even columns
 rides along untouched.  Row l of the stack is cleared one site pair at a
 time onto one free site, which it then pins: odd rows onto the leftmost free
@@ -27,7 +27,7 @@ from math import atan2, cos, sin
 import numpy as np
 
 from .exceptions import ClosureViolation
-from .spectral import TransferStack, real_stack
+from .spectral import TransferStack
 
 EPS_FOLD_DEFAULT = 1e-10
 
@@ -100,9 +100,9 @@ def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAU
     pair can never act again in lower rows (fermionic nilpotency), so their
     coefficients there are irrelevant and the fold leaves them where they are.
     """
-    x, y = W[l - 1, 2 * site - 2], W[l - 1, 2 * site - 1]
+    x, y = W[l - 1, 2 * site - 2:2 * site].tolist()
     err_plus, err_minus = abs(x + y), abs(x - y)
-    if min(err_plus, err_minus) > eps_fold:
+    if not min(err_plus, err_minus) <= eps_fold:
         raise ClosureViolation(
             f"row pair ({x:.3e}, {y:.3e}) violates closure by "
             f"{min(err_plus, err_minus):.3e} (tolerance {eps_fold:.3e})"
@@ -111,8 +111,8 @@ def close_row(W: np.ndarray, l: int, site: int, eps_fold: float = EPS_FOLD_DEFAU
 
 
 def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:
-    """Reduce the stack in its real gauge: fold_real of real_stack(stack)."""
-    return fold_real(real_stack(stack), eps_fold)
+    """Reduce the stack in its real gauge: fold_real of a fresh stack.W."""
+    return fold_real(stack.W, eps_fold)
 
 
 def fold_real(W: np.ndarray, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:
@@ -157,7 +157,7 @@ def fold_real(W: np.ndarray, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:
             row["pair"] = np.arange(lo - 1, hi - 1)
             row["angles"] = -row["angles"][:, ::-1]
         rDiag[l - 1] = abs(view[0, 1])
-        if rDiag[l - 1] < eps_fold:
+        if not rDiag[l - 1] >= eps_fold:
             raise ClosureViolation(f"row {l} weight {rDiag[l - 1]:.3e} below {eps_fold:.3e}")
         residual = max(residual, float(np.abs(view[0, 2:]).max(initial=0.0)))
         site = sites[l - 1] = lo if odd else hi

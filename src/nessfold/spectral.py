@@ -19,12 +19,12 @@ with positive real parts.  The projector onto that branch is
 the stationary covariance Gamma, the solution of X Gamma + Gamma X^T = -Y,
 as Q = D (i Gamma P) D^-1.  That is one real gauge: with S = diag(s) and
 s = (+1, -1, -1, +1) repeating (gauge_signs, 0-based), D = diag(i^j s_j) and
-P D^-1 = D, so stable_projector builds Q as i^(j+k+1) (S Gamma S) from one
-exact phase table (gauge_phase), and Q' = Q / i^(j+k+1), read back off the
-stack (gauged_projector), is S Gamma S by construction.  The 2N x 4N stack
-matrix R is read off Q, so no 4N matrix is built or decomposed; the fold
-clears its real form, built from Q' (real_stack), and the replayed state
-stays in that gauge (tns).
+P D^-1 = D, so Q = i^(j+k+1) Q' entry for entry, with the real block
+Q' = S Gamma S (stable_projector).  Q' is the stack's only stored form
+(TransferStack): the fold clears its real view W = (1/2) [(I - Q') | (I + Q')],
+and the physical stack R = (1/2) [(I - Q) | i (I + Q)] is read off it through
+one exact phase table (gauge_phase), so no 4N matrix is built or decomposed
+and the replayed state stays in the real gauge (tns).
 """
 
 from __future__ import annotations
@@ -67,17 +67,36 @@ class ModeSpectrum:
 
 @dataclass(frozen=True)
 class TransferStack:
-    """Rows are the coefficients of the stationary-state building operators f~_j."""
+    """The stack whose rows are the building operators f~_j, stored only as its real block Q' = S Gamma S."""
 
     N: int
-    R: np.ndarray
+    Qp: np.ndarray
 
     def __post_init__(self):
-        R = np.array(self.R, dtype=complex)
-        if R.shape != (2 * self.N, 4 * self.N):
-            raise ValueError(f"stack must be {2 * self.N}x{4 * self.N}, got {R.shape}")
-        R.setflags(write=False)
-        object.__setattr__(self, "R", R)
+        if np.iscomplexobj(self.Qp):
+            raise ValueError(f"Q' must be real, got {np.asarray(self.Qp).dtype}")
+        Qp = np.array(self.Qp, dtype=np.float64)
+        if Qp.shape != (2 * self.N,) * 2:
+            raise ValueError(f"Q' must be {2 * self.N}x{2 * self.N}, got {Qp.shape}")
+        if not np.isfinite(Qp).all():
+            raise ValueError(f"Q' must be finite, got {Qp[~np.isfinite(Qp)][0]}")
+        Qp.setflags(write=False)
+        object.__setattr__(self, "Qp", Qp)
+
+    @property
+    def W(self) -> np.ndarray:
+        """The real stack the fold clears in place, (1/2) [(I - Q') | (I + Q')], built anew each time."""
+        return self._stack(self.Qp, 0.5)
+
+    @property
+    def R(self) -> np.ndarray:
+        """The physical stack (1/2) [(I - Q) | i (I + Q)], Q = i^(j+k+1) Q'."""
+        return self._stack(gauge_phase(2 * self.N) * self.Qp, 0.5j)
+
+    def _stack(self, Q: np.ndarray, even: complex) -> np.ndarray:
+        """(I - Q)/2 on the odd columns and even (I + Q) on the even ones, 1-based."""
+        eye = np.eye(2 * self.N)
+        return np.dstack(((eye - Q) / 2.0, even * (eye + Q))).reshape(2 * self.N, 4 * self.N)
 
 
 def build_liouvillian(H: MajoranaHamiltonian, baths: list[BathChannel]) -> LiouvillianCoeffs:
@@ -153,39 +172,19 @@ def gauge_phase(n: int) -> np.ndarray:
 
 
 def stable_projector(spec: ModeSpectrum) -> np.ndarray:
-    """Q = i^(j+k+1) (S Gamma S), which is D (i Gamma P) D^-1 entry for entry, antisymmetric
-    as Gamma is: the stable projector's nontrivial block."""
+    """Q' = S Gamma S, real and antisymmetric as Gamma is: the stable projector's nontrivial
+    block D (i Gamma P) D^-1 with its exact phases i^(j+k+1) taken out."""
     s = gauge_signs(len(spec.gamma))
-    return gauge_phase(len(s)) * (s[:, None] * spec.gamma * s)
+    return s[:, None] * spec.gamma * s
 
 
-def build_stack(Q: np.ndarray, N: int) -> TransferStack:
-    """Stack rows (1/2) [(I - Q) on the odd columns | i (I + Q) on the even ones], 1-based."""
-    if Q.shape != (2 * N, 2 * N):
-        raise ValueError(f"projector block must be {2 * N}x{2 * N}, got {Q.shape}")
-    eye = np.eye(2 * N)
-    return TransferStack(N=N, R=np.dstack(((eye - Q) / 2.0, 0.5j * (eye + Q))).reshape(2 * N, 4 * N))
+def build_stack(Qp: np.ndarray, N: int) -> TransferStack:
+    """The transfer stack of the real-gauge block Q'."""
+    return TransferStack(N=N, Qp=Qp)
 
 
 def orthogonality_residual(stack: TransferStack) -> float:
     """Largest |sum_l R[j][l] R[k][l]| over all row pairs, including j = k."""
-    G = stack.R @ stack.R.T
-    return float(np.abs(G).max())
+    R = stack.R
+    return float(np.abs(R @ R.T).max())
 
-
-def gauged_projector(stack: TransferStack) -> np.ndarray:
-    """Q' = Q / i^(j+k+1), Q read off the stack's odd columns (I - Q)/2: every factor is exact,
-    so on build_stack's layout Q' = S Gamma S, Gamma the stationary covariance, with Im Q' = 0."""
-    return (np.eye(2 * stack.N) - 2 * stack.R[:, 0::2]) / gauge_phase(2 * stack.N)
-
-
-def real_stack(stack: TransferStack) -> np.ndarray:
-    """The real 2N x 4N stack (1/2) [(I - Q') | (I + Q')] on the odd and even columns, 1-based.
-    Q' is read off the odd columns alone, so ValueError refuses even columns other than
-    i (I + Q)/2 or a Q' with an imaginary part, both exactly 0 on build_stack's stacks."""
-    eye, Qp = np.eye(2 * stack.N), gauged_projector(stack)
-    layout = float(np.abs(stack.R[:, 1::2] - 0.5j * (eye + (eye - 2 * stack.R[:, 0::2]))).max())
-    if layout or Qp.imag.any():
-        raise ValueError(f"stack is not in build_stack's layout (1/2) [(I - Q) | i (I + Q)] with a real Q': "
-                         f"even columns off by {layout:.3e}, Im Q' up to {np.abs(Qp.imag).max():.3e}")
-    return np.dstack(((eye - Qp.real) / 2, (eye + Qp.real) / 2)).reshape(2 * stack.N, 4 * stack.N)

@@ -14,7 +14,6 @@ import numpy as np
 from nessfold.cli import main
 from nessfold.folding import BLOCK_DTYPE
 from nessfold.oracle import FIRST_SPACE_MAX_SITES, majorana_site_matrices, mode_ladders
-from nessfold.spectral import real_stack
 from nessfold.tns import _occupations, _update_pair
 
 
@@ -93,11 +92,11 @@ def rotate_columns(R: np.ndarray, m: int, theta: float) -> np.ndarray:
 
 
 def gauged_stack(stack) -> np.ndarray:
-    """(1/2) [(I - Q') | i (I + Q')] on the odd and even columns: spectral.real_stack with its even
+    """(1/2) [(I - Q') | i (I + Q')] on the odd and even columns: TransferStack.W with its even
     columns times i, the stack of the real-gauge state, whose rows are self-orthogonal as the
     physical stack's are.  The fold's rotations never mix the two parities, so they clear it as
     they clear the real one."""
-    return real_stack(stack) * np.tile([1.0, 1j], 2 * stack.N)
+    return stack.W * np.tile([1.0, 1j], 2 * stack.N)
 
 
 def eliminate_pair_by_steps(W: np.ndarray, l: int, k: int) -> list:

@@ -7,8 +7,8 @@ from nessfold import folding
 from nessfold.exceptions import ClosureViolation
 from nessfold.folding import FoldResult, close_row, eliminate_pair, fold, fold_real
 from nessfold.model import EndBathParams, KitaevParams, build_kitaev, end_baths
-from nessfold.spectral import (TransferStack, build_liouvillian, build_stack, decompose, gauge_signs, gauged_projector,
-                               orthogonality_residual, real_stack, stable_projector)
+from nessfold.spectral import (build_liouvillian, build_stack, decompose, gauge_signs, orthogonality_residual,
+                               stable_projector)
 
 from helpers import eliminate_pair_by_steps, gauged_stack, replay, rotate_columns
 
@@ -58,21 +58,21 @@ def test_rotate_columns_is_orthogonal():
     np.testing.assert_allclose(back, R, atol=1e-14)
     # columns 2 and 4 only, which keeps the real stack's form
     np.testing.assert_array_equal(out[:, [0, 2, 4, 5]], R[:, [0, 2, 4, 5]])
-    W = real_stack(genuine_stack())
+    W = genuine_stack().W
     np.testing.assert_allclose(minkowski(rotate_columns(W, 7, 0.7)), minkowski(W), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64])
 def test_gauged_projector_is_real_and_antisymmetric(n):
-    """Each entry of Q is a covariance entry times an exact +-1 or +-i, so the gauge's phases
-    i^-(j+k+1) leave an imaginary part of exactly 0, and Q' is antisymmetric as Gamma is."""
+    """The gauged projector Q' = stable_projector(...) is a covariance under one sign per
+    Majorana, so it is real and antisymmetric as Gamma is, and the stack the fold clears,
+    TransferStack.W, is a float64 array whose rows keep the isotropic form."""
     rng = np.random.default_rng(n)
     for baths in (FIG1_BP, GAIN_BP):
         stack = genuine_stack(n, rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0), baths=baths)
-        Qp = gauged_projector(stack)
-        assert not Qp.imag.any()
-        np.testing.assert_array_equal(Qp.real, -Qp.real.T)
-        W = real_stack(stack)
+        assert stack.Qp.dtype == np.float64
+        np.testing.assert_array_equal(stack.Qp, -stack.Qp.T)
+        W = stack.W
         assert W.dtype == np.float64
         assert np.abs(minkowski(W)).max() <= 1e-14
 
@@ -80,37 +80,26 @@ def test_gauged_projector_is_real_and_antisymmetric(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
 def test_gauged_projector_is_the_covariance_under_one_sign_per_majorana(n):
     """Q' = S Gamma S bit for bit, with S = diag(s) and s = (+1, -1, -1, +1) repeating: the
-    signs tns.covariance reads the replayed state's covariance with."""
+    signs tns.covariance reads the replayed state's covariance with.  The fold's stack holds
+    (I - Q')/2 on its odd columns and (I + Q')/2 on its even ones, bit for bit too."""
     s = gauge_signs(2 * n)
+    eye = np.eye(2 * n)
     for baths in (FIG1_BP, GAIN_BP):
         for w, mu in ((0.5, 2.2), (1.5, 0.2), (0.9, 1.0)):
             L = build_liouvillian(build_kitaev(KitaevParams(N=n, w=w, mu=mu, delta=1.0)), end_baths(n, baths))
             spectrum = decompose(L)
-            Qp = gauged_projector(build_stack(stable_projector(spectrum), n))
+            Qp = stable_projector(spectrum)
             np.testing.assert_array_equal(Qp, s[:, None] * spectrum.gamma * s)
-
-
-def test_real_stack_refuses_a_stack_outside_the_layout():
-    """Q' is read off the odd columns alone, so a stack whose even columns are not i (I + Q)/2,
-    such as the folded-pattern rows (0.8i, 0.8) and (-0.6i, 0.6), or whose Q' is not real, as
-    for a real antisymmetric Q, is refused by name before any row is cleared."""
-    folded = TransferStack(N=1, R=np.array([[0.8j, 0.8, 0, 0], [0, 0, -0.6j, 0.6]]))
-    Q = np.array([[0, 0.5, 0.2, 0.1], [-0.5, 0, 0.3, 0.4], [-0.2, -0.3, 0, 0.6], [-0.1, -0.4, -0.6, 0]])
-    layout = r"not in build_stack's layout \(1/2\) \[\(I - Q\) \| i \(I \+ Q\)\]"
-    for stack, off in ((folded, r"even columns off by 1\.562e\+00"),
-                       (build_stack(Q, 2), r"Im Q' up to 4\.000e-01")):
-        for read in (real_stack, fold):
-            with pytest.raises(ValueError, match=layout):
-                read(stack)
-        with pytest.raises(ValueError, match=off):
-            real_stack(stack)
+            W = build_stack(Qp, n).W
+            np.testing.assert_array_equal(W[:, 0::2], (eye - Qp) / 2)
+            np.testing.assert_array_equal(W[:, 1::2], (eye + Qp) / 2)
 
 
 def test_strip_phases_makes_row_real():
     """The gauge leaves nothing to strip: the stack the fold clears is real, and each pair of
     row 1 takes two angles."""
     stack = genuine_stack()
-    W = real_stack(stack)
+    W = stack.W
     np.testing.assert_allclose(gauged_stack(stack)[:, 1::2], 1j * W[:, 1::2], rtol=0, atol=0)
     angles = clear_row(W, 1)
     assert W.dtype == np.float64
@@ -118,7 +107,7 @@ def test_strip_phases_makes_row_real():
 
 
 def test_eliminate_clears_tail():
-    W = real_stack(genuine_stack())
+    W = genuine_stack().W
     clear_row(W, 1)
     assert np.abs(W[0, 2:]).max() < 1e-13
     assert W[0, 0] > 0 and W[0, 1] > 0
@@ -147,7 +136,7 @@ def pair_by_rotation(V, l, k):
 
 @pytest.mark.parametrize("l, k", [(1, 3), (1, 1), (2, 3), (3, 3)])
 def test_eliminate_pair_clears_site_k_plus_1_and_touches_only_its_columns(l, k):
-    W = real_stack(genuine_stack())
+    W = genuine_stack().W
     for row in range(1, l):
         clear_row(W, row)
         close_row(W, row, row)
@@ -199,7 +188,7 @@ def test_interior_rows_close_with_sign_minus_one(n):
     the row was cleared on, so it closes -1 there, the empty mode.  An even row is cleared on
     the mirrored columns onto the rightmost free site, where each site's two columns swap;
     read on the stack's own columns, it closes -1 as well."""
-    W = real_stack(genuine_stack(n=n))
+    W = genuine_stack(n=n).W
     rows, lo, hi = 2 * n, 1, 2 * n
     kept = []  # each row's largest entry on its other free sites, once its pairs are cleared
     for l in range(1, rows):
@@ -223,7 +212,7 @@ def test_interior_rows_close_with_sign_minus_one(n):
 def test_blocked_pair_update_matches_rotation_by_rotation(n):
     stack = genuine_stack(n=n, w=0.5, mu=2.0)
     rots = fold(stack).rotations
-    ref = fold_by_rotation(real_stack(stack))
+    ref = fold_by_rotation(stack.W)
     assert [m for m, _ in ref] == rots.m.tolist()
     assert rots.kind.tolist() == ["odd", "even"] * (len(ref) // 2)
     np.testing.assert_allclose(rots.theta, [theta for _, theta in ref], rtol=0, atol=1e-14)
@@ -248,7 +237,7 @@ def test_fold_kernel_matches_the_step_by_step_pair_bit_for_bit(n, baths, monkeyp
     rng = np.random.default_rng(n)
     stack = genuine_stack(n=n, w=rng.uniform(0.1, 2.0), mu=rng.uniform(0.1, 3.0), baths=baths)
     result = fold(stack)
-    assert_same_fold(result, fold_by_steps(real_stack(stack), monkeypatch))
+    assert_same_fold(result, fold_by_steps(stack.W, monkeypatch))
     assert result.blocks.angles.shape == (n * (2 * n - 1), 2)
 
 
@@ -380,15 +369,25 @@ def test_fold_zero_row_degenerate():
             fold_real(W)
 
 
+def test_fold_refuses_a_non_finite_row():
+    """A nan compares false both ways, so the weight check reads "not >= eps_fold" and refuses
+    it by name, and a pair with a nan or an infinite entry fails closure without a warning."""
+    with pytest.raises(ClosureViolation, match="row 1 weight nan"):
+        fold_real(np.full((4, 8), np.nan))
+    for x, y in ((np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf), (np.inf, -np.inf)):
+        W = np.zeros((2, 4))
+        W[0, :2] = [x, y]
+        with pytest.raises(ClosureViolation, match="row pair"):
+            close_row(W, 1, 1)
+
+
 def test_fold_closure_violation():
     """A projector block that is not antisymmetric breaks the rows' mutual isotropy, so a row
     does not close once the rows above it have; a row that is not isotropic on its own does
     not close at all."""
     Qp = np.array([[0, 0.5, 0.2, 0.1], [0.5, 0, 0.3, 0.4], [0.2, 0.3, 0, 0.6], [0.1, 0.4, 0.6, 0]])
-    phase = np.array([1, 1j, -1, -1j])  # i^j
-    stack = build_stack(1j * phase[:, None] * Qp * phase, 2)  # Q = i^(j+k+1) Q'
-    np.testing.assert_array_equal(gauged_projector(stack), Qp)
-    assert np.abs(minkowski(real_stack(stack))).max() > 0.1
+    stack = build_stack(Qp, 2)
+    assert np.abs(minkowski(stack.W)).max() > 0.1
     with pytest.raises(ClosureViolation, match="row pair"):
         fold(stack)
     W = np.zeros((2, 4))
@@ -405,6 +404,17 @@ def test_last_row_keeps_magnitude_under_residual_phase():
     result = fold_real(W)
     assert result.rDiag[1] == pytest.approx(1.2, abs=1e-14)
     assert result.signs[1] == -1
+
+
+def test_folding_one_stack_twice_gives_the_same_result():
+    """fold_real clears its input in place, so each fold reads a fresh stack.W and the stack
+    itself stays as built."""
+    stack = genuine_stack(n=3)
+    before = stack.W
+    first, second = fold(stack), fold(stack)
+    assert_same_fold(first, second)
+    assert first.blocks.tobytes() == second.blocks.tobytes()
+    assert stack.W.tobytes() == before.tobytes()
 
 
 def test_fold_result_is_frozen():

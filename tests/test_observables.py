@@ -7,7 +7,7 @@ from nessfold.cli import _FIG1_BATHS, _FIG1_PARAMS
 from nessfold.exceptions import UnphysicalReadout
 from nessfold.model import EndBathParams, KitaevParams
 from nessfold.pipeline import log_linear_fit, solve_end_bath
-from nessfold.spectral import build_stack, gauge_signs, gauged_projector, gaussian_report, stable_projector
+from nessfold.spectral import gauge_signs, gaussian_report, stable_projector
 from nessfold.tns import ObservableReport, build_report, covariance, normalize_vacuum, product_state
 
 from helpers import apply_gate, coefficient, majorana_pair_expectation
@@ -136,7 +136,7 @@ def test_uncapped_amplitudes_are_the_folds_gauged_projector(params, bp):
     """The replay ends in the fold's real gauge, so each two-mode amplitude of an uncapped solve,
     taken against the vacuum one, is the entry of the fold's own input Q' (a < b, 0-based)."""
     sol = solve_end_bath(params, bp)
-    Qp = gauged_projector(build_stack(stable_projector(sol.spectrum), params.N)).real
+    Qp = stable_projector(sol.spectrum)
     n2 = 2 * params.N
     for a in range(n2):
         for b in range(a + 1, n2):

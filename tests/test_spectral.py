@@ -17,6 +17,7 @@ from nessfold.spectral import (
     build_liouvillian,
     build_stack,
     decompose,
+    gauge_phase,
     gaussian_report,
     orthogonality_residual,
     stable_projector,
@@ -88,7 +89,7 @@ def test_projector_properties():
 def test_projector_block_is_the_reference_projector_in_the_pair_basis():
     """The reference projector reads [[I, -Q], [0, 0]] in the pair basis."""
     H, chans = chain(n=3)
-    Q = stable_projector(decompose(build_liouvillian(H, chans)))
+    Q = gauge_phase(6) * stable_projector(decompose(build_liouvillian(H, chans)))
     T = pair_basis(3)
     blocks = np.linalg.solve(T, reference_projector(liouvillian_by_channel(H, chans)) @ T)
     expected = np.block([[np.eye(6), -Q], [np.zeros((6, 12))]])
@@ -141,8 +142,10 @@ def test_singular_eigenbasis_guard():
 
 
 def test_build_stack_rows():
-    Q = stable_projector(decompose(coeffs(n=2)))
-    stack = build_stack(Q, 2)
+    """The physical stack's rows are (1/2) [(I - Q) | i (I + Q)], Q = i^(j+k+1) Q'."""
+    Qp = stable_projector(decompose(coeffs(n=2)))
+    stack = build_stack(Qp, 2)
+    Q = gauge_phase(4) * Qp
     assert stack.R.shape == (4, 8)
     np.testing.assert_array_equal(stack.R[1, 0::2], (np.eye(4)[1] - Q[1]) / 2.0)
     np.testing.assert_array_equal(stack.R[1, 1::2], 0.5j * (np.eye(4)[1] + Q[1]))
@@ -150,17 +153,18 @@ def test_build_stack_rows():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
 def test_stable_projector_is_the_pair_basis_block(n):
-    """Q = i^(j+k+1) (S Gamma S) is the pair basis's D (i Gamma P) D^-1, value for value, with
-    D = diag(1, -i, 1, -i, ...) and P = diag(1, -1, 1, -1, ...), and its stack is the same to
-    the byte."""
+    """The physical stack read off Q' = stable_projector(...) is, to the byte, the one built from
+    the pair basis's block D (i Gamma P) D^-1, with D = diag(1, -i, 1, -i, ...) and
+    P = diag(1, -1, 1, -1, ...)."""
     d, p = np.tile([1.0, -1j], n), np.tile([1.0, -1.0], n)
+    eye = np.eye(2 * n)
     gain = EndBathParams(gamma11=0.0, gamma21=1.0, gamma12=0.0, gamma22=1.0)
     for bp in (_FIG1_BATHS, gain):
         for w, mu in ((0.5, 2.2), (1.5, 0.2), (0.9, 1.0)):
             spectrum = decompose(coeffs(n, w, mu, bp=bp))
-            Q, expected = stable_projector(spectrum), d[:, None] * (1j * spectrum.gamma * p) / d
-            np.testing.assert_array_equal(Q, expected)
-            assert build_stack(Q, n).R.tobytes() == build_stack(expected, n).R.tobytes()
+            Q = d[:, None] * (1j * spectrum.gamma * p) / d
+            expected = np.dstack(((eye - Q) / 2.0, 0.5j * (eye + Q))).reshape(2 * n, 4 * n)
+            assert build_stack(stable_projector(spectrum), n).R.tobytes() == expected.tobytes()
 
 
 def seeded_point(n, seed):
@@ -189,7 +193,26 @@ def test_build_stack_shape_validation():
     with pytest.raises(ValueError):
         build_stack(np.zeros((6, 6)), 2)
     with pytest.raises(ValueError):
-        TransferStack(N=2, R=np.zeros((4, 6)))
+        TransferStack(N=2, Qp=np.zeros((4, 6)))
+
+
+def test_transfer_stack_refuses_a_block_it_cannot_hold():
+    """Q' is stored as float64, so a complex block is refused by name rather than cast with a
+    ComplexWarning, and a mis-shaped or non-finite one is refused before any stack is built;
+    a real square finite block is held read-only."""
+    Qp = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    for bad, problem in ((Qp + 0j, "must be real, got complex128"), (np.zeros((2, 3)), r"must be 2x2, got \(2, 3\)"),
+                         (np.array([[0.0, np.nan], [0.5, 0.0]]), "must be finite, got nan"),
+                         (np.array([[0.0, 0.5], [-np.inf, 0.0]]), "must be finite, got -inf"),
+                         (np.array([[np.inf, 0.5], [-0.5, 0.0]]), "must be finite, got inf")):
+        with pytest.raises(ValueError, match=f"Q' {problem}"):
+            TransferStack(N=1, Qp=bad)
+    with pytest.raises(ValueError, match="Q' must be finite, got nan"):
+        build_stack(np.full((4, 4), np.nan), 2)
+    stack = TransferStack(N=1, Qp=Qp.tolist())
+    assert stack.Qp.dtype == np.float64
+    with pytest.raises(ValueError):
+        stack.Qp[0, 1] = 1.0
 
 
 def test_orthogonality_residual_on_genuine_stack():
@@ -199,7 +222,8 @@ def test_orthogonality_residual_on_genuine_stack():
 
 
 def test_orthogonality_residual_counts_diagonal():
-    stack = TransferStack(N=1, R=np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]], dtype=complex))
+    # Q' = I gives Q = diag(i, -i), and R R^T = -(Q + Q^T)/2 puts it all on the diagonal
+    stack = TransferStack(N=1, Qp=np.eye(2))
     assert orthogonality_residual(stack) == pytest.approx(1.0)
 
 
