@@ -1,10 +1,12 @@
 """Command-line experiment runner.
 
 Subcommands cover single-point solves, size sweeps, phase grids, occupancy
-profiles, an oracle validation suite and a timing benchmark; each takes exactly
-the settings it reads, as flags and as config keys.  Output is CSV (RFC-4180,
-one header row) or JSON lines, streamed row by row so long sweeps can be tailed.
-The pipeline is seedless: the same config gives the same output, runtimes aside.
+profiles, a check of the solver against its own covariance and a timing
+benchmark; each takes exactly the settings it reads, as flags and as config keys.
+Every solving subcommand lists, solves, derives and writes its rows in cmd_solve.
+Output is CSV (RFC-4180, one header row) or JSON lines, streamed row by row so
+long sweeps can be tailed.  The pipeline is seedless: the same config gives the
+same output, runtimes aside.
 
 Exit codes: 0 success, 1 usage, 2 physical degeneracy (non-unique stationary
 state), 3 numerical failure.  A solver failure does not abort a run: each
@@ -310,9 +312,15 @@ class RunConfig:
 # ---------------------------------------------------------------- workers
 
 
-def _task_from_config(cfg: RunConfig, **overrides) -> dict:
-    task = {name: getattr(cfg, name) for name in _POINT_COLUMNS + list(_SOLVER_KEYS)}
-    return {**task, "with_occupancy": False, "dump_fold": None, **overrides}
+def _tasks(cfg: RunConfig, command: str):
+    """The run's solves, each task built just before it is solved: w, then mu, then N
+    fastest; bench times each point three times.  The only place a run's solves are listed."""
+    fixed = {name: getattr(cfg, name) for name in _POINT_COLUMNS[3:] + list(_SOLVER_KEYS)}
+    fixed.update(with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
+    for w in cfg.w_range or [cfg.w]:
+        for mu in cfg.mu_range or [cfg.mu]:
+            for n in cfg.sizes or [cfg.N]:
+                yield from [{"N": n, "w": w, "mu": mu, **fixed}] * (3 if command == "bench" else 1)
 
 
 def _solve_task(task: dict) -> dict:
@@ -343,6 +351,7 @@ def _solve_task(task: dict) -> dict:
 
 
 def _map_tasks(tasks, jobs: int):
+    tasks = tasks if jobs <= 1 else list(tasks)  # a pool's map submits every task up front
     if jobs <= 1 or len(tasks) <= 1:
         yield from map(_solve_task, tasks)
         return
@@ -413,15 +422,10 @@ def _write_rows(cfg: RunConfig, columns, rows) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_point(cfg: RunConfig, command: str) -> int:
-    """`ness` and `occupancy`: one parameter point, one row; occupancy adds the site profile."""
-    task = _task_from_config(cfg, with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
-    return _write_rows(cfg, BASE_COLUMNS, map(_solve_task, [task]))
-
-
-def cmd_sweep_size(cfg: RunConfig) -> int:
-    tasks = [_task_from_config(cfg, N=n) for n in cfg.sizes]
-    return _write_rows(cfg, BASE_COLUMNS, _map_tasks(tasks, cfg.jobs))
+def cmd_solve(cfg: RunConfig, command: str, columns=BASE_COLUMNS, derive=lambda rows, cfg: rows) -> int:
+    """Every subcommand that solves: list the run's solves, solve them, derive the rows to
+    write from the solves' rows, and write those."""
+    return _write_rows(cfg, columns, derive(_map_tasks(_tasks(cfg, command), cfg.jobs), cfg))
 
 
 def _series_fit(rows) -> tuple:
@@ -433,43 +437,30 @@ def _series_fit(rows) -> tuple:
     return slope, residual
 
 
-def _with_fits(rows, per_point: int):
+def _with_fits(rows, cfg: RunConfig):
     """Hold back each (w, mu) point's size series until it is complete, then add its fit."""
-    for series in zip(*[iter(rows)] * per_point):  # consecutive blocks of per_point rows
+    for series in zip(*[iter(rows)] * len(cfg.sizes)):  # consecutive blocks of one series
         slope, residual = _series_fit(series)
         for r in series:
             r.update(fitSlope=slope, fitResidual=residual, boundaryMu=2.0 * abs(r["w"]))
         yield from series
 
 
-def cmd_phase_grid(cfg: RunConfig) -> int:
-    tasks = [_task_from_config(cfg, N=n, w=w, mu=mu) for w in cfg.w_range or [cfg.w]
-             for mu in cfg.mu_range or [cfg.mu] for n in cfg.sizes]
-    rows = _with_fits(_map_tasks(tasks, cfg.jobs), len(cfg.sizes))
-    return _write_rows(cfg, PHASE_COLUMNS, rows)
-
-
-def _bench_rows(cfg: RunConfig):
-    """Three timed solves per size; a size with a failed solve gets no median, stays out of
-    the slope fit and carries the worst of its three statuses into the exit code."""
-    rows = []
-    for n in cfg.sizes:
-        task = _task_from_config(cfg, N=n)
-        runs = [_solve_task(task) for _ in range(3)]
-        row = {key: task[key] for key in _POINT_COLUMNS}
+def _bench_rows(rows, cfg: RunConfig):
+    """One row per size from its three timed solves; a size with a failed solve gets no median,
+    stays out of the slope fit and carries the worst of its three statuses into the exit code."""
+    out = []
+    for runs in zip(*[iter(rows)] * 3):
+        row = {key: runs[0][key] for key in _POINT_COLUMNS}
         row.update(runsSeconds=";".join(repr(float(r["runtimeSeconds"])) for r in runs),
                    status=max((r["status"] for r in runs), key=_STATUS_EXIT.get))
         if row["status"] == STATUS_OK:
             row["medianSeconds"] = statistics.median(r["runtimeSeconds"] for r in runs)
-        rows.append(row)
-    timed = np.array([(row["N"], row["medianSeconds"]) for row in rows if "medianSeconds" in row])
+        out.append(row)
+    timed = np.array([(row["N"], row["medianSeconds"]) for row in out if "medianSeconds" in row])
     if len(timed) >= 2:
-        rows[-1]["logLogSlope"] = log_linear_fit(np.log(timed[:, 0]), np.maximum(timed[:, 1], 1e-9))[0]
-    yield from rows
-
-
-def cmd_bench(cfg: RunConfig) -> int:
-    return _write_rows(cfg, BENCH_COLUMNS, _bench_rows(cfg))
+        out[-1]["logLogSlope"] = log_linear_fit(np.log(timed[:, 0]), np.maximum(timed[:, 1], 1e-9))[0]
+    yield from out
 
 
 # ---------------------------------------------------------------- validate
@@ -573,12 +564,14 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 # Per subcommand, in _ALL order: its help and its function.
 _COMMANDS = {
-    "ness": ("solve one parameter point", partial(cmd_point, command="ness")),
-    "occupancy": ("solve one point and report the site profile", partial(cmd_point, command="occupancy")),
-    "sweep-size": ("correlation vs chain length", cmd_sweep_size),
-    "phase-grid": ("size sweeps over a (w, mu) grid", cmd_phase_grid),
+    "ness": ("solve one parameter point", partial(cmd_solve, command="ness")),
+    "occupancy": ("solve one point and report the site profile", partial(cmd_solve, command="occupancy")),
+    "sweep-size": ("correlation vs chain length", partial(cmd_solve, command="sweep-size")),
+    "phase-grid": ("size sweeps over a (w, mu) grid",
+                   partial(cmd_solve, command="phase-grid", columns=PHASE_COLUMNS, derive=_with_fits)),
     "validate": ("check the solver against its own covariance", cmd_validate),
-    "bench": ("median runtime per chain length (3 runs each)", cmd_bench),
+    "bench": ("median runtime per chain length (3 runs each)",
+              partial(cmd_solve, command="bench", columns=BENCH_COLUMNS, derive=_bench_rows)),
 }
 
 

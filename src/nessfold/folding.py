@@ -115,6 +115,7 @@ def fold(stack: TransferStack, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult
     return fold_real(stack.W, eps_fold)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a rotated inf is a quiet nan or inf, refused below
 def fold_real(W: np.ndarray, eps_fold: float = EPS_FOLD_DEFAULT) -> FoldResult:
     """Reduce a real 2N x 4N stack in place, recording every site pair's block (zero angles
     included).

@@ -124,10 +124,10 @@ def log_linear_fit(x, y) -> tuple[float, float, float]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size != y.size or np.unique(x).size < 2:
-        raise ValueError("need matching points at two or more distinct x")
-    if (y <= 0).any():
-        raise ValueError("log fit needs strictly positive values")
+    if x.size != y.size or not np.isfinite(x).all() or np.unique(x).size < 2:
+        raise ValueError("need matching points at two or more distinct finite x")
+    if not (np.isfinite(y) & (y > 0)).all():
+        raise ValueError("log fit needs finite, strictly positive values")
     ly = np.log(y)
     slope, intercept = np.polyfit(x, ly, 1)
     pred = slope * x + intercept

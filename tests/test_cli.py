@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from nessfold.cli import (
     PHASE_COLUMNS,
     RunConfig,
     _solve_task,
-    _task_from_config,
     _write_rows,
     main,
     sweep,
@@ -576,6 +576,36 @@ def test_a_grid_of_more_solves_than_a_run_allows_is_refused():
     cfg.validate_common("phase-grid")
 
 
+class _FirstSolve(Exception):
+    pass
+
+
+def _traced_peak_before_the_first_solve(capsys, monkeypatch, argv) -> int:
+    def first_solve(task):
+        raise _FirstSolve
+
+    monkeypatch.setattr(cli, "_solve_task", first_solve)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstSolve):
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == ",".join(PHASE_COLUMNS) + "\n"  # the header, and no row
+    return peak
+
+
+def test_a_serial_run_lists_each_solve_as_it_is_solved(capsys, monkeypatch):
+    """A serial grid builds each task just before its solve, so what it holds before the first
+    solve does not grow with the grid; a grid listed up front holds about 470 bytes a solve."""
+    peaks = [_traced_peak_before_the_first_solve(
+        capsys, monkeypatch, ["phase-grid", "--sizes", "2", "--w-range", f"0:{w}:1", "--mu-range", "0:99:1"])
+        for w in (49, 199)]
+    assert max(peaks) < 1_000_000
+    assert peaks[1] - peaks[0] < 100_000
+
+
 def test_every_typed_failure_has_a_row_status():
     """Every NessfoldError has a _FAILURES row, and every status exactly one: a failure
     without a row aborts the whole sweep, and two exceptions for one status are one
@@ -590,7 +620,7 @@ def test_every_typed_failure_has_a_row_status():
 
 def test_solve_task_maps_stage_failures(monkeypatch):
     cfg = RunConfig()
-    task = _task_from_config(cfg)
+    task = next(cli._tasks(cfg, "ness"))
 
     def raise_vacuum(*args, **kwargs):
         raise VacuumVanishes("synthetic")

@@ -371,9 +371,15 @@ def test_fold_zero_row_degenerate():
 
 def test_fold_refuses_a_non_finite_row():
     """A nan compares false both ways, so the weight check reads "not >= eps_fold" and refuses
-    it by name, and a pair with a nan or an infinite entry fails closure without a warning."""
+    it by name, and a pair with a nan or an infinite entry fails closure without a warning;
+    an infinite entry, which the rotations turn into nan, fails it without one too."""
     with pytest.raises(ClosureViolation, match="row 1 weight nan"):
         fold_real(np.full((4, 8), np.nan))
+    one_inf = np.zeros((2, 4))
+    one_inf[0] = [np.inf, 1.0, 0.0, 0.0]
+    for W in (one_inf, np.full((4, 8), np.inf)):
+        with pytest.raises(ClosureViolation, match=r"row pair \(inf"):
+            fold_real(W)
     for x, y in ((np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf), (np.inf, -np.inf)):
         W = np.zeros((2, 4))
         W[0, :2] = [x, y]

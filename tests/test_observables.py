@@ -177,3 +177,7 @@ def test_log_linear_fit_validation():
         log_linear_fit([1, 2, 3], [1.0, -2.0, 3.0])
     with pytest.raises(ValueError):
         log_linear_fit([1, 2, 3], [1.0, 2.0])
+    for x, y in (([1, 2, 3], [1.0, np.nan, 2.0]), ([1, 2, 3], [1.0, np.inf, 2.0]),
+                 ([1, np.nan, 3], [1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match="finite"):
+            log_linear_fit(x, y)
