@@ -24,9 +24,11 @@ import os
 import statistics
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from functools import partial
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +56,7 @@ STATUS_OK = "ok"
 
 # The most solves one run may list; a longer sweep or grid is refused before it is built.
 MAX_SOLVES = 10**6
+BENCH_RUNS = 3  # bench times each of its points this many times, and counts each run as a solve
 
 # One row per row status: the solver failure that gives it and its exit code.
 # Exit codes rank numerical > degenerate > ok.
@@ -285,7 +288,8 @@ class RunConfig:
             raise _UsageError("jobs must be >= 1")
         if command in _BY_NAME["sizes"].commands and not self.sizes:
             raise _UsageError(f"{command} needs a nonempty sizes list")
-        solves = len(self.sizes or [self.N]) * len(self.w_range or [self.w]) * len(self.mu_range or [self.mu])
+        solves = (len(self.sizes or [self.N]) * len(self.w_range or [self.w]) * len(self.mu_range or [self.mu])
+                  * (BENCH_RUNS if command == "bench" else 1))
         if solves > MAX_SOLVES:
             raise _UsageError(f"the run lists {solves} solves; at most {MAX_SOLVES} are allowed")
         # the rows and the fold dump would overwrite each other on stdout or in one file (a hard link)
@@ -314,13 +318,13 @@ class RunConfig:
 
 def _tasks(cfg: RunConfig, command: str):
     """The run's solves, each task built just before it is solved: w, then mu, then N
-    fastest; bench times each point three times.  The only place a run's solves are listed."""
+    fastest; bench times each point BENCH_RUNS times.  The only place a run's solves are listed."""
     fixed = {name: getattr(cfg, name) for name in _POINT_COLUMNS[3:] + list(_SOLVER_KEYS)}
     fixed.update(with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
     for w in cfg.w_range or [cfg.w]:
         for mu in cfg.mu_range or [cfg.mu]:
             for n in cfg.sizes or [cfg.N]:
-                yield from [{"N": n, "w": w, "mu": mu, **fixed}] * (3 if command == "bench" else 1)
+                yield from [{"N": n, "w": w, "mu": mu, **fixed}] * (BENCH_RUNS if command == "bench" else 1)
 
 
 def _solve_task(task: dict) -> dict:
@@ -351,13 +355,20 @@ def _solve_task(task: dict) -> dict:
 
 
 def _map_tasks(tasks, jobs: int):
-    tasks = tasks if jobs <= 1 else list(tasks)  # a pool's map submits every task up front
-    if jobs <= 1 or len(tasks) <= 1:
-        yield from map(_solve_task, tasks)
+    """The tasks' rows in task order; a pool is fed one task per row out, 4 * jobs tasks ahead."""
+    tasks = iter(tasks)
+    head = list(islice(tasks, 4 * jobs)) if jobs > 1 else []
+    if len(head) <= 1:
+        yield from map(_solve_task, chain(head, tasks))
         return
     # fork starts every worker up front, so the pool never outnumbers the tasks
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        yield from pool.map(_solve_task, tasks)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(head))) as pool:
+        futures = deque(pool.submit(_solve_task, task) for task in head)
+        for task in tasks:
+            futures.append(pool.submit(_solve_task, task))
+            yield futures.popleft().result()
+        for future in futures:
+            yield future.result()
 
 
 def _dump_fold(sol, path: str) -> None:
@@ -447,10 +458,10 @@ def _with_fits(rows, cfg: RunConfig):
 
 
 def _bench_rows(rows, cfg: RunConfig):
-    """One row per size from its three timed solves; a size with a failed solve gets no median,
-    stays out of the slope fit and carries the worst of its three statuses into the exit code."""
+    """One row per size from its BENCH_RUNS timed solves; a size with a failed solve gets no median,
+    stays out of the slope fit and carries the worst of its statuses into the exit code."""
     out = []
-    for runs in zip(*[iter(rows)] * 3):
+    for runs in zip(*[iter(rows)] * BENCH_RUNS):
         row = {key: runs[0][key] for key in _POINT_COLUMNS}
         row.update(runsSeconds=";".join(repr(float(r["runtimeSeconds"])) for r in runs),
                    status=max((r["status"] for r in runs), key=_STATUS_EXIT.get))
@@ -570,7 +581,7 @@ _COMMANDS = {
     "phase-grid": ("size sweeps over a (w, mu) grid",
                    partial(cmd_solve, command="phase-grid", columns=PHASE_COLUMNS, derive=_with_fits)),
     "validate": ("check the solver against its own covariance", cmd_validate),
-    "bench": ("median runtime per chain length (3 runs each)",
+    "bench": (f"median runtime per chain length ({BENCH_RUNS} runs each)",
               partial(cmd_solve, command="bench", columns=BENCH_COLUMNS, derive=_bench_rows)),
 }
 

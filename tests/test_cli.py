@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
 
@@ -382,29 +383,57 @@ def test_parallel_jobs_match_serial(capsys):
     assert strip_runtime(serial) == strip_runtime(parallel)
 
 
-def test_jobs_pool_is_sized_by_the_work(capsys, monkeypatch):
-    """Under fork every worker starts up front, so --jobs 500 for two solves asks for two."""
+class _InProcessPool:
+    """Records max_workers and runs each task here as it is submitted; starts no process."""
+
     sizes = []
 
-    class InProcessPool:
-        """Records max_workers and runs the tasks here; starts no process."""
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __enter__(self):
+        return self
 
-        def __enter__(self):
-            return self
+    def __exit__(self, *exc):
+        return False
 
-        def __exit__(self, *exc):
-            return False
+    def submit(self, fn, task):
+        future = Future()
+        future.set_result(fn(task))
+        return future
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+def test_jobs_pool_is_sized_by_the_work(capsys, monkeypatch):
+    """Under fork every worker starts up front, so --jobs 500 for two solves asks for two."""
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
     code, out, _ = run_cli(capsys, ["sweep-size", "--sizes", "2,3", "--jobs", "500"])
     assert code == EXIT_OK and len(parse_csv(out)[1]) == 2
-    assert sizes == [2]
+    assert _InProcessPool.sizes == [2]
+
+
+def test_a_pool_lists_a_few_tasks_ahead_of_its_rows(capsys, monkeypatch):
+    """A --jobs pool is fed a window of a few times jobs tasks, not the whole grid up front:
+    of 176 solves, a handful are listed when the first row is written."""
+    listed, at_first_row = [], []
+    tasks = cli._tasks
+
+    def counted(cfg, command):
+        for task in tasks(cfg, command):
+            listed.append(task)
+            yield task
+
+    def first_row(cfg, columns, rows):
+        next(rows)
+        at_first_row.append(len(listed))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "_tasks", counted)
+    monkeypatch.setattr(cli, "_write_rows", first_row)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    argv = ["phase-grid", "--sizes", "2", "--w-range", "0:1:0.1", "--mu-range", "0.5:2:0.1", "--jobs", "2"]
+    assert main(argv) == EXIT_OK
+    assert 1 < at_first_row[0] <= 5 * 2
 
 
 # ---------------------------------------------------------------- failed readout
@@ -574,6 +603,15 @@ def test_a_grid_of_more_solves_than_a_run_allows_is_refused():
         cfg.validate_common("phase-grid")
     cfg.mu_range = sweep("0:998:1")
     cfg.validate_common("phase-grid")
+
+
+def test_bench_counts_each_of_its_runs_against_the_bound():
+    """bench solves each size BENCH_RUNS times, so 333,334 sizes list 1,000,002 solves and are
+    refused before any size is checked."""
+    cfg = RunConfig()
+    cfg.sizes = list(range(2, 333_336))
+    with pytest.raises(cli._UsageError, match="lists 1000002 solves"):
+        cfg.validate_common("bench")
 
 
 class _FirstSolve(Exception):

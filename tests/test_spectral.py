@@ -218,13 +218,39 @@ def test_transfer_stack_refuses_a_block_it_cannot_hold():
 def test_orthogonality_residual_on_genuine_stack():
     L = coeffs(n=3)
     stack = build_stack(stable_projector(decompose(L)), 3)
-    assert orthogonality_residual(stack) < 1e-15
+    assert orthogonality_residual(stack) == 0.0
 
 
 def test_orthogonality_residual_counts_diagonal():
     # Q' = I gives Q = diag(i, -i), and R R^T = -(Q + Q^T)/2 puts it all on the diagonal
     stack = TransferStack(N=1, Qp=np.eye(2))
     assert orthogonality_residual(stack) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("params, bp", FIG1_GRID + [seeded_point(n, seed) for n, seed in SEEDS],
+                         ids=[f"fig1-{i}" for i in range(len(FIG1_GRID))] + [f"n{n}-seed{seed}" for n, seed in SEEDS])
+def test_orthogonality_residual_is_the_dense_product(params, bp):
+    """Read off Q' alone, the residual is max |R R^T| of the complex stack: 0.0 on a genuine stack,
+    whose Q' is exactly antisymmetric, and the dense product's value to roundoff on Q' = I and on a
+    block with no symmetry."""
+    stack = build_stack(stable_projector(decompose(coeffs(params.N, params.w, params.mu, params.delta, bp))), params.N)
+    assert orthogonality_residual(stack) == 0.0
+    assert np.abs(stack.R @ stack.R.T).max() <= 1e-16
+    blocks = (np.eye(2 * params.N), np.random.default_rng(params.N).standard_normal((2 * params.N,) * 2))
+    for block in (TransferStack(N=params.N, Qp=Qp) for Qp in blocks):
+        dense = np.abs(block.R @ block.R.T).max()
+        assert abs(orthogonality_residual(block) - dense) <= 1e-15 * dense
+
+
+def test_a_solve_never_builds_the_physical_stack(monkeypatch):
+    """After decompose a solve builds no complex array: the isotropy check and the fold read Q'
+    and its real view W, never R."""
+    def refuse(stack):
+        raise AssertionError("a solve read TransferStack.R")
+
+    monkeypatch.setattr(TransferStack, "R", property(refuse))
+    sol = solve_end_bath(KitaevParams(N=6, w=0.5, mu=2.0, delta=1.0), BP)
+    assert sol.orthoResidual == 0.0 and sol.report is not None
 
 
 LONGER = [(KitaevParams(N=n, w=1.2, mu=0.9, delta=1.0), BP) for n in (4, 5)]
