@@ -57,6 +57,7 @@ STATUS_OK = "ok"
 # The most solves one run may list; a longer sweep or grid is refused before it is built.
 MAX_SOLVES = 10**6
 BENCH_RUNS = 3  # bench times each of its points this many times, and counts each run as a solve
+POOL_WINDOW = 2000  # tasks a --jobs pool holds ahead of the row being written, about 1 MB at any --jobs
 
 # One row per row status: the solver failure that gives it and its exit code.
 # Exit codes rank numerical > degenerate > ok.
@@ -289,7 +290,7 @@ class RunConfig:
         if command in _BY_NAME["sizes"].commands and not self.sizes:
             raise _UsageError(f"{command} needs a nonempty sizes list")
         solves = (len(self.sizes or [self.N]) * len(self.w_range or [self.w]) * len(self.mu_range or [self.mu])
-                  * (BENCH_RUNS if command == "bench" else 1))
+                  * _runs(command))
         if solves > MAX_SOLVES:
             raise _UsageError(f"the run lists {solves} solves; at most {MAX_SOLVES} are allowed")
         # the rows and the fold dump would overwrite each other on stdout or in one file (a hard link)
@@ -316,15 +317,20 @@ class RunConfig:
 # ---------------------------------------------------------------- workers
 
 
+def _runs(command: str) -> int:
+    """How many times a run solves each of its points."""
+    return BENCH_RUNS if command == "bench" else 1
+
+
 def _tasks(cfg: RunConfig, command: str):
     """The run's solves, each task built just before it is solved: w, then mu, then N
-    fastest; bench times each point BENCH_RUNS times.  The only place a run's solves are listed."""
+    fastest, each _runs(command) times.  The only place a run's solves are listed."""
     fixed = {name: getattr(cfg, name) for name in _POINT_COLUMNS[3:] + list(_SOLVER_KEYS)}
     fixed.update(with_occupancy=command == "occupancy", dump_fold=cfg.dump_fold)
     for w in cfg.w_range or [cfg.w]:
         for mu in cfg.mu_range or [cfg.mu]:
             for n in cfg.sizes or [cfg.N]:
-                yield from [{"N": n, "w": w, "mu": mu, **fixed}] * (BENCH_RUNS if command == "bench" else 1)
+                yield from [{"N": n, "w": w, "mu": mu, **fixed}] * _runs(command)
 
 
 def _solve_task(task: dict) -> dict:
@@ -355,9 +361,9 @@ def _solve_task(task: dict) -> dict:
 
 
 def _map_tasks(tasks, jobs: int):
-    """The tasks' rows in task order; a pool is fed one task per row out, 4 * jobs tasks ahead."""
+    """The tasks' rows in task order; a pool is fed one task per row out, POOL_WINDOW tasks ahead."""
     tasks = iter(tasks)
-    head = list(islice(tasks, 4 * jobs)) if jobs > 1 else []
+    head = list(islice(tasks, POOL_WINDOW)) if jobs > 1 else []
     if len(head) <= 1:
         yield from map(_solve_task, chain(head, tasks))
         return

@@ -8,9 +8,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,7 +384,7 @@ def test_parallel_jobs_match_serial(capsys):
 
 
 class _InProcessPool:
-    """Records max_workers and runs each task here as it is submitted; starts no process."""
+    """Records max_workers and runs each task here when its result is asked for; starts no process."""
 
     sizes = []
 
@@ -398,9 +398,7 @@ class _InProcessPool:
         return False
 
     def submit(self, fn, task):
-        future = Future()
-        future.set_result(fn(task))
-        return future
+        return SimpleNamespace(result=partial(fn, task))
 
 
 def test_jobs_pool_is_sized_by_the_work(capsys, monkeypatch):
@@ -412,9 +410,9 @@ def test_jobs_pool_is_sized_by_the_work(capsys, monkeypatch):
     assert _InProcessPool.sizes == [2]
 
 
-def test_a_pool_lists_a_few_tasks_ahead_of_its_rows(capsys, monkeypatch):
-    """A --jobs pool is fed a window of a few times jobs tasks, not the whole grid up front:
-    of 176 solves, a handful are listed when the first row is written."""
+def test_a_pool_lists_a_window_of_tasks_ahead_of_its_rows(capsys, monkeypatch):
+    """A --jobs pool is fed a window of POOL_WINDOW tasks, not the whole grid up front: of 15,251
+    solves, the window and the one fed as the first row goes out are listed when it is written."""
     listed, at_first_row = [], []
     tasks = cli._tasks
 
@@ -431,9 +429,9 @@ def test_a_pool_lists_a_few_tasks_ahead_of_its_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_tasks", counted)
     monkeypatch.setattr(cli, "_write_rows", first_row)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
-    argv = ["phase-grid", "--sizes", "2", "--w-range", "0:1:0.1", "--mu-range", "0.5:2:0.1", "--jobs", "2"]
+    argv = ["phase-grid", "--sizes", "2", "--w-range", "0:1:0.01", "--mu-range", "0.5:2:0.01", "--jobs", "2"]
     assert main(argv) == EXIT_OK
-    assert 1 < at_first_row[0] <= 5 * 2
+    assert at_first_row == [cli.POOL_WINDOW + 1]
 
 
 # ---------------------------------------------------------------- failed readout
