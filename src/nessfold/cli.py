@@ -361,20 +361,27 @@ def _solve_task(task: dict) -> dict:
 
 
 def _map_tasks(tasks, jobs: int):
-    """The tasks' rows in task order; a pool is fed one task per row out, POOL_WINDOW tasks ahead."""
+    """The tasks' rows in task order.  A pool of at most jobs workers, and no more than the CPUs
+    or the tasks, is fed one task per row out, POOL_WINDOW tasks ahead; with one worker the tasks
+    are solved here.  When the reader stops or a solve raises, the queued tasks are dropped: only
+    the solves already running finish."""
     tasks = iter(tasks)
-    head = list(islice(tasks, POOL_WINDOW)) if jobs > 1 else []
+    workers = min(jobs, os.cpu_count() or 1)
+    head = list(islice(tasks, POOL_WINDOW)) if workers > 1 else []
     if len(head) <= 1:
         yield from map(_solve_task, chain(head, tasks))
         return
     # fork starts every worker up front, so the pool never outnumbers the tasks
-    with ProcessPoolExecutor(max_workers=min(jobs, len(head))) as pool:
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(head)))
+    try:
         futures = deque(pool.submit(_solve_task, task) for task in head)
         for task in tasks:
             futures.append(pool.submit(_solve_task, task))
             yield futures.popleft().result()
         for future in futures:
             yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _dump_fold(sol, path: str) -> None:

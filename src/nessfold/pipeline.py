@@ -73,6 +73,7 @@ class NessSolution:
 def solve(
     params: KitaevParams,
     baths,
+    *,
     trunc_tol: float = TRUNC_TOL_DEFAULT,
     max_chi: int = 0,
     eps_z: float = EPS_Z_DEFAULT,
@@ -103,17 +104,10 @@ def solve(
     return dataclasses.replace(sol, report=report)
 
 
-def solve_end_bath(
-    params: KitaevParams,
-    bath_params: EndBathParams,
-    trunc_tol: float = TRUNC_TOL_DEFAULT,
-    max_chi: int = 0,
-    eps_z: float = EPS_Z_DEFAULT,
-    eps_fold: float = EPS_FOLD_DEFAULT,
-) -> NessSolution:
-    """Convenience wrapper for the standard two-end bath layout."""
-    channels = end_baths(params.N, bath_params)
-    return solve(params, channels, trunc_tol=trunc_tol, max_chi=max_chi, eps_z=eps_z, eps_fold=eps_fold)
+def solve_end_bath(params: KitaevParams, bath_params: EndBathParams, **settings) -> NessSolution:
+    """Solve with the standard two-end bath layout; the settings trunc_tol, max_chi, eps_z and
+    eps_fold go to solve by keyword."""
+    return solve(params, end_baths(params.N, bath_params), **settings)
 
 
 def log_linear_fit(x, y) -> tuple[float, float, float]:

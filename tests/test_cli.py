@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -298,6 +300,19 @@ def test_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert "format must be csv or json" in done.stderr and "not valid JSON" not in done.stderr
 
 
+def test_python_dash_m_runs_the_cli():
+    """`python -m nessfold` is the console script: a solve writes its row and exits 0, a bad
+    chain length is refused with exit 1 and no rows."""
+    src = str(Path(nessfold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = partial(subprocess.run, env=env, capture_output=True, text=True, timeout=120)
+    done = run([sys.executable, "-m", "nessfold", "ness", "--N", "2", "--format", "json"])
+    assert done.returncode == EXIT_OK, done.stderr
+    assert [json.loads(line)["status"] for line in done.stdout.splitlines()] == ["ok"]
+    refused = run([sys.executable, "-m", "nessfold", "ness", "--N", "0"])
+    assert refused.returncode == EXIT_USAGE and refused.stdout == ""
+
+
 # ---------------------------------------------------------------- output
 
 
@@ -391,23 +406,68 @@ class _InProcessPool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, task):
         return SimpleNamespace(result=partial(fn, task))
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 def test_jobs_pool_is_sized_by_the_work(capsys, monkeypatch):
     """Under fork every worker starts up front, so --jobs 500 for two solves asks for two."""
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     code, out, _ = run_cli(capsys, ["sweep-size", "--sizes", "2,3", "--jobs", "500"])
     assert code == EXIT_OK and len(parse_csv(out)[1]) == 2
     assert _InProcessPool.sizes == [2]
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (1, []), (None, [])])
+def test_jobs_pool_is_bounded_by_the_cpus(capsys, monkeypatch, cpus, workers):
+    """--jobs 100000 over ten solves asks for one worker per CPU; on one CPU, or an unknown
+    count, the solves run here and no pool starts."""
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(capsys, ["sweep-size", "--sizes", "2,3,4,5,6,7,8,9,10,11", "--jobs", "100000"])
+    assert code == EXIT_OK and len(parse_csv(out)[1]) == 10
+    assert _InProcessPool.sizes == workers
+
+
+def _counted_solves(monkeypatch, failing=None):
+    """Solve tasks on a two-thread pool, 10 ms each, recording every solve begun; the task
+    `failing` raises."""
+    begun = []
+
+    def solve(task):
+        begun.append(task)
+        if task == failing:
+            raise RuntimeError("not a solver failure")
+        time.sleep(0.01)
+        return task
+
+    monkeypatch.setattr(cli, "_solve_task", solve)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return begun
+
+
+def test_a_pool_drops_its_queued_tasks_when_the_reader_stops(monkeypatch):
+    """A reader that leaves after one row, as `| head -1` does, ends the run once the solves
+    already running finish, not after the whole window of 200."""
+    begun = _counted_solves(monkeypatch)
+    rows = cli._map_tasks(range(200), 2)
+    assert next(rows) == 0
+    rows.close()
+    assert len(begun) < 20
+
+
+def test_a_pool_drops_its_queued_tasks_when_a_solve_raises(monkeypatch):
+    begun = _counted_solves(monkeypatch, failing=0)
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        next(cli._map_tasks(range(200), 2))
+    assert len(begun) < 20
 
 
 def test_a_pool_lists_a_window_of_tasks_ahead_of_its_rows(capsys, monkeypatch):
@@ -429,6 +489,7 @@ def test_a_pool_lists_a_window_of_tasks_ahead_of_its_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_tasks", counted)
     monkeypatch.setattr(cli, "_write_rows", first_row)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     argv = ["phase-grid", "--sizes", "2", "--w-range", "0:1:0.01", "--mu-range", "0.5:2:0.01", "--jobs", "2"]
     assert main(argv) == EXIT_OK
     assert at_first_row == [cli.POOL_WINDOW + 1]

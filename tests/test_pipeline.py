@@ -4,7 +4,7 @@ import pytest
 
 from nessfold import pipeline
 from nessfold.cli import EXIT_USAGE, main
-from nessfold.model import EndBathParams, KitaevParams
+from nessfold.model import EndBathParams, KitaevParams, end_baths
 from nessfold.pipeline import solve_end_bath
 
 POINT = KitaevParams(N=3, w=0.5, mu=2.0, delta=1.0)
@@ -34,3 +34,14 @@ def test_cli_reports_the_library_check(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "eps_fold must be a finite number > 0, got -1.0" in captured.err
+
+
+def test_settings_are_taken_by_keyword_only():
+    """solve and solve_end_bath take the settings the same way: by keyword, and only the ones
+    solve declares."""
+    with pytest.raises(TypeError):
+        pipeline.solve(POINT, end_baths(POINT.N, BATHS), 1e-12)
+    with pytest.raises(TypeError):
+        solve_end_bath(POINT, BATHS, 1e-12)
+    with pytest.raises(TypeError, match="max_bond"):
+        solve_end_bath(POINT, BATHS, max_bond=4)
